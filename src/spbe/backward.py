@@ -14,14 +14,16 @@ interchangeable generators drive this recursion:
     recursion on large games.
 
 ``GridGenerator``
-    precomputes whole per-stage tables on a simplex grid, coarsest first
-    from the final stage, reading stage-(t+1) values at the nearest grid
-    point. Queries snap to the nearest grid point, so answers are
-    approximate but total.
+    precomputes whole per-stage tables on a simplex grid, from the final
+    stage backwards, reading stage-(t+1) values at the nearest grid point.
+    The first solution phase runs for all grid points of a stage at once;
+    only the points it leaves unsolved are solved one by one. Queries snap
+    to the nearest grid point, so answers are approximate but total.
 
-Solved tables can be saved to a policy document and reloaded as a
-``TableGenerator`` (exact key lookup), optionally backed by a lazy exact
-fallback for keys the document does not carry.
+Solved tables can be saved to a policy document. An exact-mode document
+reloads as a ``TableGenerator`` (exact key lookup), optionally backed by a
+lazy exact fallback for keys the document does not carry; a grid-mode
+document reloads as a ``GridGenerator`` that snaps queries to its grid.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from .beliefs import Belief, Prescription, initial_belief
 from .game import GameSpec
-from .stage import SolverConfig, StageSolution, solve_stage_fixed_point
+from .stage import SolverConfig, StageSolution, solve_phase_one, solve_stage_fixed_point
 
 KEY_DIGITS = 9
 DEFAULT_CACHE_BUDGET = 1_000_000
@@ -77,10 +77,6 @@ def belief_key(weights) -> BeliefKey:
     q = np.round(np.asarray(weights, dtype=float), KEY_DIGITS)
     q[q == 0.0] = 0.0
     return tuple(float(v) for v in q)
-
-
-def belief_from_key(key: BeliefKey, type_counts: tuple[int, ...]) -> Belief:
-    return Belief(np.asarray(key, dtype=float), type_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +187,43 @@ def grid_points(num_weights: int, resolution: int) -> np.ndarray:
     return grid
 
 
-def nearest_grid_index(grid: np.ndarray, weights: np.ndarray) -> int:
-    """Index of the grid row closest in L1; first (lex smallest) on ties."""
-    dist = np.abs(grid - np.asarray(weights, dtype=float)).sum(axis=1)
-    return int(np.argmin(dist))
+SNAP_BLOCK = 1 << 16   # (query, grid point, weight) differences per chunk
+
+
+def _l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L1 distance over the last axis, broadcasting.
+
+    Fewer than eight terms are added column by column, left to right,
+    which is the order NumPy's ``sum`` adds them in but without its
+    per-row cost; longer rows use ``sum`` itself. Either way the result is
+    bit-identical to ``np.abs(a - b).sum(axis=-1)``.
+    """
+    if a.shape[-1] >= 8:
+        return np.abs(a - b).sum(axis=-1)
+    dist = np.abs(a[..., 0] - b[..., 0])
+    for k in range(1, a.shape[-1]):
+        dist += np.abs(a[..., k] - b[..., k])
+    return dist
+
+
+def nearest_grid_index(grid: np.ndarray, weights: np.ndarray):
+    """Index of the grid row closest in L1; first (lex smallest) on ties.
+
+    ``weights`` is one belief, giving an int, or a 2-d array of beliefs,
+    giving one index per row; rows are compared with the grid in chunks of
+    at most ``SNAP_BLOCK`` differences so that the temporaries stay small.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim == 1:
+        return int(np.argmin(np.abs(grid - weights).sum(axis=1)))
+    rows = weights
+    out = np.empty(rows.shape[0], dtype=np.intp)
+    step = max(1, SNAP_BLOCK // grid.size)
+    for start in range(0, rows.shape[0], step):
+        chunk = rows[start:start + step]
+        out[start:start + step] = np.argmin(
+            _l1(grid[None, :, :], chunk[:, None, :]), axis=1)
+    return out
 
 
 class GridGenerator:
@@ -202,53 +231,62 @@ class GridGenerator:
 
     ``build`` solves every grid point at every stage, final stage first;
     stage-(t+1) values are read at the grid point nearest (L1) to the
-    updated belief. Failed points are kept in the table with their failure
-    status so the build can finish, but querying one raises. Build work
-    within a stage can be spread over threads; points are independent given
-    the frozen next-stage table, so the result does not depend on
-    scheduling.
+    updated belief. Points are independent given the next-stage table, so
+    a stage's first solution phase runs as one batch over all of them
+    (:func:`solve_phase_one`); the points it leaves unsolved go through
+    the remaining phases one at a time. Failed points are kept in the
+    table with their failure status so the build can finish, but querying
+    one raises.
     """
 
     mode = "grid"
 
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
-                 resolution: int = 10, threads: int | None = None):
+                 resolution: int = 10):
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
         self.spec = spec
         self.config = config or SolverConfig()
         self.resolution = resolution
-        self.threads = threads
         self.grid = grid_points(spec.num_joint_types, resolution)
         self.tables: dict[int, list[StageSolution]] = {}
         self.snap_stats = {"queries": 0, "max_snap_l1": 0.0}
-        self._stats_lock = threading.Lock()
         self._built = False
 
     def build(self) -> None:
         if self._built:
             return
-        n_points = self.grid.shape[0]
+        beliefs = [Belief(row, self.spec.type_counts) for row in self.grid]
         for t in range(self.spec.horizon, 0, -1):
+            table = solve_phase_one(self.spec, t, beliefs,
+                                    self._table_lookup(t + 1), self.config)
             v_next = self._table_value_closure(t + 1)
-
-            def solve_point(idx: int) -> StageSolution:
-                pi = Belief(self.grid[idx].copy(), self.spec.type_counts)
-                return solve_stage_fixed_point(self.spec, t, pi, v_next, self.config)
-
-            if self.threads and self.threads > 1:
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    table = list(pool.map(solve_point, range(n_points)))
-            else:
-                table = [solve_point(idx) for idx in range(n_points)]
+            for idx, got in enumerate(table):
+                if not isinstance(got, StageSolution):
+                    table[idx] = solve_stage_fixed_point(
+                        self.spec, t, beliefs[idx], v_next, self.config,
+                        phase_one=got)
             self.tables[t] = table
         self._built = True
 
     def _note_snap(self, snap: float) -> None:
-        # max over the same query set regardless of thread scheduling
-        with self._stats_lock:
-            if snap > self.snap_stats["max_snap_l1"]:
-                self.snap_stats["max_snap_l1"] = snap
+        if snap > self.snap_stats["max_snap_l1"]:
+            self.snap_stats["max_snap_l1"] = snap
+
+    def _table_lookup(self, t_next: int):
+        """Batched stage-(t_next) values at the grid points nearest to
+        each row of a posterior array; ``None`` beyond the horizon."""
+        if t_next > self.spec.horizon:
+            return None
+        table = self.tables[t_next]
+        values = [np.array([sol.values[i] for sol in table])
+                  for i in range(self.spec.num_players)]
+
+        def lookup(weights: np.ndarray) -> list[np.ndarray]:
+            idx = nearest_grid_index(self.grid, weights)
+            self._note_snap(float(_l1(self.grid[idx], weights).max()))
+            return [v[idx] for v in values]
+        return lookup
 
     def _table_value_closure(self, t_next: int):
         def v_next(pi: Belief, i: int, xi: int) -> float:
@@ -408,7 +446,6 @@ def solve(
     mode: str = "exact",
     config: SolverConfig | None = None,
     resolution: int = 10,
-    threads: int | None = None,
     cache_budget: int = DEFAULT_CACHE_BUDGET,
 ) -> SolveResult:
     """Solve a game end to end in the requested mode.
@@ -438,8 +475,7 @@ def solve(
             result.failure = {"kind": "resource_limit", "limit": err.limit,
                               "message": str(err)}
     elif mode == "grid":
-        generator = GridGenerator(spec, config, resolution=resolution,
-                                  threads=threads)
+        generator = GridGenerator(spec, config, resolution=resolution)
         result = SolveResult(spec, mode, config, generator, "ok",
                              resolution=resolution)
         generator.build()
@@ -546,17 +582,25 @@ def policy_document(result: SolveResult) -> dict:
                     )
     else:
         raise TypeError("only exact and grid solves can be exported")
-    return {
+    doc = {
         "format": POLICY_FORMAT,
         "version": POLICY_VERSION,
         "game": result.spec.digest(),
         "mode": result.mode,
         "entries": entries,
     }
+    if isinstance(generator, GridGenerator):
+        doc["resolution"] = generator.resolution
+    return doc
 
 
-def load_policy(doc: dict, spec: GameSpec) -> TableGenerator:
-    """Rebuild a table generator from a policy document for this game."""
+def load_policy(doc: dict, spec: GameSpec) -> TableGenerator | GridGenerator:
+    """Rebuild a generator from a policy document for this game.
+
+    A grid-mode document gives a :class:`GridGenerator` that snaps queries
+    to its grid, as the generator that wrote it did; other documents give
+    a :class:`TableGenerator` keyed by exact beliefs.
+    """
     if doc.get("format") != POLICY_FORMAT:
         raise ValueError("not a policy document")
     if doc.get("game") != spec.digest():
@@ -578,12 +622,35 @@ def load_policy(doc: dict, spec: GameSpec) -> TableGenerator:
             status=entry["status"],
             method=entry.get("method"),
         )
+    if doc.get("mode") == "grid" and "resolution" in doc:
+        return _grid_from_entries(spec, int(doc["resolution"]), entries)
     return TableGenerator(spec, entries)
+
+
+def _grid_from_entries(spec: GameSpec, resolution: int, entries: dict) -> GridGenerator:
+    """A built grid generator holding a document's entries; grid points the
+    document lacks (they failed to solve) keep a failed placeholder."""
+    generator = GridGenerator(spec, resolution=resolution)
+    missing = StageSolution(
+        prescription=Prescription.uniform(spec.type_counts, spec.action_counts),
+        values=tuple(np.zeros(c) for c in spec.type_counts),
+        residual=float("inf"),
+        status="not_in_policy",
+    )
+    index = {belief_key(row): idx for idx, row in enumerate(generator.grid)}
+    generator.tables = {t: [missing] * len(index) for t in range(1, spec.horizon + 1)}
+    for (t, key), solution in entries.items():
+        if key not in index or t not in generator.tables:
+            raise ValueError(f"policy entry at stage {t}, belief {list(key)} is "
+                             f"not a point of the resolution-{resolution} grid")
+        generator.tables[t][index[key]] = solution
+    generator._built = True
+    return generator
 
 
 def save_policy(result: SolveResult, path) -> None:
     Path(path).write_text(render_report(policy_document(result)) + "\n")
 
 
-def load_policy_file(path, spec: GameSpec) -> TableGenerator:
+def load_policy_file(path, spec: GameSpec) -> TableGenerator | GridGenerator:
     return load_policy(json.loads(Path(path).read_text()), spec)

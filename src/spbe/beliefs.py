@@ -23,12 +23,13 @@ returned objects are read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .game import GameSpec, component_maps, embedding_map, flatten_joint
+from .game import GameSpec, component_maps, embedding_map
 
 EPS_DENOMINATOR = 1e-12
 
@@ -50,10 +51,9 @@ class Belief:
 
     def __post_init__(self) -> None:
         w = _frozen(self.weights)
-        if w.ndim != 1 or w.shape[0] != int(np.prod(self.type_counts)):
-            raise ValueError(
-                f"belief needs {int(np.prod(self.type_counts))} weights, got {w.shape}"
-            )
+        size = math.prod(self.type_counts)
+        if w.ndim != 1 or w.shape[0] != size:
+            raise ValueError(f"belief needs {size} weights, got {w.shape}")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -69,7 +69,7 @@ class Belief:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prescription:
     """One row-stochastic matrix per player: rows[i][xi] is a distribution
     over player i's actions prescribed to its type xi."""
@@ -142,6 +142,27 @@ def joint_action_likelihood(gamma: Prescription, a: Sequence[int]) -> np.ndarray
     return like
 
 
+def posterior_weights(weights: np.ndarray, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched public Bayes update: the rule of :func:`update` on arrays.
+
+    ``weights`` (..., X) are prior beliefs and ``like`` (..., X) the
+    likelihoods of one observed joint action each; the leading axes
+    broadcast. Returns ``(post, moved)``: ``post`` is the posterior, equal
+    to ``weights`` wherever ``moved`` is False, which is where the action
+    is off path (total probability <= EPS_DENOMINATOR) or pooling (the
+    likelihood is constant over the support).
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    post = weights * like
+    z = post.sum(axis=-1)
+    sup = weights > 0.0
+    pooled = (np.where(sup, like, -np.inf).max(axis=-1)
+              == np.where(sup, like, np.inf).min(axis=-1))
+    moved = (z > EPS_DENOMINATOR) & ~pooled
+    post /= np.where(moved, z, 1.0)[..., None]
+    return np.where(moved[..., None], post, weights), moved
+
+
 def update(pi: Belief, gamma: Prescription, a: Sequence[int]) -> Belief:
     """Posterior after publicly observing joint action a.
 
@@ -156,22 +177,8 @@ def update(pi: Belief, gamma: Prescription, a: Sequence[int]) -> Belief:
             f"prescription type shape {gamma.type_counts} does not match "
             f"belief shape {pi.type_counts}"
         )
-    like = joint_action_likelihood(gamma, a)
-    z = float(pi.weights @ like)
-    if z <= EPS_DENOMINATOR:
-        return pi
-    sup = pi.weights > 0.0
-    sup_like = like[sup]
-    if sup_like.size and np.all(sup_like == sup_like[0]):
-        # pooling: the observation carries no information
-        return pi
-    post = pi.weights * like
-    post /= post.sum()
-    return Belief(post, pi.type_counts)
-
-
-def type_marginal(pi: Belief, i: int) -> np.ndarray:
-    return pi.type_marginal(i)
+    post, moved = posterior_weights(pi.weights, joint_action_likelihood(gamma, a))
+    return Belief(post, pi.type_counts) if moved else pi
 
 
 def condition_on_type(pi: Belief, i: int, xi: int) -> ConditionalBelief:
@@ -194,16 +201,6 @@ def condition_on_type(pi: Belief, i: int, xi: int) -> ConditionalBelief:
         n = slice_w.shape[0]
         return ConditionalBelief(np.full(n, 1.0 / n), degenerate=True)
     return ConditionalBelief(slice_w / mass, degenerate=False)
-
-
-def embed_type(type_counts: Sequence[int], i: int, xi: int, other_flat: int) -> int:
-    """Full flat joint type from player i's type and the others' flat index."""
-    return int(embedding_map(tuple(type_counts), i, xi)[other_flat])
-
-
-def embed_action(action_counts: Sequence[int], i: int, ai: int, other_flat: int) -> int:
-    """Full flat joint action from player i's action and the others' flat index."""
-    return int(embedding_map(tuple(action_counts), i, ai)[other_flat])
 
 
 def belief_entropy(pi: Belief) -> float:

@@ -85,8 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--enum-limit", type=int, default=12,
                        help="support enumeration size cap; 0 disables "
                             "(default 12)")
-    group.add_argument("--threads", type=int, default=None,
-                       help="worker cap for grid builds (default serial)")
     group.add_argument("--cache-budget", type=int, default=DEFAULT_CACHE_BUDGET,
                        help="max cached stage points in exact mode")
 
@@ -120,8 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="certify a policy by exact best-deviation search")
     p.add_argument("game", help="path to a game JSON file")
     p.add_argument("--policy", metavar="PATH", default=None,
-                   help="policy file to certify; beliefs it lacks are "
-                        "re-solved exactly")
+                   help="policy file to certify; a grid-mode file snaps "
+                        "to its grid, beliefs any other lacks are re-solved "
+                        "exactly")
     p.add_argument("--verify-tol", type=float, default=1e-6,
                    help="max tolerated deviation gain (default 1e-6)")
     p.add_argument("--samples", type=int, default=50,
@@ -188,7 +187,6 @@ def _cmd_solve(args) -> int:
         mode=args.mode,
         config=_config(args),
         resolution=args.grid_resolution,
-        threads=args.threads,
         cache_budget=args.cache_budget,
     )
     _emit(render_report(build_solve_report(result)), args.out)
@@ -202,10 +200,13 @@ def _cmd_solve(args) -> int:
 
 
 def _policy_for(spec: GameSpec, args):
-    """Generator backing simulate/verify: a policy file with exact
-    completion when given, otherwise a fresh solve in the chosen mode."""
+    """Generator backing simulate/verify: a policy file when given (a
+    grid-mode file snaps to its grid, any other completes missing beliefs
+    exactly), otherwise a fresh solve in the chosen mode."""
     if args.policy:
         table = load_policy_file(args.policy, spec)
+        if isinstance(table, GridGenerator):
+            return table, None
         fallback = ExactGenerator(spec, _config(args),
                                   cache_budget=args.cache_budget)
         return HybridGenerator(table, fallback), None
@@ -214,7 +215,6 @@ def _policy_for(spec: GameSpec, args):
         mode=args.mode,
         config=_config(args),
         resolution=args.grid_resolution,
-        threads=args.threads,
         cache_budget=args.cache_budget,
     )
     if result.status == "refused":
@@ -268,14 +268,12 @@ def _cmd_verify(args) -> int:
 def _cmd_export(args) -> int:
     spec = _load_game(args)
     config = _config(args)
-    generator = GridGenerator(spec, config, resolution=args.grid_resolution,
-                              threads=args.threads)
+    generator = GridGenerator(spec, config, resolution=args.grid_resolution)
     generator.build()
     result = SolveResult(spec, "grid", config, generator,
                          "ok" if not generator.failed_points else "partial",
                          resolution=args.grid_resolution)
     doc = policy_document(result)
-    doc["resolution"] = args.grid_resolution
     doc["failed_points"] = len(generator.failed_points)
     _emit(render_report(doc), args.out)
     if generator.failed_points:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import ResourceLimitError
-from .beliefs import Belief, condition_on_type, initial_belief
+from .beliefs import Belief, condition_on_type, initial_belief, update
 from .forward import EquilibriumPolicy, History
 from .game import GameSpec, embedding_map, unflatten_joint
 
@@ -274,6 +274,11 @@ def one_shot_gaps(spec: GameSpec, policy: EquilibriumPolicy,
     what each row earns and what the best single action would earn against
     the same opponents and continuations. For a converged solve the
     maximal gap equals that stage's residual.
+
+    The arithmetic is the definition, written out here rather than shared
+    with the solver: the belief conditioned on the agent's type, the
+    others' prescribed play, and one public posterior per joint action the
+    agent can meet, at which the policy's stage-(t+1) value is read.
     """
     history = _history_tuple(history)
     t = len(history) + 1
@@ -282,15 +287,8 @@ def one_shot_gaps(spec: GameSpec, policy: EquilibriumPolicy,
     pi = policy.common_belief(history)
     gamma = policy.prescription_for_history(history)
     prior = initial_belief(spec)
-
-    def v_next(belief: Belief, i: int, xi: int) -> float:
-        if t + 1 > spec.horizon:
-            return 0.0
-        return float(policy.generator.value(t + 1, belief, i, xi))
-
-    from .stage import _ChildCache, _StageProblem
-    problem = _StageProblem(spec, t, pi, v_next)
-    cache = _ChildCache(problem, gamma)
+    reward = spec.reward_tensor(t)
+    posteriors: dict[int, Belief] = {}
     gaps = {}
     worst = 0.0
     for i in range(spec.num_players):
@@ -298,9 +296,28 @@ def one_shot_gaps(spec: GameSpec, policy: EquilibriumPolicy,
         for xi in range(spec.type_counts[i]):
             if marginal[xi] <= 0.0:
                 continue
-            q = problem.q_row(gamma, i, xi, cache)
-            realized = float(np.asarray(gamma.rows[i][xi]) @ q)
-            gap = float(q.max()) - realized
+            cond = condition_on_type(pi, i, xi).weights
+            x_full = embedding_map(spec.type_counts, i, xi)
+            x_parts = np.array([spec.unflatten_types(int(x)) for x in x_full])
+            q = np.zeros(spec.action_counts[i])
+            for a_flat in range(spec.num_joint_actions):
+                a = unflatten_joint(a_flat, spec.action_counts)
+                # weight of each others' type profile jointly with their
+                # prescribed probability of playing a's other components
+                w = cond.copy()
+                for j in range(spec.num_players):
+                    if j != i:
+                        w *= gamma.rows[j][x_parts[:, j], a[j]]
+                mass = float(w.sum())
+                if mass == 0.0:
+                    continue
+                q[a[i]] += float(w @ reward[i, x_full, a_flat])
+                if t < spec.horizon:
+                    if a_flat not in posteriors:
+                        posteriors[a_flat] = update(pi, gamma, a)
+                    q[a[i]] += mass * spec.discount * float(
+                        policy.generator.value(t + 1, posteriors[a_flat], i, xi))
+            gap = float(q.max()) - float(np.asarray(gamma.rows[i][xi]) @ q)
             gaps[(i, xi)] = gap
             worst = max(worst, gap)
     return {"history": history, "stage": t, "max_gap": worst, "gaps": gaps}

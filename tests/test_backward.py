@@ -22,6 +22,7 @@ from spbe import (
     policy_document,
     render_report,
     solve,
+    solve_stage_fixed_point,
     value_lookup,
 )
 
@@ -160,9 +161,8 @@ def test_nearest_grid_index():
                                [0.25, 0.75])
 
 
-def _build_grid(spec, threads=None, resolution=3):
-    gen = GridGenerator(spec, SolverConfig(), resolution=resolution,
-                        threads=threads)
+def _build_grid(spec, resolution=3):
+    gen = GridGenerator(spec, SolverConfig(), resolution=resolution)
     gen.build()
     return gen
 
@@ -179,16 +179,56 @@ def test_grid_build_coordination():
     assert gen.snap_stats["queries"] > 0
 
 
-def test_grid_threads_match_serial():
-    spec = instances.coordination_instance()
-    serial = _build_grid(spec)
-    threaded = _build_grid(spec, threads=4)
-    for t in (1, 2, 3):
-        for a, b in zip(serial.tables[t], threaded.tables[t]):
-            for i in range(spec.num_players):
-                np.testing.assert_array_equal(a.prescription.rows[i],
-                                              b.prescription.rows[i])
-                np.testing.assert_array_equal(a.values[i], b.values[i])
+def test_grid_batched_matches_per_point():
+    """Every point of the batched grid build equals a per-point solve at
+    that belief against the same stage-(t+1) table, and the build's snap
+    bound is the one the per-point solves see. The games cover a pure-scan
+    point (coordination), one player, three players with a failed point,
+    and types != actions with support enumeration."""
+    games = [
+        (instances.coordination_instance(), 3),
+        (instances.single_player_instance(), 4),
+        (instances.random_instance(1, players=3), 1),
+        (instances.random_instance(1, types=3, actions=2), 1),
+    ]
+    for spec, resolution in games:
+        gen = _build_grid(spec, resolution=resolution)
+        max_snap = 0.0
+        for t in range(spec.horizon, 0, -1):
+            def v_next(pi, i, xi, t_next=t + 1):
+                nonlocal max_snap
+                if t_next > spec.horizon:
+                    return 0.0
+                idx = nearest_grid_index(gen.grid, pi.weights)
+                max_snap = max(max_snap,
+                               float(np.abs(gen.grid[idx] - pi.weights).sum()))
+                return float(gen.tables[t_next][idx].values[i][xi])
+
+            for idx, batched in enumerate(gen.tables[t]):
+                pi = Belief(gen.grid[idx], spec.type_counts)
+                alone = solve_stage_fixed_point(spec, t, pi, v_next, SolverConfig())
+                assert (alone.method, alone.restart_index, alone.status) == \
+                    (batched.method, batched.restart_index, batched.status)
+                for i in range(spec.num_players):
+                    np.testing.assert_array_equal(alone.prescription.rows[i],
+                                                  batched.prescription.rows[i])
+                    np.testing.assert_allclose(alone.values[i], batched.values[i],
+                                               rtol=0, atol=1e-12)
+        assert gen.snap_stats == {"queries": 0, "max_snap_l1": max_snap}
+    methods = {sol.method for sol in gen.tables[1]}
+    assert "support_enumeration" in methods
+
+
+def test_nearest_grid_index_rows_match_single_queries():
+    rng = np.random.default_rng(3)
+    for weights, resolution in ((4, 5), (8, 2)):
+        pts = grid_points(weights, resolution)
+        queries = np.vstack([rng.dirichlet(np.ones(weights), size=70), pts[:5]])
+        batched = nearest_grid_index(pts, queries)
+        assert batched.shape == (75,)
+        direct = [int(np.argmin(np.abs(pts - q).sum(axis=1))) for q in queries]
+        assert batched.tolist() == direct
+        assert [nearest_grid_index(pts, q) for q in queries] == direct
 
 
 def test_grid_solve_report():

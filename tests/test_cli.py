@@ -207,3 +207,24 @@ def test_export_partial_exits_three(games, capsys):
                               "--enum-limit", "0", "--grid-resolution", "2"])
     assert code == 3
     assert json.loads(out)["failed_points"] > 0
+
+
+def test_verify_grid_policy_snaps_to_its_grid(tmp_path, capsys):
+    """A grid-mode policy file is certified as the grid solve that wrote
+    it: the certificate equals the in-process one, with no exact
+    completions (the prior is not a grid point)."""
+    from spbe import EquilibriumPolicy, render_report, run_certification, solve
+
+    spec = instances.coordination_instance()
+    game = tmp_path / "coordination.json"
+    save_game_spec(spec, str(game))
+    policy = tmp_path / "policy.json"
+    code, _ = _run(capsys, ["solve", str(game), "--mode", "grid",
+                            "--grid-resolution", "3", "--policy-out", str(policy)])
+    assert code == 0
+    code, out = _run(capsys, ["verify", str(game), "--policy", str(policy)])
+    result = solve(spec, mode="grid", resolution=3)
+    cert = run_certification(spec, EquilibriumPolicy(spec, result.generator))
+    assert out == render_report(cert) + "\n"
+    assert "table_completions" not in json.loads(out)
+    assert code == (0 if cert["all_checks_ok"] else 4)

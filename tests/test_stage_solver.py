@@ -219,3 +219,89 @@ def test_stage_out_of_range():
     spec = instances.matching_pennies_instance()
     with pytest.raises(ValueError):
         solve_stage_fixed_point(spec, 2, initial_belief(spec), terminal_values)
+
+
+def _sparse_rows(spec, rng, batch):
+    """Random prescription rows per player, (batch, T_i, A_i), with some
+    entries zeroed so that some joint actions are off path."""
+    rows = []
+    for nt, na in zip(spec.type_counts, spec.action_counts):
+        r = rng.dirichlet(np.ones(na), size=(batch, nt))
+        r[rng.random(r.shape) < 0.3] = 0.0
+        r[r.sum(axis=-1) == 0.0, 0] = 1.0
+        rows.append(r / r.sum(axis=-1, keepdims=True))
+    return rows
+
+
+def _evaluator_cases():
+    """Seeded random games with batches of beliefs, one of them with a
+    zero-marginal type for player 0."""
+    rng = np.random.default_rng(11)
+    for spec in (instances.random_instance(2, players=1, types=3, actions=3),
+                 instances.random_instance(3),
+                 instances.random_instance(4, types=3, actions=2),
+                 instances.random_instance(5, players=3)):
+        beliefs = [rng.dirichlet(np.ones(spec.num_joint_types)) for _ in range(3)]
+        corner = beliefs[0].copy()
+        corner[[spec.unflatten_types(x)[0] == 0
+                for x in range(spec.num_joint_types)]] = 0.0
+        beliefs.append(corner / corner.sum())
+        yield spec, [Belief(w, spec.type_counts) for w in beliefs], rng
+
+
+def test_evaluator_q_matches_brute_oracle():
+    for spec, beliefs, rng in _evaluator_cases():
+        coeffs = rng.uniform(-1.0, 1.0, size=(spec.num_players, 3,
+                                              spec.num_joint_types))
+
+        def value(weights, i, xi):
+            return float(np.asarray(weights) @ coeffs[i, xi])
+
+        ev = stage.StageEvaluator(spec, 1, beliefs)
+        rows = _sparse_rows(spec, rng, len(beliefs))
+        post, _ = ev.posteriors(rows)
+        values = [np.array([[[value(post[b, a], i, xi) for xi in range(nt)]
+                             for a in range(spec.num_joint_actions)]
+                            for b in range(len(beliefs))])
+                  for i, nt in enumerate(spec.type_counts)]
+        q = ev.q(ev.agent_weights(rows), values)
+        checked = 0
+        for b, pi in enumerate(beliefs):
+            own = [r[b] for r in rows]
+            for i in range(spec.num_players):
+                for xi in range(spec.type_counts[i]):
+                    want = oracles.q_vector_brute(spec, 1, pi.weights, own, i, xi, value)
+                    assert (want is None) == (not ev.active[i][b, xi])
+                    if want is not None:
+                        np.testing.assert_allclose(q[i][b, xi], want, rtol=0, atol=1e-12)
+                        checked += 1
+        assert checked > 0
+
+
+def test_evaluator_posteriors_equal_update():
+    """Batched posteriors are bit-identical to ``update`` for every joint
+    action, and stay put exactly where ``update`` returns the prior: on
+    off-path actions and under pooling rows."""
+    from spbe import Prescription, update
+    for spec, beliefs, rng in _evaluator_cases():
+        ev = stage.StageEvaluator(spec, 1, beliefs)
+        sparse = _sparse_rows(spec, rng, len(beliefs))
+        pooling = [np.full((len(beliefs), nt, na), 1.0 / na)
+                   for nt, na in zip(spec.type_counts, spec.action_counts)]
+        # player 0 never plays action 0: those joint actions are off path
+        off_path = [r.copy() for r in _sparse_rows(spec, rng, len(beliefs))]
+        off_path[0][..., 0] = 0.0
+        off_path[0][..., 1] += 1.0 - off_path[0].sum(axis=-1)
+        first = np.array([spec.unflatten_actions(a)[0]
+                          for a in range(spec.num_joint_actions)])
+        for rows in (sparse, pooling, off_path):
+            post, moved = ev.posteriors(rows)
+            for b, pi in enumerate(beliefs):
+                gamma = Prescription(tuple(r[b] for r in rows))
+                for a in range(spec.num_joint_actions):
+                    got = update(pi, gamma, spec.unflatten_actions(a))
+                    np.testing.assert_array_equal(post[b, a], got.weights)
+                    assert moved[b, a] == (got is not pi)
+        assert ev.posteriors(sparse)[1].any()
+        assert not ev.posteriors(pooling)[1].any()
+        assert not ev.posteriors(off_path)[1][:, first == 0].any()
