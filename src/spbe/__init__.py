@@ -44,7 +44,6 @@ from .backward import (
     ResourceLimitError,
     SolveResult,
     TableGenerator,
-    ValueTable,
     belief_key,
     build_solve_report,
     grid_points,
@@ -55,7 +54,6 @@ from .backward import (
     render_report,
     save_policy,
     solve,
-    value_lookup,
 )
 from .forward import (
     EquilibriumPolicy,
@@ -112,7 +110,6 @@ __all__ = [
     "ResourceLimitError",
     "SolveResult",
     "TableGenerator",
-    "ValueTable",
     "belief_key",
     "build_solve_report",
     "grid_points",
@@ -123,7 +120,6 @@ __all__ = [
     "render_report",
     "save_policy",
     "solve",
-    "value_lookup",
     "EquilibriumPolicy",
     "ExactPayoffs",
     "SimulationResult",

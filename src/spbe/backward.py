@@ -3,8 +3,13 @@
 Values are defined from the final stage backwards: beyond the horizon the
 continuation value is zero, and at each stage t the value of (player,
 type) at a common belief is read off the solved stage prescription, whose
-own evaluation pulls stage-(t+1) values at the updated beliefs. Two
-interchangeable generators drive this recursion:
+own evaluation pulls stage-(t+1) values at the updated beliefs.
+
+Every generator follows one protocol, :class:`Generator`: it defines
+``solution_at(t, pi)``, the solved stage point for stages 1..T, and
+inherits ``value(t, pi, i, xi)``, which reads the value off that solution,
+answers zero at stage T+1 and rejects any other stage. Two interchangeable
+generators drive the recursion:
 
 ``ExactGenerator``
     solves stage points lazily and memoizes by (stage, quantized belief).
@@ -22,13 +27,15 @@ interchangeable generators drive this recursion:
 
 Solved tables can be saved to a policy document. An exact-mode document
 reloads as a ``TableGenerator`` (exact key lookup), optionally backed by a
-lazy exact fallback for keys the document does not carry; a grid-mode
-document reloads as a ``GridGenerator`` that snaps queries to its grid.
+lazy exact fallback for keys the document does not carry
+(``HybridGenerator``); a grid-mode document reloads as a ``GridGenerator``
+that snaps queries to its grid.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import time
@@ -79,11 +86,34 @@ def belief_key(weights) -> BeliefKey:
     return tuple(float(v) for v in q)
 
 
+class Generator:
+    """Stage prescriptions at common beliefs, and the values read off them.
+
+    A generator defines ``spec`` and ``solution_at(t, pi)``, the solved
+    :class:`StageSolution` at stage t in 1..T and common belief pi, raising
+    when it has none there.
+    """
+
+    spec: GameSpec
+
+    def solution_at(self, t: int, pi: Belief) -> StageSolution:
+        raise NotImplementedError
+
+    def value(self, t: int, pi: Belief, i: int, xi: int) -> float:
+        """Value of (i, xi) at stage t and belief pi; stage T+1 is zero."""
+        horizon = self.spec.horizon
+        if not 1 <= t <= horizon + 1:
+            raise ValueError(f"stage {t} outside 1..{horizon + 1}")
+        if t > horizon:
+            return 0.0
+        return float(self.solution_at(t, pi).values[i][xi])
+
+
 # ---------------------------------------------------------------------------
 # Exact lazy generator
 # ---------------------------------------------------------------------------
 
-class ExactGenerator:
+class ExactGenerator(Generator):
     """Lazily solved, memoized stage prescriptions.
 
     Every distinct (stage, quantized belief) pair is solved at most once;
@@ -118,7 +148,7 @@ class ExactGenerator:
                 self.cache_budget,
             )
         solution = solve_stage_fixed_point(
-            self.spec, t, pi, self._value_closure(t + 1), self.config
+            self.spec, t, pi, functools.partial(self.value, t + 1), self.config
         )
         self._cache[key] = solution
         self._points[key] = pi
@@ -126,16 +156,10 @@ class ExactGenerator:
             raise NoFixedPointError(t, key[1], solution.status)
         return solution
 
-    def value(self, t: int, pi: Belief, i: int, xi: int) -> float:
-        if t > self.spec.horizon:
-            return 0.0
-        solution = self.solution_at(t, pi)
-        return float(solution.values[i][xi])
-
-    def _value_closure(self, t_next: int):
-        def v_next(pi: Belief, i: int, xi: int) -> float:
-            return self.value(t_next, pi, i, xi)
-        return v_next
+    def __contains__(self, point: tuple[int, Belief]) -> bool:
+        """Whether (stage, belief) has been solved, successfully or not."""
+        t, pi = point
+        return (t, belief_key(pi.weights)) in self._cache
 
     @property
     def solve_counts(self) -> dict[int, int]:
@@ -226,7 +250,7 @@ def nearest_grid_index(grid: np.ndarray, weights: np.ndarray):
     return out
 
 
-class GridGenerator:
+class GridGenerator(Generator):
     """Per-stage prescription tables on a simplex grid.
 
     ``build`` solves every grid point at every stage, final stage first;
@@ -309,11 +333,6 @@ class GridGenerator:
             raise NoFixedPointError(t, belief_key(self.grid[idx]), solution.status)
         return solution
 
-    def value(self, t: int, pi: Belief, i: int, xi: int) -> float:
-        if t > self.spec.horizon:
-            return 0.0
-        return float(self.solution_at(t, pi).values[i][xi])
-
     @property
     def solve_counts(self) -> dict[int, int]:
         return {t: len(table) for t, table in self.tables.items()}
@@ -332,7 +351,7 @@ class GridGenerator:
 # Saved-policy generators
 # ---------------------------------------------------------------------------
 
-class TableGenerator:
+class TableGenerator(Generator):
     """Prescriptions served from a saved policy document, exact keys only."""
 
     mode = "table"
@@ -350,13 +369,8 @@ class TableGenerator:
             )
         return got
 
-    def value(self, t: int, pi: Belief, i: int, xi: int) -> float:
-        if t > self.spec.horizon:
-            return 0.0
-        return float(self.solution_at(t, pi).values[i][xi])
 
-
-class HybridGenerator:
+class HybridGenerator(Generator):
     """Table lookups with a lazy exact fallback for missing keys.
 
     Used when verifying a loaded policy file: the file pins behaviour at
@@ -379,44 +393,14 @@ class HybridGenerator:
         try:
             return self.table.solution_at(t, pi)
         except KeyError:
-            key = (t, belief_key(pi.weights))
-            if key not in self.fallback._cache:
+            if (t, pi) not in self.fallback:
                 self.completions += 1
             return self.fallback.solution_at(t, pi)
-
-    def value(self, t: int, pi: Belief, i: int, xi: int) -> float:
-        if t > self.table.spec.horizon:
-            return 0.0
-        return float(self.solution_at(t, pi).values[i][xi])
 
 
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-
-class ValueTable:
-    """Stage-indexed value view over a generator.
-
-    Stage T+1 answers zero identically; stages 1..T delegate to the
-    generator, which solves lazily (exact mode) or snaps (grid mode).
-    """
-
-    def __init__(self, generator):
-        self.generator = generator
-
-    def lookup(self, t: int, pi: Belief, i: int, xi: int) -> float:
-        spec = self.generator.spec
-        if not 1 <= t <= spec.horizon + 1:
-            raise ValueError(f"stage {t} outside 1..{spec.horizon + 1}")
-        return self.generator.value(t, pi, i, xi)
-
-
-def value_lookup(table, t: int, pi: Belief, i: int, xi: int) -> float:
-    """Value of (i, xi) at stage t and belief pi; stage T+1 is zero."""
-    if isinstance(table, ValueTable):
-        return table.lookup(t, pi, i, xi)
-    return ValueTable(table).lookup(t, pi, i, xi)
-
 
 @dataclass
 class SolveResult:
@@ -435,10 +419,6 @@ class SolveResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-    @property
-    def values(self) -> ValueTable:
-        return ValueTable(self.generator)
 
 
 def solve(

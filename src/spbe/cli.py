@@ -155,8 +155,7 @@ def _config(args) -> SolverConfig:
         damping=args.damping,
         restarts=args.restarts,
         rng_seed=args.seed,
-        enable_support_enumeration=args.enum_limit > 0,
-        support_enumeration_limit=max(args.enum_limit, 1),
+        support_enumeration_limit=max(args.enum_limit, 0),
     )
 
 

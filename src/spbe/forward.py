@@ -97,10 +97,8 @@ class EquilibriumPolicy:
     def continuation_value(self, history, i: int, xi: int) -> float:
         """Solved value of (i, xi) entering the stage after this history."""
         history = _normalize_history(history)
-        t = self.stage_of(history)
-        if t > self.spec.horizon:
-            return 0.0
-        return float(self.generator.value(t, self.common_belief(history), i, xi))
+        return self.generator.value(self.stage_of(history),
+                                    self.common_belief(history), i, xi)
 
 
 # ---------------------------------------------------------------------------

@@ -133,19 +133,19 @@ class GameSpec:
 
     # -- shape helpers ------------------------------------------------
 
-    @property
+    @functools.cached_property
     def type_counts(self) -> tuple[int, ...]:
         return tuple(len(labels) for labels in self.type_labels)
 
-    @property
+    @functools.cached_property
     def action_counts(self) -> tuple[int, ...]:
         return tuple(len(labels) for labels in self.action_labels)
 
-    @property
+    @functools.cached_property
     def num_joint_types(self) -> int:
         return int(np.prod(self.type_counts))
 
-    @property
+    @functools.cached_property
     def num_joint_actions(self) -> int:
         return int(np.prod(self.action_counts))
 

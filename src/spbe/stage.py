@@ -76,7 +76,10 @@ class SolverConfig:
 
     ``tie_tol`` controls when best responses are treated as tied; under
     ``mix_ties`` a tied set is mixed uniformly, otherwise the
-    lexicographically smallest maximizer is chosen.
+    lexicographically smallest maximizer is chosen. Support enumeration
+    runs only at stage points whose total row size (sum over players of
+    types times actions) is at most ``support_enumeration_limit``, so 0
+    turns it off.
     """
 
     fp_tol: float = 1e-8
@@ -84,7 +87,6 @@ class SolverConfig:
     damping: float = 0.5
     restarts: int = 8
     rng_seed: int = 0
-    enable_support_enumeration: bool = True
     support_enumeration_limit: int = 12
     mix_ties: bool = True
     tie_tol: float = 1e-12
@@ -96,6 +98,8 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.max_iterations < 1 or self.restarts < 1:
             raise ValueError("max_iterations and restarts must be >= 1")
+        if self.support_enumeration_limit < 0:
+            raise ValueError("support_enumeration_limit must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -682,7 +686,9 @@ def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
     for (i, xi) in agents:
         layout.append((i, xi, tuple(profile_map[(i, xi)])))
 
-    def unpack(z: np.ndarray) -> tuple[Prescription, np.ndarray]:
+    def unpack(z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        # plain arrays: the root finder's trial points need not be
+        # row-stochastic, only the accepted solution is checked below
         rows = _placeholder_rows(ev)
         pos = 0
         for (i, xi, support) in layout:
@@ -691,16 +697,16 @@ def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
                 rows[i][xi, a] = z[pos]
                 pos += 1
         vals = z[pos:]
-        return Prescription(tuple(np.abs(r) for r in rows)), vals
+        return rows, vals
 
     def equations(z: np.ndarray) -> np.ndarray:
-        gamma, vals = unpack(z)
-        q = _frozen_q(ev, gamma.rows, frozen)
+        rows, vals = unpack(z)
+        q = _frozen_q(ev, rows, frozen)
         out = []
         for k, (i, xi, support) in enumerate(layout):
             for a in support:
                 out.append(q[i][xi, a] - vals[k])
-            out.append(float(gamma.rows[i][xi].sum()) - 1.0)
+            out.append(float(rows[i][xi].sum()) - 1.0)
         return np.asarray(out)
 
     # per agent: |support| indifference equations plus one normalization,
@@ -718,8 +724,7 @@ def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
         return None
     if not result.success and float(np.abs(equations(result.x)).max()) > 1e-9:
         return None
-    gamma, _ = unpack(result.x)
-    rows = [r.copy() for r in gamma.rows]
+    rows, _ = unpack(result.x)
     for (i, xi, support) in layout:
         row = rows[i][xi]
         if np.any(row < -1e-8):
@@ -911,8 +916,7 @@ def solve_stage_fixed_point(
             best_gamma, best_res = gamma, res
 
     enumeration_ran = False
-    if config.enable_support_enumeration and \
-            _enumeration_size(ev) <= config.support_enumeration_limit:
+    if _enumeration_size(ev) <= config.support_enumeration_limit:
         enumeration_ran = True
         for profile in _support_profiles(ev):
             candidate = _solve_support(ev, profile, config)

@@ -20,6 +20,12 @@ solver's treatment of those rows.
 The one-shot check and the two-path belief consistency check here are
 cheaper spot checks of the same construction; the tree walk is the
 certificate.
+
+All three checks share one stage evaluation, :func:`_agent_stage`: for
+an agent (i, xi), per flat joint action, the weight of the others' type
+profiles times their prescribed probability of playing that action's
+other components, and the expected stage reward it earns. It is written
+here from the definition and shares no arithmetic with the solver.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backward import ResourceLimitError
-from .beliefs import Belief, condition_on_type, initial_belief, update
+from .beliefs import Belief, Prescription, condition_on_type, initial_belief, update
 from .forward import EquilibriumPolicy, History
-from .game import GameSpec, embedding_map, unflatten_joint
+from .game import GameSpec, component_maps, embedding_map, unflatten_joint
 
 TREE_BUDGET = 1_000_000
 
@@ -101,6 +107,39 @@ class VerificationReport:
         }
 
 
+def _agent_stage(spec: GameSpec, t: int, cond: np.ndarray, gamma: Prescription,
+                 i: int, xi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Agent (i, xi)'s view of stage t, per flat joint action a.
+
+    ``cond`` is the agent's belief over the others' type profiles k
+    (:func:`condition_on_type`). Returns ``w[a, k]``, the weight of k times
+    the probability that the others' rows in gamma play a's other
+    components, and ``stage[a] = sum_k w[a, k] * R_i(x(k), a)``, with x(k)
+    the joint type of xi and k. Summing ``w`` over k gives the
+    probability that the others play a's other components.
+    """
+    x_full = embedding_map(spec.type_counts, i, xi)
+    xmaps = component_maps(spec.type_counts)
+    amaps = component_maps(spec.action_counts)
+    p = np.ones((spec.num_joint_actions, x_full.size))
+    for j in range(spec.num_players):
+        if j != i:
+            p = p * gamma.rows[j][xmaps[j][x_full][None, :], amaps[j][:, None]]
+    w = cond * p
+    stage = (w * spec.reward_tensor(t)[i][x_full].T).sum(axis=1)
+    return w, stage
+
+
+def _action_values(spec: GameSpec, i: int, w: np.ndarray, stage: np.ndarray,
+                   cont: np.ndarray) -> np.ndarray:
+    """q[b]: sum over the joint actions a with own component b of
+    ``stage[a] + mass[a] * discount * cont[a]``, in flat order, where
+    ``cont[a]`` is the agent's continuation value after a."""
+    terms = stage + w.sum(axis=1) * spec.discount * cont
+    return np.bincount(component_maps(spec.action_counts)[i], weights=terms,
+                       minlength=spec.action_counts[i])
+
+
 class _AgentWalk:
     """One post-order pass over the history tree for a fixed (player, type)."""
 
@@ -114,28 +153,8 @@ class _AgentWalk:
         self.worst: DeviationFinding | None = None
         self.violations: list[DeviationFinding] = []
         self.nodes = 0
-        self._others_types = [
-            unflatten_joint(k, self._others(spec.type_counts, i))
-            for k in range(self._other_size(spec.type_counts, i))
-        ]
-        self._others_actions = [
-            unflatten_joint(k, self._others(spec.action_counts, i))
-            for k in range(self._other_size(spec.action_counts, i))
-        ]
-        self._type_embed = embedding_map(spec.type_counts, i, xi)
-        self._action_embed = {
-            ai: embedding_map(spec.action_counts, i, ai)
-            for ai in range(spec.action_counts[i])
-        }
-
-    @staticmethod
-    def _others(dims, i):
-        return tuple(dims[:i]) + tuple(dims[i + 1:])
-
-    @staticmethod
-    def _other_size(dims, i):
-        other = tuple(dims[:i]) + tuple(dims[i + 1:])
-        return int(np.prod(other)) if other else 1
+        self._joint_actions = [unflatten_joint(a, spec.action_counts)
+                               for a in range(spec.num_joint_actions)]
 
     def run(self, history: History = ()) -> tuple[float, float]:
         """Returns (on-policy value, best deviation value) at this node."""
@@ -147,57 +166,18 @@ class _AgentWalk:
         pi = self.policy.common_belief(history)
         gamma = self.policy.prescription_for_history(history)
         cond = condition_on_type(pi, i, xi).weights
-        reward = spec.reward_tensor(t)
-        row = np.asarray(gamma.rows[i][xi], dtype=float)
-
-        child: dict[int, tuple[float, float]] = {}
-        for a_flat in range(spec.num_joint_actions):
-            a = unflatten_joint(a_flat, spec.action_counts)
-            child[a_flat] = self.run(history + (a,))
-
-        na = spec.action_counts[i]
-        eq_q = np.zeros(na)
-        dev_q = np.zeros(na)
-        for b in range(na):
-            action_embed = self._action_embed[b]
-            for ao_flat, a_other in enumerate(self._others_actions):
-                a_full = int(action_embed[ao_flat])
-                mass = 0.0
-                stage = 0.0
-                for xo_flat, x_other in enumerate(self._others_types):
-                    w = float(cond[xo_flat])
-                    if w == 0.0:
-                        continue
-                    p = 1.0
-                    pos = 0
-                    for j in range(spec.num_players):
-                        if j == i:
-                            continue
-                        p *= float(gamma.rows[j][x_other[pos], a_other[pos]])
-                        pos += 1
-                    if p == 0.0:
-                        continue
-                    wp = w * p
-                    mass += wp
-                    stage += wp * float(reward[i, int(self._type_embed[xo_flat]), a_full])
-                if mass == 0.0:
-                    continue
-                eq_c, dev_c = child[a_full]
-                eq_q[b] += stage + mass * spec.discount * eq_c
-                dev_q[b] += stage + mass * spec.discount * dev_c
-        eq_value = float(row @ eq_q)
-        dev_value = float(dev_q.max())
-        gain = dev_value - eq_value
-        if self.worst is None or gain > self.worst.gain:
-            self.worst = DeviationFinding(
-                player=i, type_index=xi, history=history,
-                equilibrium_value=eq_value, deviation_value=dev_value,
-            )
-        if gain > self.tol:
-            self.violations.append(DeviationFinding(
-                player=i, type_index=xi, history=history,
-                equilibrium_value=eq_value, deviation_value=dev_value,
-            ))
+        w, stage = _agent_stage(spec, t, cond, gamma, i, xi)
+        eq_c, dev_c = np.array([self.run(history + (a,))
+                                for a in self._joint_actions]).T
+        eq_value = float(np.asarray(gamma.rows[i][xi], dtype=float)
+                         @ _action_values(spec, i, w, stage, eq_c))
+        dev_value = float(_action_values(spec, i, w, stage, dev_c).max())
+        found = DeviationFinding(player=i, type_index=xi, history=history,
+                                 equilibrium_value=eq_value, deviation_value=dev_value)
+        if self.worst is None or found.gain > self.worst.gain:
+            self.worst = found
+        if found.gain > self.tol:
+            self.violations.append(found)
         return eq_value, dev_value
 
 
@@ -287,7 +267,6 @@ def one_shot_gaps(spec: GameSpec, policy: EquilibriumPolicy,
     pi = policy.common_belief(history)
     gamma = policy.prescription_for_history(history)
     prior = initial_belief(spec)
-    reward = spec.reward_tensor(t)
     posteriors: dict[int, Belief] = {}
     gaps = {}
     worst = 0.0
@@ -297,26 +276,16 @@ def one_shot_gaps(spec: GameSpec, policy: EquilibriumPolicy,
             if marginal[xi] <= 0.0:
                 continue
             cond = condition_on_type(pi, i, xi).weights
-            x_full = embedding_map(spec.type_counts, i, xi)
-            x_parts = np.array([spec.unflatten_types(int(x)) for x in x_full])
-            q = np.zeros(spec.action_counts[i])
-            for a_flat in range(spec.num_joint_actions):
-                a = unflatten_joint(a_flat, spec.action_counts)
-                # weight of each others' type profile jointly with their
-                # prescribed probability of playing a's other components
-                w = cond.copy()
-                for j in range(spec.num_players):
-                    if j != i:
-                        w *= gamma.rows[j][x_parts[:, j], a[j]]
-                mass = float(w.sum())
-                if mass == 0.0:
-                    continue
-                q[a[i]] += float(w @ reward[i, x_full, a_flat])
-                if t < spec.horizon:
+            w, stage = _agent_stage(spec, t, cond, gamma, i, xi)
+            cont = np.zeros(spec.num_joint_actions)
+            if t < spec.horizon:
+                for a_flat in np.flatnonzero(w.sum(axis=1)).tolist():
                     if a_flat not in posteriors:
-                        posteriors[a_flat] = update(pi, gamma, a)
-                    q[a[i]] += mass * spec.discount * float(
-                        policy.generator.value(t + 1, posteriors[a_flat], i, xi))
+                        posteriors[a_flat] = update(
+                            pi, gamma, unflatten_joint(a_flat, spec.action_counts))
+                    cont[a_flat] = policy.generator.value(
+                        t + 1, posteriors[a_flat], i, xi)
+            q = _action_values(spec, i, w, stage, cont)
             gap = float(q.max()) - float(np.asarray(gamma.rows[i][xi]) @ q)
             gaps[(i, xi)] = gap
             worst = max(worst, gap)
@@ -368,33 +337,34 @@ def _random_deviation_rows(spec: GameSpec, i: int, stages, rng) -> dict:
     return {n: rng.dirichlet(np.ones(na), size=nt) for n in stages}
 
 
-def _continuation_given_types(spec: GameSpec, policy: EquilibriumPolicy,
-                              i: int, dev_rows: dict, history: History,
-                              x: tuple[int, ...]) -> float:
-    """E[sum of i's rewards from stage len(history)+1 on | joint type x],
-    with player i playing its sampled deviation rows and everyone else the
-    prescribed profile. Discounted relative to the starting stage."""
+def _continuation(spec: GameSpec, policy: EquilibriumPolicy, i: int,
+                  dev_rows: dict, history: History, reach: np.ndarray) -> np.ndarray:
+    """E[sum of i's rewards from stage len(history)+1 on | joint type x]
+    for every flat joint type x, with player i playing its sampled
+    deviation rows and everyone else the prescribed profile. Discounted
+    relative to the starting stage. Entries where ``reach`` is False are
+    zero, and only joint actions some reached type can play are followed."""
+    total = np.zeros(spec.num_joint_types)
     t = len(history) + 1
     if t > spec.horizon:
-        return 0.0
-    gamma = policy.prescription_for_history(history)
-    reward = spec.reward_tensor(t)
-    x_flat = spec.flatten_types(x)
-    total = 0.0
+        return total
+    rows = list(policy.prescription_for_history(history).rows)
+    rows[i] = dev_rows[t]
+    xmaps = component_maps(spec.type_counts)
+    amaps = component_maps(spec.action_counts)
+    like = np.ones((spec.num_joint_types, spec.num_joint_actions))
+    for j, row in enumerate(rows):
+        like = like * row[xmaps[j][:, None], amaps[j][None, :]]
+    like[~reach] = 0.0
+    reward = spec.reward_tensor(t)[i]
     for a_flat in range(spec.num_joint_actions):
-        a = unflatten_joint(a_flat, spec.action_counts)
-        p = float(dev_rows[t][x[i], a[i]])
-        for j in range(spec.num_players):
-            if j == i:
-                continue
-            p *= float(gamma.rows[j][x[j], a[j]])
-        if p == 0.0:
+        p = like[:, a_flat]
+        if not p.any():
             continue
-        total += p * (
-            float(reward[i, x_flat, a_flat])
-            + spec.discount * _continuation_given_types(
-                spec, policy, i, dev_rows, history + (a,), x)
-        )
+        child = _continuation(spec, policy, i, dev_rows,
+                              history + (unflatten_joint(a_flat, spec.action_counts),),
+                              p > 0.0)
+        total += p * (reward[:, a_flat] + spec.discount * child)
     return total
 
 
@@ -437,9 +407,9 @@ def check_strategy_independence(spec: GameSpec, policy: EquilibriumPolicy,
             after = policy.common_belief(history)
             gamma = policy.prescription_at(stage, before)
             a = history[-1]
-            others = [j for j in range(n) if j != player]
-            other_dims = tuple(spec.type_counts[j] for j in others)
-            n_other = int(np.prod(other_dims)) if other_dims else 1
+            # per own type: the belief over the others' types along each path
+            paths = {}
+            reach = np.zeros(spec.num_joint_types, dtype=bool)
             for xi in range(spec.type_counts[player]):
                 if float(gamma.rows[player][xi, a[player]]) == 0.0:
                     skipped += 1
@@ -449,25 +419,22 @@ def check_strategy_independence(spec: GameSpec, policy: EquilibriumPolicy,
                 if cond_before.degenerate or cond_after.degenerate:
                     skipped += 1
                     continue
-                like = np.ones(n_other)
-                for k in range(n_other):
-                    x_other = unflatten_joint(k, other_dims)
-                    for pos, j in enumerate(others):
-                        like[k] *= float(gamma.rows[j][x_other[pos], a[j]])
-                lhs_belief = cond_before.weights * like
+                w, _ = _agent_stage(spec, stage, cond_before.weights, gamma,
+                                    player, xi)
+                lhs_belief = w[spec.flatten_actions(a)]
                 mass = float(lhs_belief.sum())
                 if mass <= 1e-12:
                     skipped += 1
                     continue
-                lhs_belief = lhs_belief / mass
-                phi = np.zeros(n_other)
-                embed = embedding_map(spec.type_counts, player, xi)
-                for k in range(n_other):
-                    x_full = spec.unflatten_types(int(embed[k]))
-                    phi[k] = _continuation_given_types(
-                        spec, policy, player, dev_rows, history, x_full)
-                diff = abs(float(lhs_belief @ phi) - float(cond_after.weights @ phi))
-                belief_gap = float(np.abs(lhs_belief - cond_after.weights).max())
+                paths[xi] = (lhs_belief / mass, cond_after.weights)
+                reach[embedding_map(spec.type_counts, player, xi)] = True
+            if not paths:
+                continue
+            phi = _continuation(spec, policy, player, dev_rows, history, reach)
+            for xi, (lhs_belief, rhs_belief) in paths.items():
+                phi_xi = phi[embedding_map(spec.type_counts, player, xi)]
+                diff = abs(float(lhs_belief @ phi_xi) - float(rhs_belief @ phi_xi))
+                belief_gap = float(np.abs(lhs_belief - rhs_belief).max())
                 diff = max(diff, belief_gap)
                 checked += 1
                 sample_diff = max(sample_diff, diff)

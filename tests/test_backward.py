@@ -23,7 +23,6 @@ from spbe import (
     render_report,
     solve,
     solve_stage_fixed_point,
-    value_lookup,
 )
 
 
@@ -34,15 +33,14 @@ def test_terminal_values_are_zero(reference_solved):
     for i in range(2):
         for xi in range(2):
             assert gen.value(spec.horizon + 1, pi, i, xi) == 0.0
-            assert value_lookup(result.values, spec.horizon + 1, pi, i, xi) == 0.0
 
 
 def test_value_table_range_check(reference_solved):
     spec, result = reference_solved
     with pytest.raises(ValueError):
-        result.values.lookup(0, initial_belief(spec), 0, 0)
+        result.generator.value(0, initial_belief(spec), 0, 0)
     with pytest.raises(ValueError):
-        result.values.lookup(spec.horizon + 2, initial_belief(spec), 0, 0)
+        result.generator.value(spec.horizon + 2, initial_belief(spec), 0, 0)
 
 
 def test_reference_solve_summary(reference_solved):
@@ -114,7 +112,7 @@ def test_monotone_cache_and_reproducible_key_set():
 
 def test_no_fixed_point_routing():
     spec = instances.asymmetric_pennies_instance()
-    cfg = SolverConfig(enable_support_enumeration=False, max_iterations=300)
+    cfg = SolverConfig(support_enumeration_limit=0, max_iterations=300)
     result = solve(spec, config=cfg)
     assert result.status == "failed"
     assert result.failure["kind"] == "no_fixed_point"

@@ -127,6 +127,21 @@ def test_support_enumeration_on_cycling_game():
     assert sol.residual <= 1e-8
 
 
+def test_three_player_support_solve():
+    # the frozen system of three or more players goes to a root finder,
+    # whose trial points are not row-stochastic
+    spec = instances.three_player_instance()
+    ev = stage._single_point(spec, 1, initial_belief(spec), terminal_values)
+    config = SolverConfig()
+    full = stage._support_profiles(ev)[0]
+    assert full == ((0, 1), (0, 1), (0, 1))
+    gamma = stage._solve_support(ev, full, config)
+    assert gamma is not None
+    assert stage._check(ev, gamma) <= config.fp_tol
+    for i in range(3):
+        np.testing.assert_allclose(gamma.rows[i], [[0.5, 0.5]], atol=1e-9)
+
+
 def test_typed_interior_point_hand_values():
     # pennies plus a 0.3 own-type bonus against a constant continuation:
     # indifference pins the opponent marginals, hand solve gives the rows
@@ -144,7 +159,7 @@ def test_typed_interior_point_hand_values():
 
 def test_statuses_without_enumeration():
     spec = instances.asymmetric_pennies_instance()
-    sol = _solve(spec, enable_support_enumeration=False)
+    sol = _solve(spec, support_enumeration_limit=0)
     assert sol.status == "max_iterations"
     assert not sol.converged
 
@@ -213,6 +228,8 @@ def test_config_validation():
         SolverConfig(fp_tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
+    with pytest.raises(ValueError):
+        SolverConfig(support_enumeration_limit=-1)
 
 
 def test_stage_out_of_range():

@@ -120,19 +120,27 @@ def test_one_shot_reference(reference_policy):
 
 
 def test_one_shot_static_equals_stage_check():
-    spec = instances.bayesian_coordination_instance()
-    result = solve(spec)
-    policy = EquilibriumPolicy(spec, result.generator)
-    report = one_shot_gaps(spec, policy)
-    assert report["stage"] == 1
-    rows = [np.asarray(r) for r in result.root.prescription.rows]
     zero = lambda *a: 0.0
-    for (i, xi), gap in report["gaps"].items():
-        q = oracles.q_vector_brute(spec, 1, spec.prior, rows, i, xi, zero)
-        eq = sum(rows[i][xi][a] * q[a] for a in range(len(q)))
-        assert gap == pytest.approx(max(q) - eq, abs=1e-12)
-    static = verify_one_shot(spec, policy)
-    assert static["ok"] and static["histories_checked"] == 1
+    for spec in (instances.bayesian_coordination_instance(),
+                 instances.random_instance(0, players=3, horizon=1),
+                 instances.random_instance(2, types=3, horizon=1)):
+        result = solve(spec)
+        assert result.ok
+        policy = EquilibriumPolicy(spec, result.generator)
+        report = one_shot_gaps(spec, policy)
+        assert report["stage"] == 1 and report["gaps"]
+        rows = [np.asarray(r) for r in result.root.prescription.rows]
+        for (i, xi), gap in report["gaps"].items():
+            q = oracles.q_vector_brute(spec, 1, spec.prior, rows, i, xi, zero)
+            eq = sum(rows[i][xi][a] * q[a] for a in range(len(q)))
+            assert gap == pytest.approx(max(q) - eq, abs=1e-12)
+            # at horizon 1 the deviation walk makes the same comparison
+            assert best_deviation_value(spec, policy, i, xi) == \
+                pytest.approx(max(q), abs=1e-12)
+            assert equilibrium_continuation_value(spec, policy, i, xi) == \
+                pytest.approx(eq, abs=1e-12)
+        static = verify_one_shot(spec, policy)
+        assert static["ok"] and static["histories_checked"] == 1
 
 
 def test_one_shot_catches_perturbation(reference_solved):
