@@ -9,7 +9,11 @@ Every generator follows one protocol, :class:`Generator`: it defines
 ``solution_at(t, pi)``, the solved stage point for stages 1..T, and
 inherits ``value(t, pi, i, xi)``, which reads the value off that solution,
 answers zero at stage T+1 and rejects any other stage. Two interchangeable
-generators drive the recursion:
+generators drive the recursion. Both solve stage points with
+:func:`~spbe.stage.solve_stage` and differ only in where its continuation
+lookup reads the stage-(t+1) values: exact mode asks its own ``value`` (a
+batch of one, through ``solve_stage_fixed_point``), grid mode snaps each
+posterior to the stage-(t+1) table.
 
 ``ExactGenerator``
     solves stage points lazily and memoizes by (stage, quantized belief).
@@ -21,7 +25,8 @@ generators drive the recursion:
 ``GridGenerator``
     precomputes whole per-stage tables on a simplex grid, from the final
     stage backwards, reading stage-(t+1) values at the nearest grid point.
-    The first solution phase runs for all grid points of a stage at once;
+    Each stage is one :func:`~spbe.stage.solve_stage` call over all grid
+    points: the first solution phase runs for all of them at once, and
     only the points it leaves unsolved are solved one by one. Queries snap
     to the nearest grid point, so answers are approximate but total.
 
@@ -46,7 +51,7 @@ import numpy as np
 
 from .beliefs import Belief, Prescription, initial_belief
 from .game import GameSpec
-from .stage import SolverConfig, StageSolution, solve_phase_one, solve_stage_fixed_point
+from .stage import SolverConfig, StageSolution, solve_stage, solve_stage_fixed_point
 
 KEY_DIGITS = 9
 DEFAULT_CACHE_BUDGET = 1_000_000
@@ -257,8 +262,8 @@ class GridGenerator(Generator):
     stage-(t+1) values are read at the grid point nearest (L1) to the
     updated belief. Points are independent given the next-stage table, so
     a stage's first solution phase runs as one batch over all of them
-    (:func:`solve_phase_one`); the points it leaves unsolved go through
-    the remaining phases one at a time. Failed points are kept in the
+    (:func:`~spbe.stage.solve_stage`); the points it leaves unsolved go
+    through the remaining phases one at a time. Failed points are kept in the
     table with their failure status so the build can finish, but querying
     one raises.
     """
@@ -282,15 +287,8 @@ class GridGenerator(Generator):
             return
         beliefs = [Belief(row, self.spec.type_counts) for row in self.grid]
         for t in range(self.spec.horizon, 0, -1):
-            table = solve_phase_one(self.spec, t, beliefs,
-                                    self._table_lookup(t + 1), self.config)
-            v_next = self._table_value_closure(t + 1)
-            for idx, got in enumerate(table):
-                if not isinstance(got, StageSolution):
-                    table[idx] = solve_stage_fixed_point(
-                        self.spec, t, beliefs[idx], v_next, self.config,
-                        phase_one=got)
-            self.tables[t] = table
+            self.tables[t] = solve_stage(self.spec, t, beliefs,
+                                         self._table_lookup(t + 1), self.config)
         self._built = True
 
     def _note_snap(self, snap: float) -> None:
@@ -311,15 +309,6 @@ class GridGenerator(Generator):
             self._note_snap(float(_l1(self.grid[idx], weights).max()))
             return [v[idx] for v in values]
         return lookup
-
-    def _table_value_closure(self, t_next: int):
-        def v_next(pi: Belief, i: int, xi: int) -> float:
-            if t_next > self.spec.horizon:
-                return 0.0
-            idx = nearest_grid_index(self.grid, pi.weights)
-            self._note_snap(float(np.abs(self.grid[idx] - pi.weights).sum()))
-            return float(self.tables[t_next][idx].values[i][xi])
-        return v_next
 
     def solution_at(self, t: int, pi: Belief) -> StageSolution:
         if not 1 <= t <= self.spec.horizon:

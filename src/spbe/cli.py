@@ -25,7 +25,6 @@ from .backward import (
     HybridGenerator,
     NoFixedPointError,
     ResourceLimitError,
-    SolveResult,
     build_solve_report,
     load_policy_file,
     policy_document,
@@ -266,18 +265,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     spec = _load_game(args)
-    config = _config(args)
-    generator = GridGenerator(spec, config, resolution=args.grid_resolution)
-    generator.build()
-    result = SolveResult(spec, "grid", config, generator,
-                         "ok" if not generator.failed_points else "partial",
-                         resolution=args.grid_resolution)
+    result = solve(spec, mode="grid", config=_config(args),
+                   resolution=args.grid_resolution)
+    failed = len(result.generator.failed_points)
     doc = policy_document(result)
-    doc["failed_points"] = len(generator.failed_points)
+    doc["failed_points"] = failed
     _emit(render_report(doc), args.out)
-    if generator.failed_points:
-        print(f"spbe: {len(generator.failed_points)} grid points did not "
-              f"converge", file=sys.stderr)
+    if failed:
+        print(f"spbe: {failed} grid points did not converge", file=sys.stderr)
         return EXIT_NO_FIXED_POINT
     return EXIT_OK
 

@@ -29,10 +29,14 @@ types is still optimal against the same fallback the verifier uses.
 A failed solve is a reported status, never an exception.
 
 All payoffs come from one tensor evaluator, :class:`StageEvaluator`, which
-carries a leading batch axis over beliefs. A single stage point is a batch
-of one whose continuation values come from a value function called in a
-fixed order; a belief grid (:func:`solve_phase_one`) runs phase 1 for all
-of its points at once, reading continuations off the stage-(t+1) table.
+carries a leading batch axis over beliefs. Continuation values reach it
+through one contract, :data:`Lookup`: posterior weights in, every
+player's stage-(t+1) values out, or ``None`` past the horizon. A belief
+grid passes a snap to its stage-(t+1) table; a value function
+``v_next(belief, i, xi)`` (exact mode) is adapted by :func:`value_lookup`.
+:func:`solve_stage` runs phase 1 for a whole batch of beliefs at once and
+the later phases one point at a time; :func:`solve_stage_fixed_point` is
+its batch of one.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ FREEZE_STABLE_TOL = 1e-12
 LSTSQ_CONSISTENCY_TOL = 1e-8
 
 ValueFunction = Callable[[Belief, int, int], float]
+# (Q, X) posterior weights -> one (Q, T_i) array of stage-(t+1) values per
+# player; ``None`` in its place stands for the zero values past the horizon
+Lookup = Callable[[np.ndarray], list[np.ndarray]]
 
 
 def terminal_values(belief: Belief, i: int, xi: int) -> float:
@@ -160,7 +167,7 @@ class StageEvaluator:
     """
 
     def __init__(self, spec: GameSpec, t: int, beliefs: Sequence[Belief],
-                 continuations=None):
+                 lookup: Lookup | None = None):
         if any(pi.type_counts != spec.type_counts for pi in beliefs):
             raise ValueError("belief shape does not match the game")
         n = spec.num_players
@@ -170,7 +177,7 @@ class StageEvaluator:
         self.type_counts = tc
         self.action_counts = ac
         self.num_joint_actions = spec.num_joint_actions
-        self.continuations = continuations
+        self.lookup = lookup
         self.beliefs = list(beliefs)
         self.weights = np.array([pi.weights for pi in beliefs])
         # flat index into a (B, T_j * A_j) row array, (A, X) layout
@@ -185,6 +192,8 @@ class StageEvaluator:
                            + amaps[j][a_of[i]][:, :, None, None])
                        for j in range(n) if j != i} for i in range(n)]
         self._w_shape = [a.shape + x.shape for a, x in zip(a_of, x_of)]
+        # position in ``order[i]`` of each flat joint action
+        self.flat = [np.argsort(o) for o in self.order]
         reward = spec.reward_tensor(t)
         self._r = [reward[i][x[None, None, :, :], a[:, :, None, None]]
                    for i, (a, x) in enumerate(zip(a_of, x_of))]
@@ -289,92 +298,58 @@ class _Candidate:
         self.rows = rows
         self.values = [np.zeros((ev.size, ev.num_joint_actions, c))
                        for c in ev.type_counts]
-        self.filled = None     # bookkeeping of the continuation source
         self._posteriors = None
-        self._beliefs: dict[int, Belief] = {}
 
-    def posteriors(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._posteriors is None:
-            self._posteriors = self.ev.posteriors(self.rows)
-        return self._posteriors
-
-    def belief(self, a: int) -> Belief:
-        """Posterior after joint action a at the first batch point."""
-        got = self._beliefs.get(a)
-        if got is None:
-            post, moved = self.posteriors()
-            pi = self.ev.beliefs[0]
-            got = Belief(post[0, a], pi.type_counts) if moved[0, a] else pi
-            self._beliefs[a] = got
-        return got
-
-
-class _ValueFunctionContinuations:
-    """Continuation values from ``v_next(belief, i, xi)``, one batch point.
-
-    Values are requested one at a time in the order of the scalar
-    definition: agent by agent, own action major, the others' joint action
-    minor. A lazily solving ``v_next`` (exact mode) therefore meets the
-    stage-(t+1) beliefs in a fixed order, and stops at the same first
-    failure. ``reach=None`` asks for every joint action, in flat order.
-    """
-
-    def __init__(self, v_next: ValueFunction):
-        self.v_next = v_next
-
-    def fill(self, cand: _Candidate, reach, agents) -> None:
-        if cand.filled is None:
-            cand.filled = set()
-        done = cand.filled
-        for i, order in enumerate(cand.ev.order):
-            order = order.tolist()
-            if reach is None:
-                order = sorted(order)
-            for xi in np.flatnonzero(agents[i][0]).tolist():
-                hits = reach[i][0, :, xi].tolist() if reach is not None else None
-                for pos, a in enumerate(order):
-                    if (hits is None or hits[pos]) and (a, i, xi) not in done:
-                        done.add((a, i, xi))
-                        cand.values[i][0, a, xi] = self.v_next(cand.belief(a), i, xi)
-
-
-class _TableContinuations:
-    """Continuation values read off a stage-(t+1) table for a whole batch.
-
-    ``lookup(posteriors)`` maps (Q, X) posterior weights to one (Q, T_i)
-    value array per player; ``None`` stands for the zero values beyond
-    the horizon.
-    """
-
-    def __init__(self, lookup: Callable | None):
-        self.lookup = lookup
-
-    def fill(self, cand: _Candidate, reach, agents) -> None:
-        if self.lookup is None:
+    def fill(self, reach, agents) -> None:
+        """Fetch the continuations of every joint action that an agent in
+        ``agents`` reaches (``reach=None``: every joint action), in one
+        lookup call ordered by batch point, then flat joint action. The
+        lookup returns every player's values, so a lazily solving value
+        function (exact mode) meets the stage-(t+1) beliefs in a fixed
+        order. Values fetched by an earlier call are fetched again, and
+        come out the same."""
+        lookup = self.ev.lookup
+        if lookup is None:
             return
-        if cand.filled is None:
-            cand.filled = np.zeros(cand.values[0].shape[:2], dtype=bool)
-        need = np.zeros(cand.filled.shape, dtype=bool)
-        for r, m, order in zip(reach, agents, cand.ev.order):
-            need[:, order] |= (r & m[:, None, :]).any(axis=2)
-        b, a = np.nonzero(need & ~cand.filled)
+        if reach is None:
+            need = np.ones(self.values[0].shape[:2], dtype=bool)
+        else:
+            need = False
+            for r, m, flat in zip(reach, agents, self.ev.flat):
+                need = need | np.matmul(r, m[..., None])[:, flat, 0]
+        b, a = np.nonzero(need)
         if b.size:
-            post, _ = cand.posteriors()
-            for vals, got in zip(cand.values, self.lookup(post[b, a])):
+            if self._posteriors is None:
+                self._posteriors = self.ev.posteriors(self.rows)[0]
+            post = self._posteriors[b, a]
+            post.setflags(write=False)   # beliefs made from its rows share them
+            for vals, got in zip(self.values, lookup(post)):
                 vals[b, a] = got
-            cand.filled[b, a] = True
 
 
-def _single_point(spec: GameSpec, t: int, pi: Belief,
-                  v_next: ValueFunction) -> StageEvaluator:
-    return StageEvaluator(spec, t, [pi], _ValueFunctionContinuations(v_next))
+def value_lookup(v_next: ValueFunction, type_counts: Sequence[int]) -> Lookup:
+    """The lookup contract met by a value function: every player's values
+    at each posterior row, ``v_next(belief, i, xi)`` called row by row,
+    player by player, type by type."""
+    type_counts = tuple(type_counts)
+    agents = [(i, xi) for i, c in enumerate(type_counts) for xi in range(c)]
+    ends = np.cumsum(type_counts)
+
+    def lookup(posteriors: np.ndarray) -> list[np.ndarray]:
+        got = []
+        for weights in posteriors:
+            pi = Belief(weights, type_counts)
+            got.append([v_next(pi, i, xi) for i, xi in agents])
+        got = np.array(got)
+        return [got[:, end - c:end] for c, end in zip(type_counts, ends)]
+    return lookup
 
 
 def _evaluate(ev: StageEvaluator, rows, agents, cand: _Candidate) -> list[np.ndarray]:
     """Q of every agent when play follows ``rows`` and continuations are
     those of ``cand``'s posteriors, fetched for the agents in ``agents``."""
     weights = ev.agent_weights(rows)
-    ev.continuations.fill(cand, ev.reach(weights), agents)
+    cand.fill(ev.reach(weights), agents)
     return ev.q(weights, cand.values)
 
 
@@ -388,7 +363,7 @@ def _prescription(rows, b: int) -> Prescription:
 
 def _agent_q(spec: GameSpec, t: int, pi: Belief, gamma: Prescription,
              i: int, xi: int, v_next: ValueFunction) -> np.ndarray:
-    ev = _single_point(spec, t, pi, v_next)
+    ev = StageEvaluator(spec, t, [pi], value_lookup(v_next, spec.type_counts))
     agents = [np.zeros((1, c), dtype=bool) for c in spec.type_counts]
     agents[i][0, xi] = True
     rows = _batch_rows(gamma)
@@ -526,14 +501,6 @@ def _iterate_batch(ev: StageEvaluator, rows, config: SolverConfig):
     return best, best_res, ok
 
 
-def _iterate(ev: StageEvaluator, gamma: Prescription,
-             config: SolverConfig) -> tuple[Prescription, float, bool]:
-    """Damped best-response iteration at one point; returns the polished
-    fixed point, or the best iterate seen."""
-    rows, res, ok = _iterate_batch(ev, _batch_rows(gamma), config)
-    return _prescription(rows, 0), float(res[0]), bool(ok[0])
-
-
 def _check(ev: StageEvaluator, gamma: Prescription) -> float:
     """Residual of a candidate at a single point."""
     rows = _batch_rows(gamma)
@@ -593,8 +560,8 @@ def _freeze_continuations(ev: StageEvaluator, gamma: Prescription) -> list[np.nd
     """Continuation values ``C_i[0, a, x_i]`` of every active agent at every
     joint action under candidate gamma (zero for inactive agents)."""
     cand = _Candidate(ev, _batch_rows(gamma))
-    ev.continuations.fill(cand, None, ev.active)
-    return cand.values
+    cand.fill(None, ev.active)
+    return [np.where(m[:, None, :], v, 0.0) for v, m in zip(cand.values, ev.active)]
 
 
 def _frozen_q(ev: StageEvaluator, rows, frozen) -> list[np.ndarray]:
@@ -718,10 +685,7 @@ def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
             z0.append(float(start.rows[i][xi, a]))
     z0.extend(0.0 for _ in layout)
     z0 = np.asarray(z0)
-    try:
-        result = root(equations, z0, method="hybr")
-    except Exception:
-        return None
+    result = root(equations, z0, method="hybr")
     if not result.success and float(np.abs(equations(result.x)).max()) > 1e-9:
         return None
     rows, _ = unpack(result.x)
@@ -837,67 +801,45 @@ def _point_rng(config: SolverConfig, t: int, pi: Belief) -> np.random.Generator:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def solve_phase_one(
+def solve_stage(
     spec: GameSpec,
     t: int,
     beliefs: Sequence[Belief],
-    lookup: Callable | None,
+    lookup: Lookup | None,
     config: SolverConfig | None = None,
-) -> list:
-    """Phase 1 at a whole batch of stage-t beliefs at once.
+) -> list[StageSolution]:
+    """Search for a stage-t equilibrium prescription at every belief.
 
-    Continuation values come from ``lookup``, which maps (Q, X) posterior
-    weights to one (Q, T_i) array of stage-(t+1) values per player, or is
-    ``None`` at the final stage. Returns, per belief, the finished
-    :class:`StageSolution` where damped iteration from the uniform
-    prescription converged, else the pair (best iterate, its residual) to
-    pass on as ``solve_stage_fixed_point(..., phase_one=pair)``.
+    Runs the phases described in the module docstring and returns, per
+    belief, the first candidate whose best-response residual over
+    positive-marginal agents is at most ``config.fp_tol``. Phase 1 runs
+    over the whole batch at once; each point it leaves unsolved goes
+    through the other phases on its own. Continuation values come from
+    ``lookup`` (see :data:`Lookup`). The outcome at a point is
+    deterministic in (spec, t, belief, lookup, config): random restarts
+    are seeded per point, and no point depends on the batch it is in.
     """
     config = config or SolverConfig()
-    ev = StageEvaluator(spec, t, beliefs, _TableContinuations(lookup))
-    uniform = [np.full((len(beliefs), nt, na), 1.0 / na)
+    ev = StageEvaluator(spec, t, beliefs, lookup)
+    uniform = [np.full((ev.size, nt, na), 1.0 / na)
                for nt, na in zip(spec.type_counts, spec.action_counts)]
     rows, res, ok = _iterate_batch(ev, uniform, config)
-    out: list = [None] * len(beliefs)
-    for b in np.flatnonzero(~ok):
-        out[b] = (_prescription(rows, b), float(res[b]))
+    out: list = [None] * ev.size
     done = np.flatnonzero(ok)
     if done.size:
         sub = ev.take(done)
         finalized = _finalize_rows(sub, [r[done] for r in rows], config)
         for k, b in enumerate(done):
             out[b] = _solution(sub, k, finalized, config, "converged", "iteration", 0)
+    for b in np.flatnonzero(~ok):
+        out[b] = _search(ev.take([b]), t, _prescription(rows, b), float(res[b]), config)
     return out
 
 
-def solve_stage_fixed_point(
-    spec: GameSpec,
-    t: int,
-    pi: Belief,
-    v_next: ValueFunction,
-    config: SolverConfig | None = None,
-    *,
-    phase_one: tuple[Prescription, float] | None = None,
-) -> StageSolution:
-    """Search for a stage-t equilibrium prescription at belief pi.
-
-    Runs the phases described in the module docstring and returns the
-    first candidate whose best-response residual over positive-marginal
-    agents is at most ``config.fp_tol``. The outcome is deterministic in
-    (spec, t, pi, config): random restarts are seeded per point.
-    ``phase_one`` resumes after a failed phase 1 run elsewhere
-    (:func:`solve_phase_one`), given its best iterate and residual.
-    """
-    config = config or SolverConfig()
-    ev = _single_point(spec, t, pi, v_next)
-
-    if phase_one is None:
-        uniform = Prescription.uniform(ev.type_counts, ev.action_counts)
-        gamma, res, ok = _iterate(ev, uniform, config)
-        if ok:
-            return _finalize(ev, gamma, config, "converged", "iteration", 0)
-    else:
-        gamma, res = phase_one
+def _search(ev: StageEvaluator, t: int, gamma: Prescription, res: float,
+            config: SolverConfig) -> StageSolution:
+    """Phases 2-4 at a single point whose phase 1 ended at ``gamma`` with
+    residual ``res``."""
     best_gamma, best_res = gamma, res
 
     for pure in _pure_profiles(ev):
@@ -907,10 +849,11 @@ def solve_stage_fixed_point(
         if res < best_res:
             best_gamma, best_res = pure, res
 
-    rng = _point_rng(config, t, pi)
+    rng = _point_rng(config, t, ev.beliefs[0])
     for restart in range(1, config.restarts):
-        gamma, res, ok = _iterate(ev, _dirichlet_start(ev, rng), config)
-        if ok:
+        rows, res, ok = _iterate_batch(ev, _batch_rows(_dirichlet_start(ev, rng)), config)
+        gamma, res = _prescription(rows, 0), float(res[0])
+        if ok[0]:
             return _finalize(ev, gamma, config, "converged", "iteration", restart)
         if res < best_res:
             best_gamma, best_res = gamma, res
@@ -933,3 +876,15 @@ def solve_stage_fixed_point(
 
     status = "no_fixed_point" if enumeration_ran else "max_iterations"
     return _finalize(ev, best_gamma, config, status, None, None)
+
+
+def solve_stage_fixed_point(
+    spec: GameSpec,
+    t: int,
+    pi: Belief,
+    v_next: ValueFunction,
+    config: SolverConfig | None = None,
+) -> StageSolution:
+    """:func:`solve_stage` at the single belief pi, with continuation
+    values ``v_next(belief, i, xi)`` at the stage-(t+1) beliefs."""
+    return solve_stage(spec, t, [pi], value_lookup(v_next, spec.type_counts), config)[0]

@@ -110,6 +110,14 @@ def test_monotone_cache_and_reproducible_key_set():
     assert keys_a == keys_b
 
 
+def test_exact_solve_counts():
+    # the stage-(t+1) beliefs an exact solve asks for, counted per stage
+    assert solve(instances.signaling_pennies_instance()).generator.solve_counts == \
+        {1: 1, 2: 891}
+    assert solve(instances.dominant_types_instance()).generator.solve_counts == \
+        {1: 1, 2: 109}
+
+
 def test_no_fixed_point_routing():
     spec = instances.asymmetric_pennies_instance()
     cfg = SolverConfig(support_enumeration_limit=0, max_iterations=300)

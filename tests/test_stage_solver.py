@@ -131,7 +131,7 @@ def test_three_player_support_solve():
     # the frozen system of three or more players goes to a root finder,
     # whose trial points are not row-stochastic
     spec = instances.three_player_instance()
-    ev = stage._single_point(spec, 1, initial_belief(spec), terminal_values)
+    ev = stage.StageEvaluator(spec, 1, [initial_belief(spec)])
     config = SolverConfig()
     full = stage._support_profiles(ev)[0]
     assert full == ((0, 1), (0, 1), (0, 1))
@@ -140,6 +140,20 @@ def test_three_player_support_solve():
     assert stage._check(ev, gamma) <= config.fp_tol
     for i in range(3):
         np.testing.assert_allclose(gamma.rows[i], [[0.5, 0.5]], atol=1e-9)
+
+
+def test_three_player_support_solve_raises_faults(monkeypatch):
+    # a fault inside the root finder's equations is an error, not a
+    # support without a solution
+    def broken(*args):
+        raise RuntimeError("broken frozen action values")
+
+    spec = instances.three_player_instance()
+    ev = stage.StageEvaluator(spec, 1, [initial_belief(spec)])
+    full = stage._support_profiles(ev)[0]
+    monkeypatch.setattr(stage, "_frozen_q", broken)
+    with pytest.raises(RuntimeError, match="broken frozen action values"):
+        stage._solve_support(ev, full, SolverConfig())
 
 
 def test_typed_interior_point_hand_values():
@@ -174,8 +188,9 @@ def test_no_fixed_point_when_enumeration_exhausts(monkeypatch):
 def test_pure_scan_phase(monkeypatch):
     # with iteration disabled the zero-reward game falls to the pure scan,
     # whose first lexicographic profile is already a fixed point
-    monkeypatch.setattr(stage, "_iterate",
-                        lambda p, g, c: (g, np.inf, False))
+    monkeypatch.setattr(stage, "_iterate_batch",
+                        lambda ev, rows, c: (rows, np.full(ev.size, np.inf),
+                                             np.zeros(ev.size, dtype=bool)))
     spec = instances.zero_reward_instance()
     sol = _solve(spec)
     assert sol.status == "converged"
