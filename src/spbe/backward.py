@@ -26,8 +26,9 @@ posterior to the stage-(t+1) table.
     precomputes whole per-stage tables on a simplex grid, from the final
     stage backwards, reading stage-(t+1) values at the nearest grid point.
     Each stage is one :func:`~spbe.stage.solve_stage` call over all grid
-    points: the first solution phase runs for all of them at once, and
-    only the points it leaves unsolved are solved one by one. Queries snap
+    points: the iteration, the pure scan and the restarts run in rounds
+    over the points still open, and only support enumeration goes one
+    point at a time. Queries snap
     to the nearest grid point, so answers are approximate but total.
 
 Solved tables can be saved to a policy document. An exact-mode document
@@ -261,11 +262,10 @@ class GridGenerator(Generator):
     ``build`` solves every grid point at every stage, final stage first;
     stage-(t+1) values are read at the grid point nearest (L1) to the
     updated belief. Points are independent given the next-stage table, so
-    a stage's first solution phase runs as one batch over all of them
-    (:func:`~spbe.stage.solve_stage`); the points it leaves unsolved go
-    through the remaining phases one at a time. Failed points are kept in the
-    table with their failure status so the build can finish, but querying
-    one raises.
+    a stage is one batch over all of them (:func:`~spbe.stage.solve_stage`),
+    in which only support enumeration goes one point at a time. Failed
+    points are kept in the table with their failure status so the build
+    can finish, but querying one raises.
     """
 
     mode = "grid"

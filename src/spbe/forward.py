@@ -181,6 +181,8 @@ def simulate(spec: GameSpec, policy: EquilibriumPolicy, episodes: int,
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if trace_limit < 0:
+        raise ValueError("trace_limit must be >= 0")
     rng = np.random.default_rng(seed)
     n = spec.num_players
     totals = np.zeros(n)

@@ -34,15 +34,16 @@ through one contract, :data:`Lookup`: posterior weights in, every
 player's stage-(t+1) values out, or ``None`` past the horizon. A belief
 grid passes a snap to its stage-(t+1) table; a value function
 ``v_next(belief, i, xi)`` (exact mode) is adapted by :func:`value_lookup`.
-:func:`solve_stage` runs phase 1 for a whole batch of beliefs at once and
-the later phases one point at a time; :func:`solve_stage_fixed_point` is
-its batch of one.
+:func:`solve_stage` runs phases 1-3 in rounds over the points of a batch
+that are still open, and phase 4 point by point;
+:func:`solve_stage_fixed_point` is its batch of one.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -212,11 +213,6 @@ class StageEvaluator:
     def size(self) -> int:
         return len(self.beliefs)
 
-    @property
-    def agents(self) -> list[tuple[int, int]]:
-        """Active agents of the first batch point."""
-        return self.agents_at(0)
-
     def agents_at(self, b: int, corner: bool = False) -> list[tuple[int, int]]:
         masks = self.corner if corner else self.active
         return [(i, int(xi)) for i, m in enumerate(masks) for xi in np.flatnonzero(m[b])]
@@ -357,10 +353,6 @@ def _batch_rows(gamma: Prescription) -> list[np.ndarray]:
     return [r[None] for r in gamma.rows]
 
 
-def _prescription(rows, b: int) -> Prescription:
-    return Prescription(tuple(r[b] for r in rows))
-
-
 def _agent_q(spec: GameSpec, t: int, pi: Belief, gamma: Prescription,
              i: int, xi: int, v_next: ValueFunction) -> np.ndarray:
     ev = StageEvaluator(spec, t, [pi], value_lookup(v_next, spec.type_counts))
@@ -441,15 +433,19 @@ def _apply_br(rows, q, agents, config: SolverConfig, step: float) -> list[np.nda
             for r, target, m in zip(rows, _br_rows(q, config), agents)]
 
 
+def _check(ev: StageEvaluator, rows) -> np.ndarray:
+    """Per batch point, the residual of the candidate ``rows``."""
+    q = _evaluate(ev, rows, ev.active, _Candidate(ev, rows))
+    return _residual(q, rows, ev.active)
+
+
 def _polish(ev: StageEvaluator, rows, q, res: np.ndarray, config: SolverConfig):
     """Snap converged iterates to their own best-response profiles where
     that profile is at least as good. Strict equilibria then come out
     exactly pure instead of pure-up-to-damping-residue; interior points
     are left alone because their undamped best response is far from them."""
     snapped = _apply_br(rows, q, ev.active, config, 1.0)
-    snapped_q = _evaluate(ev, snapped, ev.active,
-                          _Candidate(ev, snapped))
-    snapped_res = _residual(snapped_q, snapped, ev.active)
+    snapped_res = _check(ev, snapped)
     better = snapped_res <= res
     return ([np.where(better[:, None, None], s, r) for s, r in zip(snapped, rows)],
             np.where(better, snapped_res, res))
@@ -501,39 +497,26 @@ def _iterate_batch(ev: StageEvaluator, rows, config: SolverConfig):
     return best, best_res, ok
 
 
-def _check(ev: StageEvaluator, gamma: Prescription) -> float:
-    """Residual of a candidate at a single point."""
-    rows = _batch_rows(gamma)
-    q = _evaluate(ev, rows, ev.active, _Candidate(ev, rows))
-    return float(_residual(q, rows, ev.active)[0])
-
-
-def _dirichlet_start(ev: StageEvaluator, rng: np.random.Generator) -> Prescription:
-    rows = []
-    for nt, na in zip(ev.type_counts, ev.action_counts):
-        rows.append(rng.dirichlet(np.ones(na), size=nt))
-    return Prescription(tuple(rows))
-
-
-def _placeholder_rows(ev: StageEvaluator) -> list[np.ndarray]:
-    return [np.full((nt, na), 1.0 / na)
+def _placeholder_rows(ev: StageEvaluator, *batch: int) -> list[np.ndarray]:
+    return [np.full(batch + (nt, na), 1.0 / na)
             for nt, na in zip(ev.type_counts, ev.action_counts)]
 
 
-def _pure_profiles(ev: StageEvaluator):
-    """All assignments of one pure action per active agent, lexicographic."""
-    agents = ev.agents
-    ranges = [range(ev.action_counts[i]) for (i, _) in agents]
-    for combo in itertools.product(*ranges):
-        rows = _placeholder_rows(ev)
+def _pure_rows(ev: StageEvaluator, points, k: int) -> list[np.ndarray]:
+    """At each batch point in ``points``, the k-th assignment of one pure
+    action per active agent, in lexicographic order over its agents."""
+    rows = _placeholder_rows(ev, len(points))
+    for j, b in enumerate(points):
+        agents = ev.agents_at(b)
+        combo = np.unravel_index(k, [ev.action_counts[i] for i, _ in agents])
         for (i, xi), a in zip(agents, combo):
-            rows[i][xi] = 0.0
-            rows[i][xi, a] = 1.0
-        yield Prescription(tuple(rows))
+            rows[i][j, xi] = 0.0
+            rows[i][j, xi, a] = 1.0
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# Support enumeration
+# Support enumeration, one point at a time: ``ev`` is a batch of one
 # ---------------------------------------------------------------------------
 
 def _support_profiles(ev: StageEvaluator):
@@ -543,7 +526,7 @@ def _support_profiles(ev: StageEvaluator):
     have already failed the pure scan and the iterative phase, which catch
     strict equilibria; what remains is typically interior.
     """
-    agents = ev.agents
+    agents = ev.agents_at(0)
     per_agent = []
     for (i, _) in agents:
         na = ev.action_counts[i]
@@ -583,7 +566,7 @@ def _solve_frozen_two_player(ev: StageEvaluator, profile_map: dict,
 
     if n == 1:
         q = _frozen_q(ev, rows, frozen)[0]
-        for (i, xi) in ev.agents:
+        for (i, xi) in ev.agents_at(0):
             support = list(profile_map[(i, xi)])
             vals = q[xi, support]
             if vals.max() - vals.min() > 1e-9:
@@ -592,7 +575,7 @@ def _solve_frozen_two_player(ev: StageEvaluator, profile_map: dict,
             rows[i][xi, support] = 1.0 / len(support)
         return Prescription(tuple(rows))
 
-    agents_of = {i: [xi for (j, xi) in ev.agents if j == i] for i in range(2)}
+    agents_of = {i: [xi for (j, xi) in ev.agents_at(0) if j == i] for i in range(2)}
     for solved in (0, 1):
         # player `solved`'s rows are pinned by the *other* player's indifference
         other = 1 - solved
@@ -648,7 +631,7 @@ def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
     """
     from scipy.optimize import root
 
-    agents = ev.agents
+    agents = ev.agents_at(0)
     layout: list[tuple[int, int, tuple[int, ...]]] = []
     for (i, xi) in agents:
         layout.append((i, xi, tuple(profile_map[(i, xi)])))
@@ -703,7 +686,7 @@ def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
 
 def _solve_support(ev: StageEvaluator, profile, config: SolverConfig) -> Prescription | None:
     """Find a candidate supported on `profile` that survives freeze refresh."""
-    profile_map = {agent: support for agent, support in zip(ev.agents, profile)}
+    profile_map = dict(zip(ev.agents_at(0), profile))
     rows = _placeholder_rows(ev)
     for (i, xi), support in profile_map.items():
         rows[i][xi] = 0.0
@@ -728,10 +711,6 @@ def _solve_support(ev: StageEvaluator, profile, config: SolverConfig) -> Prescri
         ]
         gamma = Prescription(tuple(mixed))
     return None
-
-
-def _enumeration_size(ev: StageEvaluator) -> int:
-    return sum(nt * na for nt, na in zip(ev.type_counts, ev.action_counts))
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +748,7 @@ def _solution(ev: StageEvaluator, b: int, finalized, config: SolverConfig,
     if status == "converged" and residual[b] > config.fp_tol:
         status = "max_iterations"
     return StageSolution(
-        prescription=_prescription(final, b),
+        prescription=Prescription(tuple(r[b] for r in final)),
         values=tuple(v[b] for v in values),
         residual=float(residual[b]),
         status=status,
@@ -778,14 +757,6 @@ def _solution(ev: StageEvaluator, b: int, finalized, config: SolverConfig,
         support_profile=support_profile,
         degenerate_types=tuple(ev.agents_at(b, corner=True)),
     )
-
-
-def _finalize(ev: StageEvaluator, gamma: Prescription, config: SolverConfig,
-              status: str, method: str | None, restart_index: int | None,
-              support_profile=None) -> StageSolution:
-    finalized = _finalize_rows(ev, _batch_rows(gamma), config)
-    return _solution(ev, 0, finalized, config, status, method,
-                     restart_index, support_profile)
 
 
 def _point_rng(config: SolverConfig, t: int, pi: Belief) -> np.random.Generator:
@@ -810,72 +781,76 @@ def solve_stage(
 ) -> list[StageSolution]:
     """Search for a stage-t equilibrium prescription at every belief.
 
-    Runs the phases described in the module docstring and returns, per
-    belief, the first candidate whose best-response residual over
-    positive-marginal agents is at most ``config.fp_tol``. Phase 1 runs
-    over the whole batch at once; each point it leaves unsolved goes
-    through the other phases on its own. Continuation values come from
-    ``lookup`` (see :data:`Lookup`). The outcome at a point is
-    deterministic in (spec, t, belief, lookup, config): random restarts
-    are seeded per point, and no point depends on the batch it is in.
+    Runs the phases of the module docstring in rounds over the points
+    still open: phase 1 once, round k of the pure scan on each open
+    point's k-th pure profile, restart r as one iteration, and support
+    enumeration point by point. In every phase a candidate whose residual
+    over positive-marginal agents is at most ``config.fp_tol`` closes its
+    point; a failing one becomes the point's fallback only if its residual
+    is strictly lower. A point tries the same candidates in the same order
+    in any batch, so a batch of one calls ``lookup`` (:data:`Lookup`) as a
+    search of that point alone would. The outcome at a point is
+    deterministic in (spec, t, belief, lookup, config): restarts are
+    seeded per point.
     """
     config = config or SolverConfig()
     ev = StageEvaluator(spec, t, beliefs, lookup)
-    uniform = [np.full((ev.size, nt, na), 1.0 / na)
-               for nt, na in zip(spec.type_counts, spec.action_counts)]
-    rows, res, ok = _iterate_batch(ev, uniform, config)
-    out: list = [None] * ev.size
-    done = np.flatnonzero(ok)
-    if done.size:
-        sub = ev.take(done)
-        finalized = _finalize_rows(sub, [r[done] for r in rows], config)
-        for k, b in enumerate(done):
-            out[b] = _solution(sub, k, finalized, config, "converged", "iteration", 0)
-    for b in np.flatnonzero(~ok):
-        out[b] = _search(ev.take([b]), t, _prescription(rows, b), float(res[b]), config)
-    return out
+    best, best_res, ok = _iterate_batch(ev, _placeholder_rows(ev, ev.size), config)
+    # per closed point: (status, method, restart index, support profile)
+    outcome = [("converged", "iteration", 0, None) if k else None for k in ok]
 
+    def still_open(among=range(ev.size)) -> np.ndarray:
+        return np.array([b for b in among if outcome[b] is None], dtype=int)
 
-def _search(ev: StageEvaluator, t: int, gamma: Prescription, res: float,
-            config: SolverConfig) -> StageSolution:
-    """Phases 2-4 at a single point whose phase 1 ended at ``gamma`` with
-    residual ``res``."""
-    best_gamma, best_res = gamma, res
+    def keep(points, rows, res, found) -> None:
+        # an iteration converged exactly where its residual clears fp_tol
+        passed = res <= config.fp_tol
+        take = passed | (res < best_res[points])
+        for kept, new in zip(best, rows):
+            kept[points[take]] = new[take]
+        best_res[points[take]] = res[take]
+        for b in points[passed]:
+            outcome[b] = found
 
-    for pure in _pure_profiles(ev):
-        res = _check(ev, pure)
-        if res <= config.fp_tol:
-            return _finalize(ev, pure, config, "converged", "pure_scan", None)
-        if res < best_res:
-            best_gamma, best_res = pure, res
+    pure_counts = [math.prod(ev.action_counts[i] for i, _ in ev.agents_at(b))
+                   for b in range(ev.size)]
+    for k in itertools.count():
+        points = still_open(b for b in range(ev.size) if k < pure_counts[b])
+        if not points.size:
+            break
+        rows = _pure_rows(ev, points, k)
+        keep(points, rows, _check(ev.take(points), rows),
+             ("converged", "pure_scan", None, None))
 
-    rng = _point_rng(config, t, ev.beliefs[0])
+    rngs = {b: _point_rng(config, t, ev.beliefs[b]) for b in still_open()}
     for restart in range(1, config.restarts):
-        rows, res, ok = _iterate_batch(ev, _batch_rows(_dirichlet_start(ev, rng)), config)
-        gamma, res = _prescription(rows, 0), float(res[0])
-        if ok[0]:
-            return _finalize(ev, gamma, config, "converged", "iteration", restart)
-        if res < best_res:
-            best_gamma, best_res = gamma, res
+        points = still_open()
+        if not points.size:
+            break
+        starts = [np.array([rngs[b].dirichlet(np.ones(na), size=nt) for b in points])
+                  for nt, na in zip(ev.type_counts, ev.action_counts)]
+        rows, res, _ = _iterate_batch(ev.take(points), starts, config)
+        keep(points, rows, res, ("converged", "iteration", restart, None))
 
-    enumeration_ran = False
-    if _enumeration_size(ev) <= config.support_enumeration_limit:
-        enumeration_ran = True
-        for profile in _support_profiles(ev):
-            candidate = _solve_support(ev, profile, config)
+    enumeration_ran = config.support_enumeration_limit >= sum(
+        nt * na for nt, na in zip(spec.type_counts, spec.action_counts))
+    for b in still_open() if enumeration_ran else ():
+        point = ev.take([b])
+        for profile in _support_profiles(point):
+            candidate = _solve_support(point, profile, config)
             if candidate is None:
                 continue
-            res = _check(ev, candidate)
-            if res <= config.fp_tol:
-                return _finalize(
-                    ev, candidate, config, "converged",
-                    "support_enumeration", None, support_profile=profile,
-                )
-            if res < best_res:
-                best_gamma, best_res = candidate, res
+            rows = _batch_rows(candidate)
+            keep(np.array([b]), rows, _check(point, rows),
+                 ("converged", "support_enumeration", None, profile))
+            if outcome[b]:
+                break
 
-    status = "no_fixed_point" if enumeration_ran else "max_iterations"
-    return _finalize(ev, best_gamma, config, status, None, None)
+    failed = ("no_fixed_point" if enumeration_ran else "max_iterations",
+              None, None, None)
+    finalized = _finalize_rows(ev, best, config)
+    return [_solution(ev, b, finalized, config, *(found or failed))
+            for b, found in enumerate(outcome)]
 
 
 def solve_stage_fixed_point(

@@ -209,6 +209,8 @@ def verify_pbe(spec: GameSpec, policy: EquilibriumPolicy,
     Every (player, type) with positive prior type marginal is checked at
     every public history node of every length up to the horizon.
     """
+    if not tol >= 0:   # NaN too: no gain would ever exceed it
+        raise ValueError("tol must be >= 0")
     _guard_tree(spec)
     prior = initial_belief(spec)
     max_gain = -np.inf
@@ -300,6 +302,8 @@ def verify_one_shot(spec: GameSpec, policy: EquilibriumPolicy,
     continuation values) but pinpoints the stage whose prescription is
     off. Passes iff no (history, agent) gap exceeds tol.
     """
+    if not tol >= 0:   # NaN too: no gain would ever exceed it
+        raise ValueError("tol must be >= 0")
     _guard_tree(spec)
     worst_gap = 0.0
     worst_at: dict | None = None
@@ -389,6 +393,8 @@ def check_strategy_independence(spec: GameSpec, policy: EquilibriumPolicy,
     When ``i`` or ``t`` is omitted, samples cycle deterministically over
     players and over stages 1..max(T-1, 1).
     """
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(seed)
     n = spec.num_players
     t_range = list(range(1, max(spec.horizon - 1, 1) + 1))

@@ -190,15 +190,20 @@ def test_grid_batched_matches_per_point():
     that belief against the same stage-(t+1) table, and the build's snap
     bound is the one the per-point solves see. The games cover a pure-scan
     point (coordination), one player, three players with a failed point,
-    and types != actions with support enumeration."""
+    a point that converges on a restart (``random_instance(13)``), and
+    types != actions with support enumeration."""
     games = [
         (instances.coordination_instance(), 3),
         (instances.single_player_instance(), 4),
         (instances.random_instance(1, players=3), 1),
+        (instances.random_instance(13), 2),
         (instances.random_instance(1, types=3, actions=2), 1),
     ]
+    restarted = []
     for spec, resolution in games:
         gen = _build_grid(spec, resolution=resolution)
+        restarted += [sol for table in gen.tables.values() for sol in table
+                      if sol.method == "iteration" and sol.restart_index > 0]
         max_snap = 0.0
         for t in range(spec.horizon, 0, -1):
             def v_next(pi, i, xi, t_next=t + 1):
@@ -221,6 +226,7 @@ def test_grid_batched_matches_per_point():
                     np.testing.assert_allclose(alone.values[i], batched.values[i],
                                                rtol=0, atol=1e-12)
         assert gen.snap_stats == {"queries": 0, "max_snap_l1": max_snap}
+    assert restarted
     methods = {sol.method for sol in gen.tables[1]}
     assert "support_enumeration" in methods
 

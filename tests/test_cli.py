@@ -162,6 +162,22 @@ def test_verify_ok(games, reference_policy_file, capsys):
     assert doc["table_completions"] == 0
 
 
+@pytest.mark.parametrize("command, flag, value, code", [
+    ("verify", "--samples", "-3", 2),
+    ("verify", "--samples", "0", 0),
+    ("verify", "--verify-tol", "-1", 2),
+    ("verify", "--verify-tol", "nan", 2),
+    ("simulate", "--trace-limit", "-2", 2),
+])
+def test_input_range_checks(games, reference_policy_file, capsys,
+                            command, flag, value, code):
+    got, out = _run(capsys, [command, games["reference"], "--policy",
+                             reference_policy_file, flag, value])
+    assert got == code
+    if code:
+        assert json.loads(out)["error"]["kind"] == "invalid_input"
+
+
 def test_verify_flags_tampered_policy(games, reference_policy_file, tmp_path,
                                       capsys):
     doc = json.loads(open(reference_policy_file).read())

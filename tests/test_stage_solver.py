@@ -137,7 +137,7 @@ def test_three_player_support_solve():
     assert full == ((0, 1), (0, 1), (0, 1))
     gamma = stage._solve_support(ev, full, config)
     assert gamma is not None
-    assert stage._check(ev, gamma) <= config.fp_tol
+    assert stage._check(ev, stage._batch_rows(gamma))[0] <= config.fp_tol
     for i in range(3):
         np.testing.assert_allclose(gamma.rows[i], [[0.5, 0.5]], atol=1e-9)
 
