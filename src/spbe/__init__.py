@@ -31,10 +31,7 @@ from .game import (
 from .stage import (
     SolverConfig,
     StageSolution,
-    action_value,
-    best_response_set,
     solve_stage_fixed_point,
-    terminal_values,
 )
 from .backward import (
     ExactGenerator,
@@ -99,10 +96,7 @@ __all__ = [
     "validate",
     "SolverConfig",
     "StageSolution",
-    "action_value",
-    "best_response_set",
     "solve_stage_fixed_point",
-    "terminal_values",
     "ExactGenerator",
     "GridGenerator",
     "HybridGenerator",

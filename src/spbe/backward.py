@@ -7,13 +7,15 @@ own evaluation pulls stage-(t+1) values at the updated beliefs.
 
 Every generator follows one protocol, :class:`Generator`: it defines
 ``solution_at(t, pi)``, the solved stage point for stages 1..T, and
-inherits ``value(t, pi, i, xi)``, which reads the value off that solution,
-answers zero at stage T+1 and rejects any other stage. Two interchangeable
-generators drive the recursion. Both solve stage points with
-:func:`~spbe.stage.solve_stage` and differ only in where its continuation
-lookup reads the stage-(t+1) values: exact mode asks its own ``value`` (a
-batch of one, through ``solve_stage_fixed_point``), grid mode snaps each
-posterior to the stage-(t+1) table.
+inherits two readers of it: ``value(t, pi, i, xi)``, one agent's value,
+zero at stage T+1, and ``lookup(t)``, the batched
+:data:`~spbe.stage.Lookup` of every player's stage-t values at a stack of
+posteriors, ``None`` past the horizon. Two interchangeable generators
+drive the recursion. Both solve stage points with
+:func:`~spbe.stage.solve_stage`, passing their own ``lookup(t + 1)``, and
+differ only in what it does: exact mode solves each posterior it is asked
+for (a batch of one, through ``solve_stage_fixed_point``), grid mode
+snaps each posterior to the stage-(t+1) table.
 
 ``ExactGenerator``
     solves stage points lazily and memoizes by (stage, quantized belief).
@@ -41,7 +43,6 @@ that snaps queries to its grid.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import time
@@ -52,7 +53,8 @@ import numpy as np
 
 from .beliefs import Belief, Prescription, initial_belief
 from .game import GameSpec
-from .stage import SolverConfig, StageSolution, solve_stage, solve_stage_fixed_point
+from .stage import (Lookup, SolverConfig, StageSolution, solve_stage,
+                    solve_stage_fixed_point)
 
 KEY_DIGITS = 9
 DEFAULT_CACHE_BUDGET = 1_000_000
@@ -114,6 +116,21 @@ class Generator:
             return 0.0
         return float(self.solution_at(t, pi).values[i][xi])
 
+    def lookup(self, t: int) -> Lookup | None:
+        """Every player's stage-t values at each row of a posterior array,
+        one ``solution_at`` call per row in row order; ``None`` past the
+        horizon."""
+        if t > self.spec.horizon:
+            return None
+        type_counts = self.spec.type_counts
+
+        def lookup(weights: np.ndarray) -> list[np.ndarray]:
+            solutions = [self.solution_at(t, Belief(row, type_counts))
+                         for row in weights]
+            return [np.array([sol.values[i] for sol in solutions])
+                    for i in range(len(type_counts))]
+        return lookup
+
 
 # ---------------------------------------------------------------------------
 # Exact lazy generator
@@ -153,9 +170,8 @@ class ExactGenerator(Generator):
                 "raise cache_budget or use grid mode",
                 self.cache_budget,
             )
-        solution = solve_stage_fixed_point(
-            self.spec, t, pi, functools.partial(self.value, t + 1), self.config
-        )
+        solution = solve_stage_fixed_point(self.spec, t, pi, self.lookup(t + 1),
+                                           self.config)
         self._cache[key] = solution
         self._points[key] = pi
         if not solution.converged:
@@ -288,14 +304,14 @@ class GridGenerator(Generator):
         beliefs = [Belief(row, self.spec.type_counts) for row in self.grid]
         for t in range(self.spec.horizon, 0, -1):
             self.tables[t] = solve_stage(self.spec, t, beliefs,
-                                         self._table_lookup(t + 1), self.config)
+                                         self.lookup(t + 1), self.config)
         self._built = True
 
     def _note_snap(self, snap: float) -> None:
         if snap > self.snap_stats["max_snap_l1"]:
             self.snap_stats["max_snap_l1"] = snap
 
-    def _table_lookup(self, t_next: int):
+    def lookup(self, t_next: int) -> Lookup | None:
         """Batched stage-(t_next) values at the grid points nearest to
         each row of a posterior array; ``None`` beyond the horizon."""
         if t_next > self.spec.horizon:

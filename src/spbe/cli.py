@@ -224,6 +224,11 @@ def _policy_for(spec: GameSpec, args):
 
 
 def _cmd_simulate(args) -> int:
+    # checked again by ``simulate``, but here before a solve can start
+    if args.episodes < 1:
+        raise ValueError("episodes must be >= 1")
+    if args.trace_limit < 0:
+        raise ValueError("trace_limit must be >= 0")
     spec = _load_game(args)
     generator, failed = _policy_for(spec, args)
     if generator is None:
@@ -245,6 +250,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # checked again by the verifier, but here before a solve can start
+    if args.samples < 0:
+        raise ValueError("samples must be >= 0")
+    if not args.verify_tol >= 0:   # NaN too
+        raise ValueError("tol must be >= 0")
     spec = _load_game(args)
     generator, failed = _policy_for(spec, args)
     if generator is None:

@@ -26,7 +26,6 @@ from typing import Any, Sequence
 import numpy as np
 
 PRIOR_TOL = 1e-9
-ROW_TOL = 1e-9
 
 
 class GameSpecError(ValueError):

@@ -31,9 +31,9 @@ A failed solve is a reported status, never an exception.
 All payoffs come from one tensor evaluator, :class:`StageEvaluator`, which
 carries a leading batch axis over beliefs. Continuation values reach it
 through one contract, :data:`Lookup`: posterior weights in, every
-player's stage-(t+1) values out, or ``None`` past the horizon. A belief
-grid passes a snap to its stage-(t+1) table; a value function
-``v_next(belief, i, xi)`` (exact mode) is adapted by :func:`value_lookup`.
+player's stage-(t+1) values out, or ``None`` past the horizon. Both
+modes pass their generator's stage-(t+1) lookup: a belief grid snaps to
+its table, exact mode solves each posterior it is asked for.
 :func:`solve_stage` runs phases 1-3 in rounds over the points of a batch
 that are still open, and phase 4 point by point;
 :func:`solve_stage_fixed_point` is its batch of one.
@@ -66,28 +66,22 @@ STALL_WINDOW = 60
 SUPPORT_REFRESH_MAX = 60
 FREEZE_STABLE_TOL = 1e-12
 LSTSQ_CONSISTENCY_TOL = 1e-8
+# best responses within this of the best are tied, and ties are mixed
+# uniformly
+TIE_TOL = 1e-12
 
-ValueFunction = Callable[[Belief, int, int], float]
 # (Q, X) posterior weights -> one (Q, T_i) array of stage-(t+1) values per
 # player; ``None`` in its place stands for the zero values past the horizon
 Lookup = Callable[[np.ndarray], list[np.ndarray]]
-
-
-def terminal_values(belief: Belief, i: int, xi: int) -> float:
-    """Continuation value beyond the horizon: identically zero."""
-    return 0.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs for the per-stage fixed-point search.
 
-    ``tie_tol`` controls when best responses are treated as tied; under
-    ``mix_ties`` a tied set is mixed uniformly, otherwise the
-    lexicographically smallest maximizer is chosen. Support enumeration
-    runs only at stage points whose total row size (sum over players of
-    types times actions) is at most ``support_enumeration_limit``, so 0
-    turns it off.
+    Support enumeration runs only at stage points whose total row size
+    (sum over players of types times actions) is at most
+    ``support_enumeration_limit``, so 0 turns it off.
     """
 
     fp_tol: float = 1e-8
@@ -96,8 +90,6 @@ class SolverConfig:
     restarts: int = 8
     rng_seed: int = 0
     support_enumeration_limit: int = 12
-    mix_ties: bool = True
-    tie_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.fp_tol <= 0:
@@ -300,10 +292,10 @@ class _Candidate:
         """Fetch the continuations of every joint action that an agent in
         ``agents`` reaches (``reach=None``: every joint action), in one
         lookup call ordered by batch point, then flat joint action. The
-        lookup returns every player's values, so a lazily solving value
-        function (exact mode) meets the stage-(t+1) beliefs in a fixed
-        order. Values fetched by an earlier call are fetched again, and
-        come out the same."""
+        lookup returns every player's values, so a lazily solving lookup
+        (exact mode) meets the stage-(t+1) beliefs in a fixed order.
+        Values fetched by an earlier call are fetched again, and come out
+        the same."""
         lookup = self.ev.lookup
         if lookup is None:
             return
@@ -323,24 +315,6 @@ class _Candidate:
                 vals[b, a] = got
 
 
-def value_lookup(v_next: ValueFunction, type_counts: Sequence[int]) -> Lookup:
-    """The lookup contract met by a value function: every player's values
-    at each posterior row, ``v_next(belief, i, xi)`` called row by row,
-    player by player, type by type."""
-    type_counts = tuple(type_counts)
-    agents = [(i, xi) for i, c in enumerate(type_counts) for xi in range(c)]
-    ends = np.cumsum(type_counts)
-
-    def lookup(posteriors: np.ndarray) -> list[np.ndarray]:
-        got = []
-        for weights in posteriors:
-            pi = Belief(weights, type_counts)
-            got.append([v_next(pi, i, xi) for i, xi in agents])
-        got = np.array(got)
-        return [got[:, end - c:end] for c, end in zip(type_counts, ends)]
-    return lookup
-
-
 def _evaluate(ev: StageEvaluator, rows, agents, cand: _Candidate) -> list[np.ndarray]:
     """Q of every agent when play follows ``rows`` and continuations are
     those of ``cand``'s posteriors, fetched for the agents in ``agents``."""
@@ -351,56 +325,6 @@ def _evaluate(ev: StageEvaluator, rows, agents, cand: _Candidate) -> list[np.nda
 
 def _batch_rows(gamma: Prescription) -> list[np.ndarray]:
     return [r[None] for r in gamma.rows]
-
-
-def _agent_q(spec: GameSpec, t: int, pi: Belief, gamma: Prescription,
-             i: int, xi: int, v_next: ValueFunction) -> np.ndarray:
-    ev = StageEvaluator(spec, t, [pi], value_lookup(v_next, spec.type_counts))
-    agents = [np.zeros((1, c), dtype=bool) for c in spec.type_counts]
-    agents[i][0, xi] = True
-    rows = _batch_rows(gamma)
-    return _evaluate(ev, rows, agents, _Candidate(ev, rows))[i][0, xi]
-
-
-# ---------------------------------------------------------------------------
-# Public action value
-# ---------------------------------------------------------------------------
-
-def action_value(
-    spec: GameSpec,
-    t: int,
-    pi: Belief,
-    gamma: Prescription,
-    i: int,
-    xi: int,
-    ai: int,
-    v_next: ValueFunction,
-) -> float:
-    """Conditional expected payoff of action ai for agent (i, xi).
-
-    The expectation weights the others' types by pi conditioned on xi and
-    the others' actions by their candidate rows; each term adds the stage
-    reward and the discounted continuation value at the belief updated
-    with the *full* candidate gamma, own component included. Conditioning
-    on a zero-marginal type uses the uniform fallback conditional.
-    """
-    return float(_agent_q(spec, t, pi, gamma, i, xi, v_next)[ai])
-
-
-def best_response_set(
-    spec: GameSpec,
-    t: int,
-    pi: Belief,
-    gamma: Prescription,
-    i: int,
-    xi: int,
-    v_next: ValueFunction,
-    tie_tol: float = 1e-12,
-) -> list[int]:
-    """Actions within tie_tol of the maximal action value, ascending."""
-    q = _agent_q(spec, t, pi, gamma, i, xi, v_next)
-    top = float(q.max())
-    return [a for a in range(q.shape[0]) if q[a] >= top - tie_tol]
 
 
 # ---------------------------------------------------------------------------
@@ -416,21 +340,17 @@ def _residual(q, rows, agents) -> np.ndarray:
     return worst
 
 
-def _br_rows(q, config: SolverConfig) -> list[np.ndarray]:
+def _br_rows(q) -> list[np.ndarray]:
     out = []
     for qi in q:
-        ties = qi >= qi.max(axis=-1, keepdims=True) - config.tie_tol
-        if config.mix_ties:
-            out.append(ties / ties.sum(axis=-1, keepdims=True))
-        else:
-            first = np.arange(qi.shape[-1]) == ties.argmax(axis=-1)[..., None]
-            out.append(first.astype(float))
+        ties = qi >= qi.max(axis=-1, keepdims=True) - TIE_TOL
+        out.append(ties / ties.sum(axis=-1, keepdims=True))
     return out
 
 
-def _apply_br(rows, q, agents, config: SolverConfig, step: float) -> list[np.ndarray]:
+def _apply_br(rows, q, agents, step: float) -> list[np.ndarray]:
     return [np.where(m[..., None], (1.0 - step) * r + step * target, r)
-            for r, target, m in zip(rows, _br_rows(q, config), agents)]
+            for r, target, m in zip(rows, _br_rows(q), agents)]
 
 
 def _check(ev: StageEvaluator, rows) -> np.ndarray:
@@ -439,12 +359,12 @@ def _check(ev: StageEvaluator, rows) -> np.ndarray:
     return _residual(q, rows, ev.active)
 
 
-def _polish(ev: StageEvaluator, rows, q, res: np.ndarray, config: SolverConfig):
+def _polish(ev: StageEvaluator, rows, q, res: np.ndarray):
     """Snap converged iterates to their own best-response profiles where
     that profile is at least as good. Strict equilibria then come out
     exactly pure instead of pure-up-to-damping-residue; interior points
     are left alone because their undamped best response is far from them."""
-    snapped = _apply_br(rows, q, ev.active, config, 1.0)
+    snapped = _apply_br(rows, q, ev.active, 1.0)
     snapped_res = _check(ev, snapped)
     better = snapped_res <= res
     return ([np.where(better[:, None, None], s, r) for s, r in zip(snapped, rows)],
@@ -482,13 +402,13 @@ def _iterate_batch(ev: StageEvaluator, rows, config: SolverConfig):
         if conv.any():
             k = np.flatnonzero(conv)
             polished, polished_res = _polish(
-                sub.take(k), [c[k] for c in cur], [qi[k] for qi in q], res[k], config)
+                sub.take(k), [c[k] for c in cur], [qi[k] for qi in q], res[k])
             for b_rows, p_rows in zip(best, polished):
                 b_rows[live[k]] = p_rows
             best_res[live[k]] = polished_res
             ok[live[k]] = True
         go_on = ~conv & (since[live] <= STALL_WINDOW)
-        cur = _apply_br(cur, q, sub.active, config, config.damping)
+        cur = _apply_br(cur, q, sub.active, config.damping)
         if not go_on.all():
             keep = np.flatnonzero(go_on)
             cur = [c[keep] for c in cur]
@@ -717,7 +637,7 @@ def _solve_support(ev: StageEvaluator, profile, config: SolverConfig) -> Prescri
 # Finalization
 # ---------------------------------------------------------------------------
 
-def _finalize_rows(ev: StageEvaluator, rows, config: SolverConfig):
+def _finalize_rows(ev: StageEvaluator, rows):
     """Fill fallback rows for zero-marginal types and attach values, at
     every batch point. Returns (final rows, values, residual).
 
@@ -730,7 +650,7 @@ def _finalize_rows(ev: StageEvaluator, rows, config: SolverConfig):
     """
     cand = _Candidate(ev, rows)
     corner_q = _evaluate(ev, rows, ev.corner, cand)
-    final = _apply_br(rows, corner_q, ev.corner, config, 1.0)
+    final = _apply_br(rows, corner_q, ev.corner, 1.0)
     q = _evaluate(ev, final, ev.active, cand)
     values = [(f * np.where(m[..., None], qa, qc)).sum(axis=-1)
               for f, m, qa, qc in zip(final, ev.active, q, corner_q)]
@@ -848,7 +768,7 @@ def solve_stage(
 
     failed = ("no_fixed_point" if enumeration_ran else "max_iterations",
               None, None, None)
-    finalized = _finalize_rows(ev, best, config)
+    finalized = _finalize_rows(ev, best)
     return [_solution(ev, b, finalized, config, *(found or failed))
             for b, found in enumerate(outcome)]
 
@@ -857,9 +777,8 @@ def solve_stage_fixed_point(
     spec: GameSpec,
     t: int,
     pi: Belief,
-    v_next: ValueFunction,
+    lookup: Lookup | None,
     config: SolverConfig | None = None,
 ) -> StageSolution:
-    """:func:`solve_stage` at the single belief pi, with continuation
-    values ``v_next(belief, i, xi)`` at the stage-(t+1) beliefs."""
-    return solve_stage(spec, t, [pi], value_lookup(v_next, spec.type_counts), config)[0]
+    """:func:`solve_stage` at the single belief pi."""
+    return solve_stage(spec, t, [pi], lookup, config)[0]

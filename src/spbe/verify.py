@@ -36,7 +36,7 @@ import numpy as np
 
 from .backward import ResourceLimitError
 from .beliefs import Belief, Prescription, condition_on_type, initial_belief, update
-from .forward import EquilibriumPolicy, History
+from .forward import EquilibriumPolicy, History, _normalize_history
 from .game import GameSpec, component_maps, embedding_map, unflatten_joint
 
 TREE_BUDGET = 1_000_000
@@ -186,7 +186,7 @@ def best_deviation_value(spec: GameSpec, policy: EquilibriumPolicy,
     """Value of the best full deviation plan of (i, xi) from this node on."""
     _guard_tree(spec)
     walk = _AgentWalk(spec, policy, i, xi)
-    return walk.run(_history_tuple(history))[1]
+    return walk.run(_normalize_history(history))[1]
 
 
 def equilibrium_continuation_value(spec: GameSpec, policy: EquilibriumPolicy,
@@ -195,11 +195,7 @@ def equilibrium_continuation_value(spec: GameSpec, policy: EquilibriumPolicy,
     by the verifier's own recursion rather than read from the solver."""
     _guard_tree(spec)
     walk = _AgentWalk(spec, policy, i, xi)
-    return walk.run(_history_tuple(history))[0]
-
-
-def _history_tuple(history) -> History:
-    return tuple(tuple(int(a) for a in joint) for joint in history)
+    return walk.run(_normalize_history(history))[0]
 
 
 def verify_pbe(spec: GameSpec, policy: EquilibriumPolicy,
@@ -262,7 +258,7 @@ def one_shot_gaps(spec: GameSpec, policy: EquilibriumPolicy,
     others' prescribed play, and one public posterior per joint action the
     agent can meet, at which the policy's stage-(t+1) value is read.
     """
-    history = _history_tuple(history)
+    history = _normalize_history(history)
     t = len(history) + 1
     if t > spec.horizon:
         raise ValueError("history already spans the whole horizon")

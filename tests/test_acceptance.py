@@ -17,7 +17,6 @@ from spbe import (
     Belief,
     EquilibriumPolicy,
     Prescription,
-    action_value,
     build_solve_report,
     check_strategy_independence,
     expected_payoffs_exact,
@@ -282,9 +281,10 @@ def test_criterion_08_perturbation_flagged(corpus_solves):
     spec, result = corpus_solves["dominant_types"]
     gen = result.generator
     pi = initial_belief(spec)
-    v_next = lambda belief, i, xi: gen.value(2, belief, i, xi)
-    q = [action_value(spec, 1, pi, result.root.prescription, 0, 0, a, v_next)
-         for a in range(spec.action_counts[0])]
+    v_next = lambda w, i, xi: gen.value(2, Belief(np.array(w), spec.type_counts),
+                                        i, xi)
+    q = oracles.q_vector_brute(spec, 1, pi.weights, result.root.prescription.rows,
+                               0, 0, v_next)
     q = sorted(q, reverse=True)
     assert q[0] - q[1] >= 0.1
     tampered = _EpsilonRowPolicy(spec, gen, eps=0.05)

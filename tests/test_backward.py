@@ -11,7 +11,6 @@ from spbe import (
     NoFixedPointError,
     ResourceLimitError,
     SolverConfig,
-    action_value,
     belief_key,
     build_solve_report,
     grid_points,
@@ -24,6 +23,8 @@ from spbe import (
     solve,
     solve_stage_fixed_point,
 )
+
+import oracles
 
 
 def test_terminal_values_are_zero(reference_solved):
@@ -63,6 +64,13 @@ def test_belief_key_normalizes():
     assert belief_key(np.array([0.1, 0.9])) == (0.1, 0.9)
 
 
+def _generator_values(gen, t):
+    """The oracles' continuation ``value_fn``: the generator's stage-t
+    value of (i, xi) at posterior weights."""
+    return lambda weights, i, xi: gen.value(
+        t, Belief(np.array(weights), gen.spec.type_counts), i, xi)
+
+
 def test_bellman_consistency(corpus_solves):
     for name in ("reference", "dominant_types", "single_player", "random_a"):
         spec, result = corpus_solves[name]
@@ -70,17 +78,15 @@ def test_bellman_consistency(corpus_solves):
         for t, pi, sol in gen.cached_points():
             if not sol.converged:
                 continue
-            v_next = lambda b, i, xi: gen.value(t + 1, b, i, xi)
+            rows = sol.prescription.rows
+            v_next = _generator_values(gen, t + 1)
             for i in range(spec.num_players):
                 for xi in range(spec.type_counts[i]):
                     if (i, xi) in sol.degenerate_types:
                         continue
-                    row = sol.prescription.rows[i][xi]
-                    redo = sum(
-                        row[a] * action_value(spec, t, pi, sol.prescription,
-                                              i, xi, a, v_next)
-                        for a in range(spec.action_counts[i])
-                    )
+                    q = oracles.q_vector_brute(spec, t, pi.weights, rows, i, xi, v_next)
+                    redo = sum(rows[i][xi][a] * q[a]
+                               for a in range(spec.action_counts[i]))
                     assert abs(redo - float(sol.values[i][xi])) <= 1e-10
 
 
@@ -206,18 +212,19 @@ def test_grid_batched_matches_per_point():
                       if sol.method == "iteration" and sol.restart_index > 0]
         max_snap = 0.0
         for t in range(spec.horizon, 0, -1):
-            def v_next(pi, i, xi, t_next=t + 1):
+            def snap_lookup(post, table=gen.tables.get(t + 1)):
+                # each row snapped on its own, apart from the build's batched snap
                 nonlocal max_snap
-                if t_next > spec.horizon:
-                    return 0.0
-                idx = nearest_grid_index(gen.grid, pi.weights)
-                max_snap = max(max_snap,
-                               float(np.abs(gen.grid[idx] - pi.weights).sum()))
-                return float(gen.tables[t_next][idx].values[i][xi])
+                idx = [nearest_grid_index(gen.grid, w) for w in post]
+                for k, w in zip(idx, post):
+                    max_snap = max(max_snap, float(np.abs(gen.grid[k] - w).sum()))
+                return [np.array([table[k].values[i] for k in idx])
+                        for i in range(spec.num_players)]
 
+            lookup = snap_lookup if t < spec.horizon else None
             for idx, batched in enumerate(gen.tables[t]):
                 pi = Belief(gen.grid[idx], spec.type_counts)
-                alone = solve_stage_fixed_point(spec, t, pi, v_next, SolverConfig())
+                alone = solve_stage_fixed_point(spec, t, pi, lookup, SolverConfig())
                 assert (alone.method, alone.restart_index, alone.status) == \
                     (batched.method, batched.restart_index, batched.status)
                 for i in range(spec.num_players):
@@ -229,6 +236,25 @@ def test_grid_batched_matches_per_point():
     assert restarted
     methods = {sol.method for sol in gen.tables[1]}
     assert "support_enumeration" in methods
+
+
+def test_exact_lookup_reproduces_cached_points(corpus_solves):
+    """Re-solving any cached exact-mode point against its generator's own
+    stage-(t+1) lookup gives the cached solution bit for bit; past the
+    horizon the lookup is ``None``."""
+    for name in ("reference", "dominant_types", "asymmetric_pennies"):
+        spec, result = corpus_solves[name]
+        gen = result.generator
+        assert result.ok
+        assert gen.lookup(spec.horizon + 1) is None
+        for t, pi, cached in gen.cached_points():
+            again = solve_stage_fixed_point(spec, t, pi, gen.lookup(t + 1))
+            assert (again.method, again.restart_index) == \
+                (cached.method, cached.restart_index)
+            for i in range(spec.num_players):
+                np.testing.assert_array_equal(again.prescription.rows[i],
+                                              cached.prescription.rows[i])
+                np.testing.assert_array_equal(again.values[i], cached.values[i])
 
 
 def test_nearest_grid_index_rows_match_single_queries():

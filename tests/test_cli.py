@@ -178,6 +178,25 @@ def test_input_range_checks(games, reference_policy_file, capsys,
         assert json.loads(out)["error"]["kind"] == "invalid_input"
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "--samples", "-3"),
+    ("verify", "--verify-tol", "-1"),
+    ("verify", "--verify-tol", "nan"),
+    ("simulate", "--episodes", "0"),
+    ("simulate", "--trace-limit", "-2"),
+])
+def test_input_range_checks_come_before_the_solve(games, capsys, monkeypatch,
+                                                  command, flag, value):
+    # without --policy the game is solved first; a bad flag must not wait
+    def no_solve(*args, **kwargs):
+        raise RuntimeError("solve started before the range checks")
+
+    monkeypatch.setattr("spbe.cli.solve", no_solve)
+    got, out = _run(capsys, [command, games["reference"], flag, value])
+    assert got == 2
+    assert json.loads(out)["error"]["kind"] == "invalid_input"
+
+
 def test_verify_flags_tampered_policy(games, reference_policy_file, tmp_path,
                                       capsys):
     doc = json.loads(open(reference_policy_file).read())

@@ -5,25 +5,27 @@ import spbe.stage as stage
 from spbe import (
     Belief,
     SolverConfig,
-    action_value,
-    best_response_set,
     initial_belief,
     instances,
     solve_stage_fixed_point,
-    terminal_values,
 )
 
 import oracles
 
 
-def _solve(spec, t=1, pi=None, v_next=terminal_values, **kw):
+def _solve(spec, t=1, pi=None, lookup=None, **kw):
     pi = pi if pi is not None else initial_belief(spec)
     cfg = SolverConfig(**kw) if kw else None
-    return solve_stage_fixed_point(spec, t, pi, v_next, cfg)
+    return solve_stage_fixed_point(spec, t, pi, lookup, cfg)
 
 
 def _zero(*args):
     return 0.0
+
+
+def _constant_lookup(spec, value):
+    """Stage-(t+1) values that are ``value`` at every posterior."""
+    return lambda post: [np.full((len(post), c), value) for c in spec.type_counts]
 
 
 def test_matching_pennies_uniform_fixed_point():
@@ -36,28 +38,6 @@ def test_matching_pennies_uniform_fixed_point():
         assert sol.values[i][0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_best_response_set_ties_on_pennies():
-    spec = instances.matching_pennies_instance()
-    sol = _solve(spec)
-    pi = initial_belief(spec)
-    for i in range(2):
-        assert best_response_set(spec, 1, pi, sol.prescription, i, 0,
-                                 terminal_values) == [0, 1]
-
-
-def test_action_value_single_player_point_mass():
-    spec = instances.single_player_instance()
-    pi = Belief(np.array([1.0, 0.0]), (2,))
-    sol = _solve(spec, pi=pi)
-    gamma = sol.prescription
-    for a in range(2):
-        assert action_value(spec, 1, pi, gamma, 0, 0, a, terminal_values) == \
-            pytest.approx(spec.reward(1, 0, 0, a), abs=1e-12)
-    lifted = action_value(spec, 1, pi, gamma, 0, 0, 0,
-                          lambda b, i, xi: 0.375)
-    assert lifted == pytest.approx(spec.reward(1, 0, 0, 0) + 0.375, abs=1e-12)
-
-
 def test_zero_rewards_mix_and_purify():
     spec = instances.zero_reward_instance()
     mixed = _solve(spec)
@@ -65,19 +45,13 @@ def test_zero_rewards_mix_and_purify():
         np.testing.assert_array_equal(mixed.prescription.rows[i],
                                       np.full((2, 2), 0.5))
         np.testing.assert_array_equal(mixed.values[i], [0.0, 0.0])
-    pure = _solve(spec, mix_ties=False)
-    for i in range(2):
-        np.testing.assert_array_equal(pure.prescription.rows[i],
-                                      [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_single_player_tie_rule():
     spec = instances.single_player_tied_instance()
     mixed = _solve(spec)
     np.testing.assert_array_equal(mixed.prescription.rows[0][0], [0.5, 0.5])
-    pure = _solve(spec, mix_ties=False)
-    np.testing.assert_array_equal(pure.prescription.rows[0][0], [1.0, 0.0])
-    # type 1 strictly prefers action 1 either way
+    # type 1 strictly prefers action 1
     np.testing.assert_array_equal(mixed.prescription.rows[0][1], [0.0, 1.0])
 
 
@@ -160,8 +134,7 @@ def test_typed_interior_point_hand_values():
     # pennies plus a 0.3 own-type bonus against a constant continuation:
     # indifference pins the opponent marginals, hand solve gives the rows
     spec = instances.signaling_pennies_instance()
-    sol = solve_stage_fixed_point(spec, 1, initial_belief(spec),
-                                  lambda b, i, xi: 0.25)
+    sol = _solve(spec, lookup=_constant_lookup(spec, 0.25))
     assert sol.status == "converged"
     np.testing.assert_allclose(sol.prescription.rows[0],
                                [[0.625, 0.375], [0.375, 0.625]], atol=1e-8)
@@ -203,7 +176,7 @@ def test_pure_scan_phase(monkeypatch):
 def test_corner_types_get_best_response_rows():
     spec = instances.dominant_types_instance()
     pi = Belief(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
-    sol = solve_stage_fixed_point(spec, 2, pi, terminal_values)
+    sol = _solve(spec, t=2, pi=pi)
     assert sol.status == "converged"
     assert set(sol.degenerate_types) == {(0, 1), (1, 1)}
     for i in range(2):
@@ -214,10 +187,8 @@ def test_corner_types_get_best_response_rows():
 
 def test_determinism_bit_identical():
     spec = instances.signaling_pennies_instance()
-    a = solve_stage_fixed_point(spec, 1, initial_belief(spec),
-                                lambda b, i, xi: 0.25)
-    b = solve_stage_fixed_point(spec, 1, initial_belief(spec),
-                                lambda b, i, xi: 0.25)
+    a = _solve(spec, lookup=_constant_lookup(spec, 0.25))
+    b = _solve(spec, lookup=_constant_lookup(spec, 0.25))
     assert a.status == b.status and a.method == b.method
     for i in range(2):
         np.testing.assert_array_equal(a.prescription.rows[i],
@@ -250,7 +221,7 @@ def test_config_validation():
 def test_stage_out_of_range():
     spec = instances.matching_pennies_instance()
     with pytest.raises(ValueError):
-        solve_stage_fixed_point(spec, 2, initial_belief(spec), terminal_values)
+        _solve(spec, t=2)
 
 
 def _sparse_rows(spec, rng, batch):
