@@ -606,6 +606,7 @@ def load_policy(doc: dict, spec: GameSpec) -> TableGenerator | GridGenerator:
             residual=float(entry["residual"]),
             status=entry["status"],
             method=entry.get("method"),
+            restart_index=entry.get("restart_index"),
         )
     if doc.get("mode") == "grid" and "resolution" in doc:
         return _grid_from_entries(spec, int(doc["resolution"]), entries)

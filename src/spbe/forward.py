@@ -4,13 +4,14 @@ An :class:`EquilibriumPolicy` turns a prescription generator into an
 actual strategy profile over public histories: the common belief starts
 at the prior, each stage's prescription is the solved one at the current
 belief, and the belief advances with the public update applied to the
-realized joint action. Beliefs are cached per history, so repeated
-queries along shared prefixes (simulation episodes, verification walks)
-are cheap and reproducible.
+realized joint action. Beliefs and prescriptions are cached per history,
+so repeated queries along shared prefixes (simulation episodes,
+verification walks) ask the generator once and are reproducible.
 
-Also here: Monte Carlo simulation of the constructed profile and exact
-enumeration of its expected payoffs, which the tests compare against the
-solver's stage-1 values.
+Also here: Monte Carlo simulation of the constructed profile, and
+:func:`expected_rewards`, the one payoff recursion over the history tree,
+which gives the exact expected payoffs of :func:`expected_payoffs_exact`
+and the continuations of the verifier's two-path check.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .beliefs import (
     initial_belief,
     update,
 )
-from .game import GameSpec, unflatten_joint
+from .game import GameSpec, component_maps, unflatten_joint
 
 History = tuple[tuple[int, ...], ...]
 
@@ -52,6 +53,7 @@ class EquilibriumPolicy:
         self.spec = spec
         self.generator = generator
         self._beliefs: dict[History, Belief] = {}
+        self._prescriptions: dict[History, Prescription] = {}
 
     def stage_of(self, history) -> int:
         return len(history) + 1
@@ -68,7 +70,7 @@ class EquilibriumPolicy:
             belief = initial_belief(self.spec)
         else:
             prev = self.common_belief(history[:-1])
-            gamma = self.prescription_at(len(history), prev)
+            gamma = self.prescription_for_history(history[:-1])
             belief = update(prev, gamma, history[-1])
         self._beliefs[history] = belief
         return belief
@@ -82,8 +84,14 @@ class EquilibriumPolicy:
         return self.generator.solution_at(t, pi).prescription
 
     def prescription_for_history(self, history) -> Prescription:
+        """Prescription after this history, asked of ``prescription_at`` once."""
         history = _normalize_history(history)
-        return self.prescription_at(self.stage_of(history), self.common_belief(history))
+        got = self._prescriptions.get(history)
+        if got is None:
+            got = self.prescription_at(self.stage_of(history),
+                                       self.common_belief(history))
+            self._prescriptions[history] = got
+        return got
 
     def strategy_query(self, history, i: int, xi: int) -> np.ndarray:
         """Mixed action of player i with type xi after this public history."""
@@ -205,7 +213,7 @@ def simulate(spec: GameSpec, policy: EquilibriumPolicy, episodes: int,
             belief = policy.common_belief(history)
             beliefs.append(belief)
             entropy_sum[t - 1] += belief_entropy(belief)
-            gamma = policy.prescription_at(t, belief)
+            gamma = policy.prescription_for_history(history)
             a = tuple(
                 _draw(rng, np.asarray(gamma.rows[i][x[i]], dtype=float))
                 for i in range(n)
@@ -268,6 +276,42 @@ class ExactPayoffs:
     per_player: np.ndarray            # ex ante
 
 
+def expected_rewards(spec: GameSpec, policy: EquilibriumPolicy,
+                     history: History = (),
+                     deviation: tuple[int, dict[int, np.ndarray]] | None = None,
+                     reach: np.ndarray | None = None) -> np.ndarray:
+    """Entry [n, x]: E[sum of player n's rewards from stage len(history)+1
+    on | joint type x], discounted relative to that stage. With
+    ``deviation=(i, rows)`` player i plays ``rows[t]`` at each stage t.
+    Columns where ``reach`` is False are zero, and only joint actions some
+    reached type plays are followed."""
+    total = np.zeros((spec.num_players, spec.num_joint_types))
+    t = len(history) + 1
+    if t > spec.horizon:
+        return total
+    rows = list(policy.prescription_for_history(history).rows)
+    if deviation is not None:
+        i, dev_rows = deviation
+        rows[i] = dev_rows[t]
+    xmaps = component_maps(spec.type_counts)
+    amaps = component_maps(spec.action_counts)
+    like = np.ones((spec.num_joint_types, spec.num_joint_actions))
+    for j, row in enumerate(rows):
+        like = like * row[xmaps[j][:, None], amaps[j][None, :]]
+    if reach is not None:
+        like[~reach] = 0.0
+    reward = spec.reward_tensor(t)
+    for a_flat in range(spec.num_joint_actions):
+        p = like[:, a_flat]
+        if not p.any():
+            continue
+        child = expected_rewards(
+            spec, policy, history + (unflatten_joint(a_flat, spec.action_counts),),
+            deviation, p > 0.0)
+        total += p * (reward[:, :, a_flat] + spec.discount * child)
+    return total
+
+
 def expected_payoffs_exact(spec: GameSpec, policy: EquilibriumPolicy) -> ExactPayoffs:
     """Enumerate every action path and integrate payoffs exactly.
 
@@ -281,36 +325,11 @@ def expected_payoffs_exact(spec: GameSpec, policy: EquilibriumPolicy) -> ExactPa
             f"budget of {EXACT_ENUMERATION_BUDGET}",
             EXACT_ENUMERATION_BUDGET,
         )
-    n = spec.num_players
-    nx = spec.num_joint_types
-    totals = np.zeros((n, nx))
-
-    def walk(t: int, history: History, path_prob: np.ndarray, weight: float) -> None:
-        if t > spec.horizon:
-            return
-        gamma = policy.prescription_for_history(history)
-        reward = spec.reward_tensor(t)
-        for a_flat in range(spec.num_joint_actions):
-            a = unflatten_joint(a_flat, spec.action_counts)
-            like = np.ones(nx)
-            for i in range(n):
-                like *= np.asarray(gamma.rows[i], dtype=float)[:, a[i]][
-                    _type_component(spec, i)
-                ]
-            prob = path_prob * like
-            if not prob.any():
-                continue
-            for i in range(n):
-                totals[i] += weight * prob * reward[i, :, a_flat]
-            walk(t + 1, history + (a,), prob, weight * spec.discount)
-
-    walk(1, (), np.ones(nx), 1.0)
-
+    totals = expected_rewards(spec, policy)
     prior = initial_belief(spec).weights
     per_player = totals @ prior
     per_type = []
-    for i in range(n):
-        comp = _type_component(spec, i)
+    for i, comp in enumerate(component_maps(spec.type_counts)):
         vals = np.zeros(spec.type_counts[i])
         for xi in range(spec.type_counts[i]):
             mask = comp == xi
@@ -323,8 +342,3 @@ def expected_payoffs_exact(spec: GameSpec, policy: EquilibriumPolicy) -> ExactPa
     per_player.setflags(write=False)
     return ExactPayoffs(per_joint_type=totals, per_type=tuple(per_type),
                         per_player=per_player)
-
-
-def _type_component(spec: GameSpec, i: int) -> np.ndarray:
-    from .game import component_maps
-    return component_maps(spec.type_counts)[i]

@@ -163,3 +163,41 @@ def nash_grid_gap(spec, weights, rows, step=0.01):
         )
         gaps[(i, xi)] = best - eq
     return gaps
+
+
+def path_payoffs_brute(spec, rows_at, history=(), deviation=None):
+    """Expected discounted payoffs from stage len(history)+1 on, per player
+    and flat joint type, by enumerating every action path.
+
+    rows_at(h) gives the profile's rows after public history h;
+    ``deviation=(i, rows)`` plays rows[t] for player i at stage t instead.
+    Entry [n][x] is conditional on joint type x and discounted relative
+    to the first enumerated stage.
+    """
+    type_dims = spec.type_counts
+    act_dims = spec.action_counts
+    n = spec.num_players
+    stages = range(len(history) + 1, spec.horizon + 1)
+    out = [[0.0] * spec.num_joint_types for _ in range(n)]
+    for path in itertools.product(range(spec.num_joint_actions), repeat=len(stages)):
+        for xf in range(spec.num_joint_types):
+            x = unflatten(xf, type_dims)
+            h = tuple(history)
+            prob = 1.0
+            earned = [0.0] * n
+            for k, (t, af) in enumerate(zip(stages, path)):
+                rows = list(rows_at(h))
+                if deviation is not None:
+                    rows[deviation[0]] = deviation[1][t]
+                a = unflatten(af, act_dims)
+                for j in range(n):
+                    prob *= float(rows[j][x[j]][a[j]])
+                if prob == 0.0:
+                    break
+                for m in range(n):
+                    earned[m] += spec.discount ** k * spec.reward(t, m, xf, af)
+                h = h + (a,)
+            else:
+                for m in range(n):
+                    out[m][xf] += prob * earned[m]
+    return out

@@ -298,6 +298,8 @@ def test_policy_document_round_trip(reference_solved):
             np.testing.assert_array_equal(got.prescription.rows[i],
                                           sol.prescription.rows[i])
             np.testing.assert_array_equal(got.values[i], sol.values[i])
+        assert (got.status, got.method, got.restart_index, got.residual) == (
+            sol.status, sol.method, sol.restart_index, sol.residual)
 
 
 def test_policy_rejects_wrong_game(reference_solved):

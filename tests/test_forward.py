@@ -12,11 +12,13 @@ from spbe import (
     expected_payoffs_exact,
     initial_belief,
     instances,
+    run_certification,
     simulate,
     solve,
     traces_to_delimited,
     update,
 )
+from spbe.forward import expected_rewards
 
 import oracles
 
@@ -191,3 +193,66 @@ def test_monte_carlo_agrees_with_exact(reference_policy):
         half_width = 4 * float(sim.summary.per_player_stderr[i]) + 1e-6
         assert abs(float(sim.summary.per_player_mean[i]) -
                    float(ep.per_player[i])) <= half_width
+
+
+class RandomRowsPolicy(EquilibriumPolicy):
+    """Seeded random rows at every history, about a third of them pure, so
+    zero-probability actions and unreached joint types occur."""
+
+    def __init__(self, spec, seed):
+        super().__init__(spec, generator=None)
+        self.rng = np.random.default_rng(seed)
+
+    def random_rows(self, types, actions):
+        rows = self.rng.dirichlet(np.ones(actions), size=types)
+        pure = self.rng.random(types) < 0.3
+        rows[pure] = np.eye(actions)[self.rng.integers(actions, size=int(pure.sum()))]
+        return rows
+
+    def prescription_at(self, t, pi):
+        return Prescription(tuple(
+            self.random_rows(c, a)
+            for c, a in zip(self.spec.type_counts, self.spec.action_counts)))
+
+
+@pytest.mark.parametrize("spec", [
+    instances.reference_instance(),
+    instances.random_instance(3, discount=0.9),
+    instances.random_instance(0, players=3, horizon=2),
+], ids=["reference", "random_3_discounted", "random_0_three_players"])
+def test_expected_rewards_match_path_enumeration(spec):
+    policy = RandomRowsPolicy(spec, seed=5)
+    rows_at = lambda h: policy.prescription_for_history(h).rows
+    last = spec.num_players - 1
+    deviation = (last, {t: policy.random_rows(spec.type_counts[last],
+                                              spec.action_counts[last])
+                        for t in range(1, spec.horizon + 1)})
+    reach = policy.rng.random(spec.num_joint_types) < 0.5
+    later = ((1,) * spec.num_players,)
+    for history in [(), later]:
+        want = np.array(oracles.path_payoffs_brute(spec, rows_at, history))
+        np.testing.assert_allclose(expected_rewards(spec, policy, history), want,
+                                   rtol=0, atol=1e-12)
+        want = np.array(oracles.path_payoffs_brute(spec, rows_at, history, deviation))
+        np.testing.assert_allclose(expected_rewards(spec, policy, history, deviation),
+                                   want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            expected_rewards(spec, policy, history, deviation, reach),
+            np.where(reach, want, 0.0), rtol=0, atol=1e-12)
+
+
+def test_prescription_asked_once_per_history(reference_solved):
+    spec, result = reference_solved
+
+    class CountingPolicy(EquilibriumPolicy):
+        calls = 0
+
+        def prescription_at(self, t, pi):
+            CountingPolicy.calls += 1
+            return super().prescription_at(t, pi)
+
+    policy = CountingPolicy(spec, result.generator)
+    assert run_certification(spec, policy)["all_checks_ok"]
+    simulate(spec, policy, episodes=200, seed=1)
+    histories = sum(spec.num_joint_actions ** k for k in range(spec.horizon))
+    assert CountingPolicy.calls == histories

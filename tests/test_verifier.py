@@ -182,6 +182,8 @@ def test_tree_budget_guard():
         verify_pbe(spec, None)
     with pytest.raises(ResourceLimitError):
         verify_one_shot(spec, None)
+    with pytest.raises(ResourceLimitError):
+        check_strategy_independence(spec, None)
 
 
 def test_certificate_document(reference_solved):
