@@ -10,34 +10,29 @@ Every generator follows one protocol, :class:`Generator`: it defines
 inherits two readers of it: ``value(t, pi, i, xi)``, one agent's value,
 zero at stage T+1, and ``lookup(t)``, the batched
 :data:`~spbe.stage.Lookup` of every player's stage-t values at a stack of
-posteriors, ``None`` past the horizon. Two interchangeable generators
-drive the recursion. Both solve stage points with
-:func:`~spbe.stage.solve_stage`, passing their own ``lookup(t + 1)``, and
-differ only in what it does: exact mode solves each posterior it is asked
-for (a batch of one, through ``solve_stage_fixed_point``), grid mode
-snaps each posterior to the stage-(t+1) table.
+posteriors, ``None`` past the horizon. The two generators that solve keep
+one store of solved points, read through ``cached_points()`` as (stage,
+belief, solution) triples ordered by stage, then belief key; reports'
+``solve_counts``, ``failed_points`` and policy documents read only that.
+Both solve with :func:`~spbe.stage.solve_stage`, passing their own
+``lookup(t + 1)``:
 
 ``ExactGenerator``
-    solves stage points lazily and memoizes by (stage, quantized belief).
-    Solving the initial belief at stage 1 recursively solves every belief
-    it touches; later queries (forward play, verification) hit the cache
-    or trigger further exact solves. A cache budget bounds runaway
-    recursion on large games.
+    solves each belief it is asked for, as a batch of one, and stores it
+    by (stage, quantized belief). Solving the initial belief at stage 1
+    solves every belief it touches; later queries (forward play,
+    verification) hit the store or solve more. A cache budget bounds
+    runaway recursion on large games.
 
 ``GridGenerator``
-    precomputes whole per-stage tables on a simplex grid, from the final
-    stage backwards, reading stage-(t+1) values at the nearest grid point.
-    Each stage is one :func:`~spbe.stage.solve_stage` call over all grid
-    points: the iteration, the pure scan and the restarts run in rounds
-    over the points still open, and only support enumeration goes one
-    point at a time. Queries snap
-    to the nearest grid point, so answers are approximate but total.
+    stores one table per stage over a simplex grid's fixed beliefs, each
+    stage solved as one batch, final stage first. Queries and stage-(t+1)
+    lookups snap to the nearest grid point: approximate but total.
 
-Solved tables can be saved to a policy document. An exact-mode document
-reloads as a ``TableGenerator`` (exact key lookup), optionally backed by a
-lazy exact fallback for keys the document does not carry
-(``HybridGenerator``); a grid-mode document reloads as a ``GridGenerator``
-that snaps queries to its grid.
+A policy document holds the store's converged points, checked against the
+game when loaded. An exact-mode document reloads as a ``TableGenerator``
+(exact key lookup), optionally backed by a lazy exact fallback
+(``HybridGenerator``); a grid-mode one reloads as a ``GridGenerator``.
 """
 
 from __future__ import annotations
@@ -46,6 +41,7 @@ import dataclasses
 import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,6 +103,21 @@ class Generator:
     def solution_at(self, t: int, pi: Belief) -> StageSolution:
         raise NotImplementedError
 
+    def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
+        """Every stored (stage, belief, solution), failed points included,
+        ordered by stage, then belief key."""
+        raise NotImplementedError
+
+    @property
+    def solve_counts(self) -> dict[int, int]:
+        return dict(Counter(t for t, _pi, _solution in self.cached_points()))
+
+    @property
+    def failed_points(self) -> list[tuple[int, BeliefKey, str]]:
+        return [(t, belief_key(pi.weights), solution.status)
+                for t, pi, solution in self.cached_points()
+                if not solution.converged]
+
     def value(self, t: int, pi: Belief, i: int, xi: int) -> float:
         """Value of (i, xi) at stage t and belief pi; stage T+1 is zero."""
         horizon = self.spec.horizon
@@ -145,35 +156,30 @@ class ExactGenerator(Generator):
     and aborts whatever query needed it.
     """
 
-    mode = "exact"
-
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
                  cache_budget: int = DEFAULT_CACHE_BUDGET):
         self.spec = spec
         self.config = config or SolverConfig()
         self.cache_budget = cache_budget
-        self._cache: dict[tuple[int, BeliefKey], StageSolution] = {}
-        self._points: dict[tuple[int, BeliefKey], Belief] = {}
+        # (stage, key) -> (the belief first solved at that key, its solution)
+        self._cache: dict[tuple[int, BeliefKey], tuple[Belief, StageSolution]] = {}
 
     def solution_at(self, t: int, pi: Belief) -> StageSolution:
         if not 1 <= t <= self.spec.horizon:
             raise ValueError(f"stage {t} outside horizon 1..{self.spec.horizon}")
         key = (t, belief_key(pi.weights))
         got = self._cache.get(key)
-        if got is not None:
-            if not got.converged:
-                raise NoFixedPointError(t, key[1], got.status)
-            return got
-        if len(self._cache) >= self.cache_budget:
-            raise ResourceLimitError(
-                f"stage-point cache exceeded {self.cache_budget} entries; "
-                "raise cache_budget or use grid mode",
-                self.cache_budget,
-            )
-        solution = solve_stage_fixed_point(self.spec, t, pi, self.lookup(t + 1),
-                                           self.config)
-        self._cache[key] = solution
-        self._points[key] = pi
+        if got is None:
+            if len(self._cache) >= self.cache_budget:
+                raise ResourceLimitError(
+                    f"stage-point cache exceeded {self.cache_budget} entries; "
+                    "raise cache_budget or use grid mode",
+                    self.cache_budget,
+                )
+            got = (pi, solve_stage_fixed_point(self.spec, t, pi,
+                                               self.lookup(t + 1), self.config))
+            self._cache[key] = got
+        solution = got[1]
         if not solution.converged:
             raise NoFixedPointError(t, key[1], solution.status)
         return solution
@@ -183,30 +189,10 @@ class ExactGenerator(Generator):
         t, pi = point
         return (t, belief_key(pi.weights)) in self._cache
 
-    @property
-    def solve_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for (t, _key) in self._cache:
-            counts[t] = counts.get(t, 0) + 1
-        return counts
-
-    @property
-    def failed_points(self) -> list[tuple[int, BeliefKey, str]]:
-        return [(t, key, sol.status) for (t, key), sol in self._cache.items()
-                if not sol.converged]
-
-    def cached_entries(self):
-        """(stage, key, solution) triples in deterministic sorted order."""
-        return sorted(self._cache.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-
-    def cached_points(self):
-        """Like cached_entries, but pairs each solution with the exact
-        belief it was solved at (keys quantize to 9 digits; consistency
-        checks need the unrounded weights)."""
-        out = []
-        for (t, key), solution in self.cached_entries():
-            out.append((t, self._points[(t, key)], solution))
-        return out
+    def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
+        """Solved points, each with the unrounded belief it was solved at."""
+        return [(t, pi, solution)
+                for (t, _key), (pi, solution) in sorted(self._cache.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +270,6 @@ class GridGenerator(Generator):
     can finish, but querying one raises.
     """
 
-    mode = "grid"
-
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
                  resolution: int = 10):
         if resolution < 1:
@@ -294,6 +278,7 @@ class GridGenerator(Generator):
         self.config = config or SolverConfig()
         self.resolution = resolution
         self.grid = grid_points(spec.num_joint_types, resolution)
+        self._beliefs = [Belief(row, spec.type_counts) for row in self.grid]
         self.tables: dict[int, list[StageSolution]] = {}
         self.snap_stats = {"queries": 0, "max_snap_l1": 0.0}
         self._built = False
@@ -301,15 +286,19 @@ class GridGenerator(Generator):
     def build(self) -> None:
         if self._built:
             return
-        beliefs = [Belief(row, self.spec.type_counts) for row in self.grid]
         for t in range(self.spec.horizon, 0, -1):
-            self.tables[t] = solve_stage(self.spec, t, beliefs,
+            self.tables[t] = solve_stage(self.spec, t, self._beliefs,
                                          self.lookup(t + 1), self.config)
         self._built = True
 
-    def _note_snap(self, snap: float) -> None:
+    def _snap(self, weights: np.ndarray) -> np.ndarray:
+        """Index of the grid point nearest to each row of ``weights``;
+        records the largest L1 distance snapped."""
+        idx = nearest_grid_index(self.grid, weights)
+        snap = float(_l1(self.grid[idx], weights).max())
         if snap > self.snap_stats["max_snap_l1"]:
             self.snap_stats["max_snap_l1"] = snap
+        return idx
 
     def lookup(self, t_next: int) -> Lookup | None:
         """Batched stage-(t_next) values at the grid points nearest to
@@ -321,8 +310,7 @@ class GridGenerator(Generator):
                   for i in range(self.spec.num_players)]
 
         def lookup(weights: np.ndarray) -> list[np.ndarray]:
-            idx = nearest_grid_index(self.grid, weights)
-            self._note_snap(float(_l1(self.grid[idx], weights).max()))
+            idx = self._snap(weights)
             return [v[idx] for v in values]
         return lookup
 
@@ -330,26 +318,16 @@ class GridGenerator(Generator):
         if not 1 <= t <= self.spec.horizon:
             raise ValueError(f"stage {t} outside horizon 1..{self.spec.horizon}")
         self.build()
-        idx = nearest_grid_index(self.grid, pi.weights)
+        idx = self._snap(pi.weights[None, :])[0]
         self.snap_stats["queries"] += 1
-        self._note_snap(float(np.abs(self.grid[idx] - pi.weights).sum()))
         solution = self.tables[t][idx]
         if not solution.converged:
             raise NoFixedPointError(t, belief_key(self.grid[idx]), solution.status)
         return solution
 
-    @property
-    def solve_counts(self) -> dict[int, int]:
-        return {t: len(table) for t, table in self.tables.items()}
-
-    @property
-    def failed_points(self) -> list[tuple[int, BeliefKey, str]]:
-        out = []
-        for t in sorted(self.tables):
-            for idx, sol in enumerate(self.tables[t]):
-                if not sol.converged:
-                    out.append((t, belief_key(self.grid[idx]), sol.status))
-        return out
+    def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
+        return [(t, pi, solution) for t in sorted(self.tables)
+                for pi, solution in zip(self._beliefs, self.tables[t])]
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +336,6 @@ class GridGenerator(Generator):
 
 class TableGenerator(Generator):
     """Prescriptions served from a saved policy document, exact keys only."""
-
-    mode = "table"
 
     def __init__(self, spec: GameSpec, entries: dict[tuple[int, BeliefKey], StageSolution]):
         self.spec = spec
@@ -382,8 +358,6 @@ class HybridGenerator(Generator):
     the beliefs it covers, and any belief the verification walk needs that
     the file lacks is solved fresh. ``completions`` counts the fallbacks.
     """
-
-    mode = "table+exact"
 
     def __init__(self, table: TableGenerator, fallback: ExactGenerator):
         self.table = table
@@ -476,10 +450,7 @@ def solve(
                 "failed_points": len(failed),
             }
         else:
-            try:
-                result.root = generator.solution_at(1, initial_belief(spec))
-            except NoFixedPointError:
-                result.status = "partial"
+            result.root = generator.solution_at(1, initial_belief(spec))
     else:
         raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'grid'")
     result.timing_seconds = time.perf_counter() - started
@@ -490,10 +461,10 @@ def _rows_to_lists(prescription: Prescription) -> list[list[list[float]]]:
     return [[[float(v) for v in row] for row in player] for player in prescription.rows]
 
 
-def _solution_entry(t: int, key: BeliefKey, solution: StageSolution) -> dict:
+def _solution_entry(t: int, pi: Belief, solution: StageSolution) -> dict:
     return {
         "t": t,
-        "belief": [float(v) for v in key],
+        "belief": list(belief_key(pi.weights)),
         "rows": _rows_to_lists(solution.prescription),
         "values": [[float(v) for v in arr] for arr in solution.values],
         "residual": float(solution.residual),
@@ -522,10 +493,7 @@ def build_solve_report(result: SolveResult) -> dict:
         report["grid"] = {
             "resolution": result.resolution,
             "points": int(result.generator.grid.shape[0]),
-            "snap": {
-                "queries": result.generator.snap_stats["queries"],
-                "max_snap_l1": result.generator.snap_stats["max_snap_l1"],
-            },
+            "snap": dict(result.generator.snap_stats),
         }
     if result.root is not None:
         report["root"] = {
@@ -551,32 +519,49 @@ POLICY_VERSION = 1
 
 
 def policy_document(result: SolveResult) -> dict:
-    """Serialize every solved stage point of a solve into a document."""
-    entries = []
-    generator = result.generator
-    if isinstance(generator, ExactGenerator):
-        for (t, key), solution in generator.cached_entries():
-            if solution.converged:
-                entries.append(_solution_entry(t, key, solution))
-    elif isinstance(generator, GridGenerator):
-        for t in sorted(generator.tables):
-            for idx, solution in enumerate(generator.tables[t]):
-                if solution.converged:
-                    entries.append(
-                        _solution_entry(t, belief_key(generator.grid[idx]), solution)
-                    )
-    else:
-        raise TypeError("only exact and grid solves can be exported")
+    """Serialize every converged stage point of a solve into a document."""
     doc = {
         "format": POLICY_FORMAT,
         "version": POLICY_VERSION,
         "game": result.spec.digest(),
         "mode": result.mode,
-        "entries": entries,
+        "entries": [_solution_entry(t, pi, solution)
+                    for t, pi, solution in result.generator.cached_points()
+                    if solution.converged],
     }
-    if isinstance(generator, GridGenerator):
-        doc["resolution"] = generator.resolution
+    if result.resolution is not None:
+        doc["resolution"] = result.resolution
     return doc
+
+
+def _read_entry(entry: dict, spec: GameSpec) -> tuple[tuple[int, BeliefKey], StageSolution]:
+    """One policy entry as ((stage, belief key), solution), checked against
+    the game's horizon and shapes."""
+    t = int(entry["t"])
+    key = tuple(float(v) for v in entry["belief"])
+    rows = tuple(np.asarray(player, dtype=float) for player in entry["rows"])
+    values = tuple(np.asarray(arr, dtype=float) for arr in entry["values"])
+    shapes = [r.shape for r in rows], [v.shape for v in values]
+    need = (list(zip(spec.type_counts, spec.action_counts)),
+            [(c,) for c in spec.type_counts])
+    if not 1 <= t <= spec.horizon:
+        raise ValueError(f"stage {t} outside 1..{spec.horizon}")
+    if len(key) != spec.num_joint_types:
+        raise ValueError(f"belief has {len(key)} weights for "
+                         f"{spec.num_joint_types} joint types")
+    if shapes != need:
+        raise ValueError(f"rows and values have shapes {shapes}, the game "
+                         f"needs {need}")
+    for arr in values:
+        arr.setflags(write=False)
+    return (t, key), StageSolution(
+        prescription=Prescription(rows),
+        values=values,
+        residual=float(entry["residual"]),
+        status=entry["status"],
+        method=entry.get("method"),
+        restart_index=entry.get("restart_index"),
+    )
 
 
 def load_policy(doc: dict, spec: GameSpec) -> TableGenerator | GridGenerator:
@@ -584,30 +569,24 @@ def load_policy(doc: dict, spec: GameSpec) -> TableGenerator | GridGenerator:
 
     A grid-mode document gives a :class:`GridGenerator` that snaps queries
     to its grid, as the generator that wrote it did; other documents give
-    a :class:`TableGenerator` keyed by exact beliefs.
+    a :class:`TableGenerator` keyed by exact beliefs. An entry that lacks a
+    field or does not fit the game raises ``ValueError`` naming its index.
     """
-    if doc.get("format") != POLICY_FORMAT:
+    if type(doc) is not dict or doc.get("format") != POLICY_FORMAT:
         raise ValueError("not a policy document")
     if doc.get("game") != spec.digest():
         raise ValueError("policy document was produced for a different game")
+    if type(doc.get("entries")) is not list:
+        raise ValueError("policy document has no list of entries")
     entries: dict[tuple[int, BeliefKey], StageSolution] = {}
-    for entry in doc["entries"]:
-        t = int(entry["t"])
-        key = tuple(float(v) for v in entry["belief"])
-        rows = tuple(
-            np.asarray(player, dtype=float) for player in entry["rows"]
-        )
-        values = tuple(np.asarray(arr, dtype=float) for arr in entry["values"])
-        for arr in values:
-            arr.setflags(write=False)
-        entries[(t, key)] = StageSolution(
-            prescription=Prescription(rows),
-            values=values,
-            residual=float(entry["residual"]),
-            status=entry["status"],
-            method=entry.get("method"),
-            restart_index=entry.get("restart_index"),
-        )
+    for k, entry in enumerate(doc["entries"]):
+        try:
+            point, solution = _read_entry(entry, spec)
+        except KeyError as err:
+            raise ValueError(f"policy entry {k} has no field {err}") from err
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"policy entry {k}: {err}") from err
+        entries[point] = solution
     if doc.get("mode") == "grid" and "resolution" in doc:
         return _grid_from_entries(spec, int(doc["resolution"]), entries)
     return TableGenerator(spec, entries)
@@ -623,10 +602,10 @@ def _grid_from_entries(spec: GameSpec, resolution: int, entries: dict) -> GridGe
         residual=float("inf"),
         status="not_in_policy",
     )
-    index = {belief_key(row): idx for idx, row in enumerate(generator.grid)}
+    index = {belief_key(pi.weights): idx for idx, pi in enumerate(generator._beliefs)}
     generator.tables = {t: [missing] * len(index) for t in range(1, spec.horizon + 1)}
     for (t, key), solution in entries.items():
-        if key not in index or t not in generator.tables:
+        if key not in index:
             raise ValueError(f"policy entry at stage {t}, belief {list(key)} is "
                              f"not a point of the resolution-{resolution} grid")
         generator.tables[t][index[key]] = solution

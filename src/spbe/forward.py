@@ -41,6 +41,18 @@ def _normalize_history(history) -> History:
     return tuple(tuple(int(a) for a in joint) for joint in history)
 
 
+def _find(cache: dict, history) -> tuple:
+    """(history, cache entry or None), normalizing the history on a miss."""
+    try:
+        got = cache.get(history)
+    except TypeError:   # unhashable spelling, e.g. lists
+        got = None
+    if got is not None:
+        return history, got
+    history = _normalize_history(history)
+    return history, cache.get(history)
+
+
 class EquilibriumPolicy:
     """Strategy profile induced by a generator along public histories.
 
@@ -60,12 +72,11 @@ class EquilibriumPolicy:
 
     def common_belief(self, history) -> Belief:
         """Public belief held entering stage len(history)+1."""
-        history = _normalize_history(history)
-        if len(history) > self.spec.horizon:
-            raise ValueError("history longer than the horizon")
-        got = self._beliefs.get(history)
+        history, got = _find(self._beliefs, history)
         if got is not None:
             return got
+        if len(history) > self.spec.horizon:
+            raise ValueError("history longer than the horizon")
         if not history:
             belief = initial_belief(self.spec)
         else:
@@ -85,8 +96,7 @@ class EquilibriumPolicy:
 
     def prescription_for_history(self, history) -> Prescription:
         """Prescription after this history, asked of ``prescription_at`` once."""
-        history = _normalize_history(history)
-        got = self._prescriptions.get(history)
+        history, got = _find(self._prescriptions, history)
         if got is None:
             got = self.prescription_at(self.stage_of(history),
                                        self.common_belief(history))
@@ -104,7 +114,6 @@ class EquilibriumPolicy:
 
     def continuation_value(self, history, i: int, xi: int) -> float:
         """Solved value of (i, xi) entering the stage after this history."""
-        history = _normalize_history(history)
         return self.generator.value(self.stage_of(history),
                                     self.common_belief(history), i, xi)
 

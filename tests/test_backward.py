@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spbe import (
     HybridGenerator,
     NoFixedPointError,
     ResourceLimitError,
+    SolveResult,
     SolverConfig,
     belief_key,
     build_solve_report,
@@ -52,8 +54,8 @@ def test_reference_solve_summary(reference_solved):
         np.testing.assert_allclose(result.root.values[i], [0.24, 0.24],
                                    atol=1e-12)
     # stage-1 play pools, so the only stage-2 belief ever touched is the prior
-    stage2_keys = {key for (t, key), _ in result.generator.cached_entries()
-                   if t == 2}
+    stage2_keys = {belief_key(pi.weights)
+                   for t, pi, _ in result.generator.cached_points() if t == 2}
     assert stage2_keys == {belief_key(spec.prior)}
 
 
@@ -96,23 +98,27 @@ def test_value_bounds(corpus_solves):
             continue
         caps = [np.abs(spec.reward_tensor(t)).max()
                 for t in range(1, spec.horizon + 1)]
-        for (t, key), sol in result.generator.cached_entries():
+        for t, _pi, sol in result.generator.cached_points():
             bound = sum(caps[t - 1:]) + 1e-9
             for arr in sol.values:
                 assert np.all(np.abs(arr) <= bound)
 
 
+def _point_keys(gen):
+    return [(t, belief_key(pi.weights)) for t, pi, _ in gen.cached_points()]
+
+
 def test_monotone_cache_and_reproducible_key_set():
     spec = instances.dominant_types_instance()
     first = solve(spec)
-    keys_a = [k for k, _ in first.generator.cached_entries()]
+    keys_a = _point_keys(first.generator)
     # querying more beliefs only grows the cache
     first.generator.value(2, Belief(np.array([0.7, 0.1, 0.1, 0.1]),
                                     (2, 2)), 0, 0)
-    keys_grown = [k for k, _ in first.generator.cached_entries()]
+    keys_grown = _point_keys(first.generator)
     assert set(keys_a) <= set(keys_grown)
     second = solve(spec)
-    keys_b = [k for k, _ in second.generator.cached_entries()]
+    keys_b = _point_keys(second.generator)
     assert keys_a == keys_b
 
 
@@ -290,10 +296,11 @@ def test_policy_document_round_trip(reference_solved):
     assert doc["format"] == "repeated-game-policy"
     text = render_report(doc)
     table = load_policy(json.loads(text), spec)
-    for (t, key), sol in result.generator.cached_entries():
+    for t, pi, sol in result.generator.cached_points():
         if not sol.converged:
             continue
-        got = table.solution_at(t, Belief(np.array(key), spec.type_counts))
+        got = table.solution_at(t, Belief(np.array(belief_key(pi.weights)),
+                                          spec.type_counts))
         for i in range(spec.num_players):
             np.testing.assert_array_equal(got.prescription.rows[i],
                                           sol.prescription.rows[i])
@@ -333,3 +340,59 @@ def test_report_bytes_deterministic():
         del report["timing"]
         blobs.append(render_report(report).encode())
     assert blobs[0] == blobs[1]
+
+
+def _assert_one_store(result):
+    """``cached_points`` is sorted by (stage, belief key), the counts and
+    failures agree with it, and the policy document lists its converged
+    points in the same order."""
+    gen = result.generator
+    points = [(t, belief_key(pi.weights), sol) for t, pi, sol in gen.cached_points()]
+    keys = [(t, key) for t, key, _ in points]
+    assert points and keys == sorted(set(keys))
+    assert gen.solve_counts == Counter(t for t, _ in keys)
+    assert gen.failed_points == [(t, key, sol.status) for t, key, sol in points
+                                 if not sol.converged]
+    converged = [(t, key, sol) for t, key, sol in points if sol.converged]
+    entries = policy_document(result)["entries"]
+    assert len(entries) == len(converged)
+    for entry, (t, key, sol) in zip(entries, converged):
+        assert (entry["t"], tuple(entry["belief"]), entry["status"]) == \
+            (t, key, sol.status)
+        assert entry["values"] == [[float(v) for v in arr] for arr in sol.values]
+
+
+def test_every_generator_reads_one_store():
+    spec = instances.asymmetric_pennies_instance()
+    failing = SolverConfig(support_enumeration_limit=0, max_iterations=300)
+    exact = solve(spec, config=failing)
+    assert exact.status == "failed" and exact.generator.failed_points
+    _assert_one_store(exact)
+    _assert_one_store(solve(instances.dominant_types_instance()))
+    grid = solve(instances.coordination_instance(), mode="grid", resolution=3)
+    _assert_one_store(grid)
+    reloaded = load_policy(policy_document(grid), grid.spec)
+    _assert_one_store(SolveResult(grid.spec, "grid", grid.config, reloaded, "ok",
+                                  resolution=3))
+    assert reloaded.solve_counts == grid.generator.solve_counts
+
+
+def test_partial_grid_policy_round_trip():
+    """Points a partial grid solve could not solve come back from its
+    policy file as failed placeholders, and querying one raises."""
+    spec = instances.asymmetric_pennies_instance()
+    result = solve(spec, mode="grid", resolution=2,
+                   config=SolverConfig(support_enumeration_limit=0))
+    assert result.status == "partial"
+    failed = result.generator.failed_points
+    assert failed
+    _assert_one_store(result)
+    reloaded = load_policy(json.loads(render_report(policy_document(result))), spec)
+    assert [(t, key) for t, key, _ in reloaded.failed_points] == \
+        [(t, key) for t, key, _ in failed]
+    assert {status for _, _, status in reloaded.failed_points} == {"not_in_policy"}
+    _assert_one_store(SolveResult(spec, "grid", result.config, reloaded, "partial",
+                                  resolution=2))
+    t, key, _ = failed[0]
+    with pytest.raises(NoFixedPointError):
+        reloaded.solution_at(t, Belief(np.array(key), spec.type_counts))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -86,7 +87,7 @@ def test_validate_missing_file(capsys):
 
 
 def test_solve_report_and_policy(games, reference_policy_file, capsys):
-    report = json.loads(open(reference_policy_file + ".report").read())
+    report = json.loads(Path(reference_policy_file + ".report").read_text())
     assert report["status"] == "ok"
     assert report["root"]["residual"] <= 1e-8
     for player in report["root"]["values"]:
@@ -199,7 +200,7 @@ def test_input_range_checks_come_before_the_solve(games, capsys, monkeypatch,
 
 def test_verify_flags_tampered_policy(games, reference_policy_file, tmp_path,
                                       capsys):
-    doc = json.loads(open(reference_policy_file).read())
+    doc = json.loads(Path(reference_policy_file).read_text())
     stage_one = [e for e in doc["entries"] if e["t"] == 1]
     assert stage_one
     stage_one[0]["rows"][0][0] = [0.55, 0.45]
@@ -213,6 +214,38 @@ def test_verify_flags_tampered_policy(games, reference_policy_file, tmp_path,
     report = json.loads(out)
     assert not report["all_checks_ok"]
     assert report["max_gain"] > 1e-3
+
+
+def _last_entry(edit):
+    def tamper(doc):
+        edit(doc["entries"][-1])
+        return doc
+    return tamper
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("tamper, names_entry", [
+    (lambda doc: doc["entries"], False),
+    (lambda doc: {k: v for k, v in doc.items() if k != "entries"}, False),
+    (lambda doc: {**doc, "entries": dict(enumerate(doc["entries"]))}, False),
+    (_last_entry(lambda e: e.pop("values")), True),
+    (_last_entry(lambda e: e.update(t=7)), True),
+    (_last_entry(lambda e: e.update(belief=e["belief"][:3])), True),
+    (_last_entry(lambda e: e["values"][0].pop()), True),
+    (_last_entry(lambda e: e["rows"][1].pop()), True),
+], ids=["not_an_object", "no_entries", "entries_object", "no_values",
+        "stage_past_horizon", "short_belief", "short_values", "missing_type_row"])
+def test_malformed_policy_is_invalid_input(games, reference_policy_file, tmp_path,
+                                           capsys, command, tamper, names_entry):
+    doc = json.loads(Path(reference_policy_file).read_text())
+    last = len(doc["entries"]) - 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tamper(doc)))
+    code, out = _run(capsys, [command, games["reference"], "--policy", str(bad)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invalid_input"
+    assert (f"policy entry {last}" in error["message"]) == names_entry
 
 
 def test_verify_wrong_game_exits_two(games, reference_policy_file, capsys):

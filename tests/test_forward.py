@@ -256,3 +256,21 @@ def test_prescription_asked_once_per_history(reference_solved):
     simulate(spec, policy, episodes=200, seed=1)
     histories = sum(spec.num_joint_actions ** k for k in range(spec.horizon))
     assert CountingPolicy.calls == histories
+
+
+def test_history_spellings_share_one_cache_entry():
+    """A history written as lists or with NumPy ints reaches the same cached
+    belief and prescription as its tuple form, whichever is asked first."""
+    spec = instances.dominant_types_instance()
+    policy = EquilibriumPolicy(spec, solve(spec).generator)
+    as_lists = [[1, 0]]
+    as_tuples = ((1, 0),)
+    as_numpy = (tuple(np.array([1, 0], dtype=np.int64)),)
+    belief = policy.common_belief(as_lists)
+    prescription = policy.prescription_for_history(as_lists)
+    for history in (as_tuples, as_numpy, as_lists):
+        assert policy.common_belief(history) is belief
+        assert policy.prescription_for_history(history) is prescription
+    assert policy.common_belief(()) is not belief
+    with pytest.raises(ValueError, match="longer than the horizon"):
+        policy.common_belief([[0, 0]] * (spec.horizon + 1))
