@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -267,13 +268,23 @@ class GridGenerator(Generator):
     a stage is one batch over all of them (:func:`~spbe.stage.solve_stage`),
     in which only support enumeration goes one point at a time. Failed
     points are kept in the table with their failure status so the build
-    can finish, but querying one raises.
+    can finish, but querying one raises. Tables of more than
+    ``cache_budget`` points over all stages are refused before the grid
+    is built.
     """
 
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
-                 resolution: int = 10):
+                 resolution: int = 10, cache_budget: int = DEFAULT_CACHE_BUDGET):
         if resolution < 1:
             raise ValueError("resolution must be >= 1")
+        size = math.comb(resolution + spec.num_joint_types - 1,
+                         spec.num_joint_types - 1) * spec.horizon
+        if size > cache_budget:
+            raise ResourceLimitError(
+                f"grid tables would hold {size} stage points, over the budget "
+                f"of {cache_budget}; raise cache_budget or lower the resolution",
+                cache_budget,
+            )
         self.spec = spec
         self.config = config or SolverConfig()
         self.resolution = resolution
@@ -400,6 +411,10 @@ class SolveResult:
         return self.status == "ok"
 
 
+def _refusal(err: ResourceLimitError) -> dict:
+    return {"kind": "resource_limit", "limit": err.limit, "message": str(err)}
+
+
 def solve(
     spec: GameSpec,
     mode: str = "exact",
@@ -412,7 +427,8 @@ def solve(
     Exact mode solves the initial belief at stage 1, which recursively
     solves every stage point its evaluation touches. Grid mode builds the
     full per-stage tables. Solver failures and resource refusals are
-    reported in the result, not raised.
+    reported in the result, not raised; a refused grid solve has no
+    generator.
     """
     config = config or SolverConfig()
     started = time.perf_counter()
@@ -430,11 +446,15 @@ def solve(
                 "solver_status": err.status,
             }
         except ResourceLimitError as err:
-            result.status = "refused"
-            result.failure = {"kind": "resource_limit", "limit": err.limit,
-                              "message": str(err)}
+            result.status, result.failure = "refused", _refusal(err)
     elif mode == "grid":
-        generator = GridGenerator(spec, config, resolution=resolution)
+        try:
+            generator = GridGenerator(spec, config, resolution=resolution,
+                                      cache_budget=cache_budget)
+        except ResourceLimitError as err:
+            return SolveResult(spec, mode, config, None, "refused",
+                               failure=_refusal(err), resolution=resolution,
+                               timing_seconds=time.perf_counter() - started)
         result = SolveResult(spec, mode, config, generator, "ok",
                              resolution=resolution)
         generator.build()
@@ -477,7 +497,7 @@ def _solution_entry(t: int, pi: Belief, solution: StageSolution) -> dict:
 def build_solve_report(result: SolveResult) -> dict:
     """JSON-ready summary of a solve. Identical inputs give identical
     reports except for the ``timing`` block."""
-    spec = result.spec
+    spec, generator = result.spec, result.generator
     report: dict = {
         "game": spec.digest(),
         "players": spec.num_players,
@@ -485,15 +505,15 @@ def build_solve_report(result: SolveResult) -> dict:
         "mode": result.mode,
         "status": result.status,
         "config": dataclasses.asdict(result.config),
-        "solve_counts": {str(t): n for t, n in
-                         sorted(result.generator.solve_counts.items())},
+        "solve_counts": {str(t): n for t, n in sorted(
+            generator.solve_counts.items() if generator else ())},
         "timing": {"seconds": result.timing_seconds},
     }
-    if result.resolution is not None:
+    if result.resolution is not None and generator is not None:
         report["grid"] = {
             "resolution": result.resolution,
-            "points": int(result.generator.grid.shape[0]),
-            "snap": dict(result.generator.snap_stats),
+            "points": int(generator.grid.shape[0]),
+            "snap": dict(generator.snap_stats),
         }
     if result.root is not None:
         report["root"] = {
@@ -552,6 +572,8 @@ def _read_entry(entry: dict, spec: GameSpec) -> tuple[tuple[int, BeliefKey], Sta
     if shapes != need:
         raise ValueError(f"rows and values have shapes {shapes}, the game "
                          f"needs {need}")
+    if not all(math.isfinite(v) for arr in values for v in arr.tolist()):
+        raise ValueError("values are not all finite")
     for arr in values:
         arr.setflags(write=False)
     return (t, key), StageSolution(

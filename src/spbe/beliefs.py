@@ -83,7 +83,8 @@ class Prescription:
             if arr.ndim != 2:
                 raise ValueError(f"prescription rows[{i}] must be 2-d")
             sums = arr.sum(axis=1)
-            if np.any(arr < -1e-12) or np.any(np.abs(sums - 1.0) > 1e-9):
+            # written so that NaN and infinite entries fail too
+            if not (np.all(arr >= -1e-12) and np.all(np.abs(sums - 1.0) <= 1e-9)):
                 raise ValueError(f"prescription rows[{i}] is not row-stochastic")
             frozen.append(arr)
         object.__setattr__(self, "rows", tuple(frozen))
@@ -132,6 +133,9 @@ def joint_action_likelihood(gamma: Prescription, a: Sequence[int]) -> np.ndarray
     """For every flat joint type x, the probability that the prescription
     produces joint action a: the product over players of rows[i][x_i, a_i]."""
     counts = gamma.type_counts
+    if len(a) != len(counts):
+        raise ValueError(f"joint action {tuple(a)} has {len(a)} components "
+                         f"for {len(counts)} players")
     maps = component_maps(counts)
     like = np.ones(int(np.prod(counts)))
     for i, row in enumerate(gamma.rows):

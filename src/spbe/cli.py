@@ -85,7 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="support enumeration size cap; 0 disables "
                             "(default 12)")
     group.add_argument("--cache-budget", type=int, default=DEFAULT_CACHE_BUDGET,
-                       help="max cached stage points in exact mode")
+                       help="max stored stage points (exact cache or grid "
+                            "tables)")
 
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", metavar="PATH", default=None,
@@ -276,7 +277,11 @@ def _cmd_verify(args) -> int:
 def _cmd_export(args) -> int:
     spec = _load_game(args)
     result = solve(spec, mode="grid", config=_config(args),
-                   resolution=args.grid_resolution)
+                   resolution=args.grid_resolution, cache_budget=args.cache_budget)
+    if result.status == "refused":
+        _emit(render_report(build_solve_report(result)), args.out)
+        print(f"spbe: export refused: {result.failure['message']}", file=sys.stderr)
+        return EXIT_RESOURCE
     failed = len(result.generator.failed_points)
     doc = policy_document(result)
     doc["failed_points"] = failed

@@ -92,8 +92,8 @@ class SolverConfig:
     support_enumeration_limit: int = 12
 
     def __post_init__(self) -> None:
-        if self.fp_tol <= 0:
-            raise ValueError("fp_tol must be positive")
+        if not 0 < self.fp_tol < math.inf:   # NaN too
+            raise ValueError("fp_tol must be finite and positive")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
         if self.max_iterations < 1 or self.restarts < 1:
@@ -589,6 +589,8 @@ def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
     z0.extend(0.0 for _ in layout)
     z0 = np.asarray(z0)
     result = root(equations, z0, method="hybr")
+    if not np.isfinite(result.x).all():
+        return None
     if not result.success and float(np.abs(equations(result.x)).max()) > 1e-9:
         return None
     rows, _ = unpack(result.x)

@@ -3,13 +3,14 @@
 The verifier takes a constructed policy as a black box over public
 histories and asks, for every player and every type with positive prior
 mass, whether any unilateral deviation plan beats sticking to the policy.
-It walks the full public history tree once per (player, type): at each
-node it re-derives that agent's private belief by conditioning the
-policy's public belief on the type, then computes in one post-order pass
-both the on-policy continuation value and the best achievable deviation
-value, where the deviator may change actions at this node and at every
-descendant. Deviations are private, so the public belief still advances
-with the prescribed profile along every branch.
+It walks the public history tree once for all of them: each node reads
+the policy's belief and prescription once and conditions on each type.
+From that view it takes, before the children, the agent's one-shot gap
+against the policy's claimed values, and after them the on-policy
+continuation value and the best achievable deviation value, where the
+deviator may change actions at this node and at every descendant.
+Deviations are private, so the public belief still advances with the
+prescribed profile along every branch.
 
 Beliefs are recomputed from the policy at every node rather than carried
 through the recursion, so the check exercises the same conditioning a
@@ -17,12 +18,12 @@ player would actually perform. Conditioning on a type the public belief
 has ruled out falls back to the uniform conditional, matching the
 solver's treatment of those rows.
 
-The tree walk is the certificate; it visits every history once per agent.
-The one-shot check visits each history before the last stage once. The
-two-path check runs the forward pass's payoff recursion over a subtree
-per stage-t history and sample, and costs the most. On the horizon-5
-reference game, in process on a 2-core Xeon: walk 0.13 s, one-shot
-0.11 s, two-path with its default 50 samples 2.0 s.
+The tree walk is the certificate and the one-shot check; it visits
+every history once. The two-path check runs the forward pass's payoff
+recursion over a subtree per stage-t history and sample, and costs the
+most. On the horizon-5 reference game, in process on a 2-core Xeon with
+the policy's caches warm, median of 5 calls: walk 0.057 s, two-path with
+its default 50 samples 0.75 s.
 
 All three checks share one stage evaluation, :func:`_agent_stage`: for
 an agent (i, xi), per flat joint action, the weight of the others' type
@@ -34,7 +35,8 @@ here from the definition and shares no arithmetic with the solver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,12 +48,8 @@ from .game import GameSpec, component_maps, embedding_map, unflatten_joint
 TREE_BUDGET = 1_000_000
 
 
-def _tree_size(spec: GameSpec) -> int:
-    return spec.num_joint_actions ** spec.horizon
-
-
 def _guard_tree(spec: GameSpec) -> None:
-    size = _tree_size(spec)
+    size = spec.num_joint_actions ** spec.horizon
     if size > TREE_BUDGET:
         raise ResourceLimitError(
             f"verification would enumerate {size} histories, over the "
@@ -96,6 +94,8 @@ class VerificationReport:
     violations: tuple[DeviationFinding, ...]
     agents_checked: int
     histories_per_agent: int
+    # one_shot_gaps of every history, in pre-order; not part of the report
+    one_shot: tuple[dict, ...] = field(default=(), repr=False, compare=False)
 
     def to_document(self) -> dict:
         return {
@@ -144,53 +144,90 @@ def _action_values(spec: GameSpec, i: int, w: np.ndarray, stage: np.ndarray,
                        minlength=spec.action_counts[i])
 
 
-class _AgentWalk:
-    """One post-order pass over the history tree for a fixed (player, type)."""
+def _agents(spec: GameSpec) -> list[tuple[int, int]]:
+    """Every (player, type) with positive prior marginal, in order."""
+    prior = initial_belief(spec)
+    return [(i, xi) for i in range(spec.num_players)
+            for xi, mass in enumerate(prior.type_marginal(i)) if mass > 0.0]
 
-    def __init__(self, spec: GameSpec, policy: EquilibriumPolicy, i: int, xi: int,
-                 tol: float = np.inf):
-        self.spec = spec
-        self.policy = policy
-        self.i = i
-        self.xi = xi
-        self.tol = tol
-        self.worst: DeviationFinding | None = None
+
+def _views(spec: GameSpec, policy: EquilibriumPolicy, history: History,
+           agents: list[tuple[int, int]], gaps: bool = True) -> tuple[list, dict]:
+    """Each agent's (own row, w, stage) at the stage after ``history``, and
+    with ``gaps`` the :func:`one_shot_gaps` result there, read against the
+    policy's claimed values after the joint actions the agent can meet."""
+    t = len(history) + 1
+    pi = policy.common_belief(history)
+    gamma = policy.prescription_for_history(history)
+    views, found = [], {}
+    for i, xi in agents:
+        cond = condition_on_type(pi, i, xi).weights
+        w, stage = _agent_stage(spec, t, cond, gamma, i, xi)
+        row = np.asarray(gamma.rows[i][xi], dtype=float)
+        views.append((row, w, stage))
+        if gaps:
+            cont = np.zeros(spec.num_joint_actions)
+            if t < spec.horizon:
+                for a_flat in np.flatnonzero(w.sum(axis=1)).tolist():
+                    cont[a_flat] = policy.continuation_value(
+                        history + (unflatten_joint(a_flat, spec.action_counts),),
+                        i, xi)
+            q = _action_values(spec, i, w, stage, cont)
+            found[(i, xi)] = float(q.max()) - float(row @ q)
+    return views, {"history": history, "stage": t,
+                   "max_gap": max([0.0, *found.values()]), "gaps": found}
+
+
+class _Walk:
+    """One post-order pass over a history subtree for every agent at once.
+
+    Each node's views are built once. Before the children, the node's
+    one-shot gaps are recorded (in pre-order, when ``gaps``); after them,
+    each agent's on-policy and best deviation values are formed.
+    """
+
+    def __init__(self, spec: GameSpec, policy: EquilibriumPolicy,
+                 agents: list[tuple[int, int]], tol: float = np.inf,
+                 gaps: bool = True):
+        self.spec, self.policy, self.agents = spec, policy, agents
+        self.tol, self.gaps = tol, gaps
+        self.worst: list[DeviationFinding | None] = [None] * len(agents)
         self.violations: list[DeviationFinding] = []
+        self.one_shot: list[dict] = []
         self.nodes = 0
         self._joint_actions = [unflatten_joint(a, spec.action_counts)
                                for a in range(spec.num_joint_actions)]
 
-    def run(self, history: History = ()) -> tuple[float, float]:
-        """Returns (on-policy value, best deviation value) at this node."""
-        t = len(history) + 1
-        if t > self.spec.horizon:
-            return 0.0, 0.0
+    def run(self, history: History = ()) -> np.ndarray:
+        """Per agent, (on-policy value, best deviation value) at this node."""
+        spec = self.spec
+        if len(history) >= spec.horizon:
+            return np.zeros((len(self.agents), 2))
         self.nodes += 1
-        spec, i, xi = self.spec, self.i, self.xi
-        pi = self.policy.common_belief(history)
-        gamma = self.policy.prescription_for_history(history)
-        cond = condition_on_type(pi, i, xi).weights
-        w, stage = _agent_stage(spec, t, cond, gamma, i, xi)
-        eq_c, dev_c = np.array([self.run(history + (a,))
-                                for a in self._joint_actions]).T
-        eq_value = float(np.asarray(gamma.rows[i][xi], dtype=float)
-                         @ _action_values(spec, i, w, stage, eq_c))
-        dev_value = float(_action_values(spec, i, w, stage, dev_c).max())
-        found = DeviationFinding(player=i, type_index=xi, history=history,
-                                 equilibrium_value=eq_value, deviation_value=dev_value)
-        if self.worst is None or found.gain > self.worst.gain:
-            self.worst = found
-        if found.gain > self.tol:
-            self.violations.append(found)
-        return eq_value, dev_value
+        views, gaps = _views(spec, self.policy, history, self.agents, self.gaps)
+        if self.gaps:
+            self.one_shot.append(gaps)
+        cont = np.array([self.run(history + (a,)) for a in self._joint_actions])
+        out = np.empty((len(self.agents), 2))
+        for k, ((i, xi), (row, w, stage)) in enumerate(zip(self.agents, views)):
+            eq = float(row @ _action_values(spec, i, w, stage, cont[:, k, 0]))
+            dev = float(_action_values(spec, i, w, stage, cont[:, k, 1]).max())
+            out[k] = eq, dev
+            found = DeviationFinding(player=i, type_index=xi, history=history,
+                                     equilibrium_value=eq, deviation_value=dev)
+            if self.worst[k] is None or found.gain > self.worst[k].gain:
+                self.worst[k] = found
+            if found.gain > self.tol:
+                self.violations.append(found)
+        return out
 
 
 def best_deviation_value(spec: GameSpec, policy: EquilibriumPolicy,
                          i: int, xi: int, history: History = ()) -> float:
     """Value of the best full deviation plan of (i, xi) from this node on."""
     _guard_tree(spec)
-    walk = _AgentWalk(spec, policy, i, xi)
-    return walk.run(_normalize_history(history))[1]
+    walk = _Walk(spec, policy, [(i, xi)], gaps=False)
+    return float(walk.run(_normalize_history(history))[0, 1])
 
 
 def equilibrium_continuation_value(spec: GameSpec, policy: EquilibriumPolicy,
@@ -198,8 +235,8 @@ def equilibrium_continuation_value(spec: GameSpec, policy: EquilibriumPolicy,
     """On-policy continuation value of (i, xi) from this node on, computed
     by the verifier's own recursion rather than read from the solver."""
     _guard_tree(spec)
-    walk = _AgentWalk(spec, policy, i, xi)
-    return walk.run(_normalize_history(history))[0]
+    walk = _Walk(spec, policy, [(i, xi)], gaps=False)
+    return float(walk.run(_normalize_history(history))[0, 0])
 
 
 def verify_pbe(spec: GameSpec, policy: EquilibriumPolicy,
@@ -207,39 +244,26 @@ def verify_pbe(spec: GameSpec, policy: EquilibriumPolicy,
     """Certify that no agent gains more than tol by deviating anywhere.
 
     Every (player, type) with positive prior type marginal is checked at
-    every public history node of every length up to the horizon.
+    every public history node of every length up to the horizon. The
+    report also keeps every history's one-shot gaps.
     """
     if not tol >= 0:   # NaN too: no gain would ever exceed it
         raise ValueError("tol must be >= 0")
     _guard_tree(spec)
-    prior = initial_belief(spec)
-    max_gain = -np.inf
-    worst: DeviationFinding | None = None
-    violations: list[DeviationFinding] = []
-    agents = 0
-    nodes = 0
-    for i in range(spec.num_players):
-        marginal = prior.type_marginal(i)
-        for xi in range(spec.type_counts[i]):
-            if marginal[xi] <= 0.0:
-                continue
-            agents += 1
-            walk = _AgentWalk(spec, policy, i, xi, tol=tol)
-            walk.run()
-            nodes = walk.nodes
-            if walk.worst is not None and walk.worst.gain > max_gain:
-                max_gain = walk.worst.gain
-                worst = walk.worst
-            violations.extend(walk.violations)
-    violations.sort(key=lambda f: (-f.gain, f.player, f.type_index, f.history))
+    walk = _Walk(spec, policy, _agents(spec), tol=tol)
+    walk.run()
+    worst = max(walk.worst, key=lambda f: f.gain)   # first of the largest
+    violations = sorted(walk.violations,
+                        key=lambda f: (-f.gain, f.player, f.type_index, f.history))
     return VerificationReport(
         ok=not violations,
         tolerance=tol,
-        max_gain=float(max_gain),
+        max_gain=float(worst.gain),
         worst=worst,
         violations=tuple(violations),
-        agents_checked=agents,
-        histories_per_agent=nodes,
+        agents_checked=len(walk.agents),
+        histories_per_agent=walk.nodes,
+        one_shot=tuple(walk.one_shot),
     )
 
 
@@ -258,37 +282,29 @@ def one_shot_gaps(spec: GameSpec, policy: EquilibriumPolicy,
     maximal gap equals that stage's residual.
 
     The arithmetic is the definition, written out here rather than shared
-    with the solver: the belief conditioned on the agent's type, the
-    others' prescribed play, and the policy's stage-(t+1) value after
-    each joint action the agent can meet.
+    with the solver; the deviation walk makes the same evaluation at each
+    node it visits.
     """
     history = _normalize_history(history)
-    t = len(history) + 1
-    if t > spec.horizon:
+    if len(history) >= spec.horizon:
         raise ValueError("history already spans the whole horizon")
-    pi = policy.common_belief(history)
-    gamma = policy.prescription_for_history(history)
-    prior = initial_belief(spec)
-    gaps = {}
-    worst = 0.0
-    for i in range(spec.num_players):
-        marginal = prior.type_marginal(i)
-        for xi in range(spec.type_counts[i]):
-            if marginal[xi] <= 0.0:
-                continue
-            cond = condition_on_type(pi, i, xi).weights
-            w, stage = _agent_stage(spec, t, cond, gamma, i, xi)
-            cont = np.zeros(spec.num_joint_actions)
-            if t < spec.horizon:
-                for a_flat in np.flatnonzero(w.sum(axis=1)).tolist():
-                    cont[a_flat] = policy.continuation_value(
-                        history + (unflatten_joint(a_flat, spec.action_counts),),
-                        i, xi)
-            q = _action_values(spec, i, w, stage, cont)
-            gap = float(q.max()) - float(np.asarray(gamma.rows[i][xi]) @ q)
-            gaps[(i, xi)] = gap
-            worst = max(worst, gap)
-    return {"history": history, "stage": t, "max_gap": worst, "gaps": gaps}
+    return _views(spec, policy, history, _agents(spec))[1]
+
+
+def _one_shot_summary(gaps: tuple[dict, ...], tol: float) -> dict:
+    """Passes iff no (history, agent) gap exceeds tol. A NaN gap fails:
+    ``max_gap`` is then NaN and ``worst`` the first history holding one;
+    otherwise ``worst`` is the first history with the largest ``max_gap``."""
+    nan_at = [g for g in gaps if np.isnan(list(g["gaps"].values())).any()]
+    worst = nan_at[0] if nan_at else max(gaps, key=lambda g: g["max_gap"])
+    max_gap = math.nan if nan_at else worst["max_gap"]
+    return {
+        "ok": max_gap <= tol,
+        "tolerance": tol,
+        "max_gap": max_gap,
+        "worst": worst,
+        "histories_checked": len(gaps),
+    }
 
 
 def verify_one_shot(spec: GameSpec, policy: EquilibriumPolicy,
@@ -297,35 +313,9 @@ def verify_one_shot(spec: GameSpec, policy: EquilibriumPolicy,
 
     Weaker than the full deviation walk (it trusts the policy's claimed
     continuation values) but pinpoints the stage whose prescription is
-    off. Passes iff no (history, agent) gap exceeds tol.
+    off. It summarizes the gaps recorded by :func:`verify_pbe`'s walk.
     """
-    if not tol >= 0:   # NaN too: no gain would ever exceed it
-        raise ValueError("tol must be >= 0")
-    _guard_tree(spec)
-    worst_gap = 0.0
-    worst_at: dict | None = None
-    checked = 0
-
-    def visit(history: History) -> None:
-        nonlocal worst_gap, worst_at, checked
-        if len(history) >= spec.horizon:
-            return
-        result = one_shot_gaps(spec, policy, history)
-        checked += 1
-        if worst_at is None or result["max_gap"] > worst_gap:
-            worst_gap = result["max_gap"]
-            worst_at = result
-        for a_flat in range(spec.num_joint_actions):
-            visit(history + (unflatten_joint(a_flat, spec.action_counts),))
-
-    visit(())
-    return {
-        "ok": worst_gap <= tol,
-        "tolerance": tol,
-        "max_gap": worst_gap,
-        "worst": worst_at,
-        "histories_checked": checked,
-    }
+    return _one_shot_summary(verify_pbe(spec, policy, tol).one_shot, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +430,7 @@ def run_certification(spec: GameSpec, policy: EquilibriumPolicy,
     belief-consistency spot checks, as one JSON-ready document."""
     report = verify_pbe(spec, policy, tol=tol)
     doc = report.to_document()
-    one_shot = verify_one_shot(spec, policy, tol=max(tol, 1e-8))
+    one_shot = _one_shot_summary(report.one_shot, max(tol, 1e-8))
     doc["one_shot"] = {
         "ok": one_shot["ok"],
         "max_gap": one_shot["max_gap"],

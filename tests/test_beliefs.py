@@ -66,6 +66,11 @@ def test_update_rejects_shape_mismatch():
     gamma = _rows([[1.0]])
     with pytest.raises(ValueError):
         update(CORRELATED, gamma, (0,))
+    # a joint action needs one component per player, no fewer and no more
+    gamma = _rows([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]])
+    for a in ((0,), (0, 0, 1)):
+        with pytest.raises(ValueError):
+            update(CORRELATED, gamma, a)
 
 
 def test_pooling_on_support_only():
@@ -123,6 +128,8 @@ def test_belief_weights_read_only():
 def test_prescription_rejects_non_stochastic():
     with pytest.raises(ValueError):
         _rows([[0.5, 0.6], [0.5, 0.5]])
+    with pytest.raises(ValueError):
+        _rows([[np.nan, np.nan], [0.5, 0.5]])
 
 
 def test_prescription_uniform_shape():

@@ -107,11 +107,32 @@ def test_solve_failed_exits_three(games, capsys):
     assert doc["failure"]["solver_status"] == "max_iterations"
 
 
-def test_solve_budget_exits_five(games, capsys):
-    code, out = _run(capsys, ["solve", games["dominant"],
-                              "--cache-budget", "2"])
+@pytest.mark.parametrize("game, args", [
+    ("dominant", ["solve", "--cache-budget", "2"]),
+    # 35 grid points per stage at resolution 4, over two stages
+    ("reference", ["solve", "--mode", "grid", "--grid-resolution", "4",
+                   "--cache-budget", "50"]),
+    ("reference", ["export", "--grid-resolution", "4", "--cache-budget", "50"]),
+], ids=["exact", "grid", "export"])
+def test_solve_budget_exits_five(games, capsys, game, args):
+    code, out = _run(capsys, [args[0], games[game], *args[1:]])
     assert code == 5
     assert json.loads(out)["status"] == "refused"
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_grid_policy_file_over_budget_exits_five(games, tmp_path, capsys, command):
+    # a grid file's resolution sizes the tables it is loaded into; at 10**6
+    # the reference game's grid would hold about 1.7e17 points per stage
+    path = tmp_path / "grid.json"
+    assert main(["export", games["reference"], "--grid-resolution", "2",
+                 "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["resolution"] = 10**6
+    path.write_text(json.dumps(doc))
+    code, out = _run(capsys, [command, games["reference"], "--policy", str(path)])
+    assert code == 5
+    assert json.loads(out)["error"]["kind"] == "resource_limit"
 
 
 def test_solve_deterministic_bytes(games, tmp_path, capsys):
@@ -169,6 +190,8 @@ def test_verify_ok(games, reference_policy_file, capsys):
     ("verify", "--verify-tol", "-1", 2),
     ("verify", "--verify-tol", "nan", 2),
     ("simulate", "--trace-limit", "-2", 2),
+    ("verify", "--tol", "nan", 2),
+    ("simulate", "--tol", "inf", 2),
 ])
 def test_input_range_checks(games, reference_policy_file, capsys,
                             command, flag, value, code):
@@ -185,6 +208,8 @@ def test_input_range_checks(games, reference_policy_file, capsys,
     ("verify", "--verify-tol", "nan"),
     ("simulate", "--episodes", "0"),
     ("simulate", "--trace-limit", "-2"),
+    ("verify", "--tol", "nan"),
+    ("simulate", "--tol", "inf"),
 ])
 def test_input_range_checks_come_before_the_solve(games, capsys, monkeypatch,
                                                   command, flag, value):
@@ -233,8 +258,11 @@ def _last_entry(edit):
     (_last_entry(lambda e: e.update(belief=e["belief"][:3])), True),
     (_last_entry(lambda e: e["values"][0].pop()), True),
     (_last_entry(lambda e: e["rows"][1].pop()), True),
+    (_last_entry(lambda e: e["rows"][0].__setitem__(0, [float("nan")] * 2)), True),
+    (_last_entry(lambda e: e["values"][0].__setitem__(0, float("nan"))), True),
 ], ids=["not_an_object", "no_entries", "entries_object", "no_values",
-        "stage_past_horizon", "short_belief", "short_values", "missing_type_row"])
+        "stage_past_horizon", "short_belief", "short_values", "missing_type_row",
+        "nan_row", "nan_value"])
 def test_malformed_policy_is_invalid_input(games, reference_policy_file, tmp_path,
                                            capsys, command, tamper, names_entry):
     doc = json.loads(Path(reference_policy_file).read_text())

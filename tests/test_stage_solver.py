@@ -210,8 +210,9 @@ def test_config_validation():
         SolverConfig(damping=0.0)
     with pytest.raises(ValueError):
         SolverConfig(damping=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(fp_tol=-1.0)
+    for fp_tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(fp_tol=fp_tol)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import spbe.verify
 from spbe import (
     EquilibriumPolicy,
     ExactGenerator,
@@ -199,3 +200,69 @@ def test_certificate_document(reference_solved):
     assert cert["belief_consistency"]["ok"]
     assert cert["table_completions"] == 0
     assert "tolerance" in cert and "max_gain" in cert
+
+
+class NanClaimsPolicy(EquilibriumPolicy):
+    """Equilibrium play whose claimed continuation values are all NaN."""
+
+    def continuation_value(self, history, i, xi):
+        return float("nan")
+
+
+def test_nan_claimed_values_fail_one_shot(reference_solved):
+    spec, result = reference_solved
+    policy = NanClaimsPolicy(spec, result.generator)
+    out = verify_one_shot(spec, policy)
+    assert not out["ok"]
+    assert np.isnan(out["max_gap"])
+    assert out["worst"]["history"] == ()
+    cert = run_certification(spec, policy, consistency_samples=0)
+    assert not cert["one_shot"]["ok"]
+    assert not cert["all_checks_ok"]
+
+
+def test_certificate_conditions_each_node_once(reference_solved, monkeypatch):
+    spec, result = reference_solved
+    calls = []
+    real = spbe.verify.condition_on_type
+
+    def counting(pi, i, xi):
+        calls.append((i, xi))
+        return real(pi, i, xi)
+
+    monkeypatch.setattr(spbe.verify, "condition_on_type", counting)
+    run_certification(spec, EquilibriumPolicy(spec, result.generator),
+                      consistency_samples=0)
+    # 4 agents x 5 histories (the root and its 4 children), each once
+    assert sorted(calls) == sorted([(0, 0), (0, 1), (1, 0), (1, 1)] * 5)
+
+
+@pytest.fixture(scope="module")
+def reference_grid():
+    spec = instances.reference_instance()
+    result = solve(spec, mode="grid", resolution=3)
+    assert result.ok
+    return result.generator
+
+
+@pytest.mark.parametrize("kind", ["reference", "perturbed", "grid"])
+def test_certificate_agrees_with_the_separate_checks(reference_solved,
+                                                     reference_grid, kind):
+    spec, result = reference_solved
+
+    def policy():
+        if kind == "perturbed":
+            return RowPerturbedPolicy(spec, result.generator, eps=0.05)
+        if kind == "grid":
+            return EquilibriumPolicy(spec, reference_grid)
+        return EquilibriumPolicy(spec, result.generator)
+
+    cert = run_certification(spec, policy(), consistency_samples=0)
+    walk = verify_pbe(spec, policy()).to_document()
+    assert {key: cert[key] for key in walk} == walk
+    one_shot = verify_one_shot(spec, policy(), tol=1e-8)
+    assert cert["one_shot"] == {key: one_shot[key] for key in
+                                ("ok", "max_gap", "histories_checked")}
+    assert cert["all_checks_ok"] == (kind != "perturbed")
+    worst = one_shot["worst"]
+    assert worst == one_shot_gaps(spec, policy(), worst["history"])
