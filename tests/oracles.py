@@ -4,11 +4,23 @@ Everything here recomputes quantities from first principles with plain
 Python loops, deliberately avoiding the library's own update, stage and
 value machinery. GameSpec is used only as a data container (shapes,
 reward lookups, discount).
+
+The exception is :func:`two_path_brute`, the verifier's two-path check
+as a plain loop over samples and histories. It reuses the verifier's own
+pieces on purpose: it pins the check's results, including which work it
+may leave out, rather than re-deriving its arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
+
+from spbe.beliefs import condition_on_type
+from spbe.forward import expected_rewards
+from spbe.game import embedding_map, unflatten_joint
+from spbe.verify import _agent_stage, _random_deviation_rows
 
 EPS_DEN = 1e-12
 
@@ -201,3 +213,74 @@ def path_payoffs_brute(spec, rows_at, history=(), deviation=None):
                 for m in range(n):
                     out[m][xf] += prob * earned[m]
     return out
+
+
+def two_path_brute(spec, policy, i=None, t=None, samples=50, seed=0,
+                   tol=1e-12):
+    """``check_strategy_independence`` rebuilding every belief pair and
+    running the payoff recursion at every history, in every sample."""
+    rng = np.random.default_rng(seed)
+    n = spec.num_players
+    t_range = list(range(1, max(spec.horizon - 1, 1) + 1))
+    joint_actions = [unflatten_joint(a, spec.action_counts)
+                     for a in range(spec.num_joint_actions)]
+    max_diff = 0.0
+    skipped = 0
+    checked = 0
+    sample_reports = []
+    for s in range(samples):
+        player = i if i is not None else s % n
+        stage = t if t is not None else t_range[s % len(t_range)]
+        dev_rows = _random_deviation_rows(
+            spec, player, range(stage, spec.horizon + 1), rng)
+        sample_diff = 0.0
+        # every stage-`stage` history, lexicographic
+        for history in itertools.product(joint_actions, repeat=stage):
+            before = policy.common_belief(history[:-1])
+            after = policy.common_belief(history)
+            gamma = policy.prescription_for_history(history[:-1])
+            a = history[-1]
+            # per own type: the belief over the others' types along each path
+            paths = {}
+            reach = np.zeros(spec.num_joint_types, dtype=bool)
+            for xi in range(spec.type_counts[player]):
+                if float(gamma.rows[player][xi, a[player]]) == 0.0:
+                    skipped += 1
+                    continue
+                cond_before = condition_on_type(before, player, xi)
+                cond_after = condition_on_type(after, player, xi)
+                if cond_before.degenerate or cond_after.degenerate:
+                    skipped += 1
+                    continue
+                w, _ = _agent_stage(spec, stage, cond_before.weights, gamma,
+                                    player, xi)
+                lhs_belief = w[spec.flatten_actions(a)]
+                mass = float(lhs_belief.sum())
+                if mass <= 1e-12:
+                    skipped += 1
+                    continue
+                paths[xi] = (lhs_belief / mass, cond_after.weights)
+                reach[embedding_map(spec.type_counts, player, xi)] = True
+            if not paths:
+                continue
+            phi = expected_rewards(spec, policy, history, (player, dev_rows),
+                                   reach)[player]
+            for xi, (lhs_belief, rhs_belief) in paths.items():
+                phi_xi = phi[embedding_map(spec.type_counts, player, xi)]
+                diff = abs(float(lhs_belief @ phi_xi) - float(rhs_belief @ phi_xi))
+                belief_gap = float(np.abs(lhs_belief - rhs_belief).max())
+                diff = max(diff, belief_gap)
+                checked += 1
+                sample_diff = max(sample_diff, diff)
+        max_diff = max(max_diff, sample_diff)
+        sample_reports.append({
+            "player": player, "stage": stage, "max_diff": sample_diff,
+        })
+    return {
+        "checked": checked,
+        "skipped": skipped,
+        "max_diff": max_diff,
+        "ok": max_diff <= tol,
+        "tolerance": tol,
+        "samples": sample_reports,
+    }

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,87 @@ def test_strategy_independence_fixed_player_stage(reference_policy):
     out = check_strategy_independence(spec, policy, i=1, t=1, samples=5,
                                       seed=0)
     assert out["ok"] and out["checked"] == 5 * 4 * 2
+
+
+def deep_reference():
+    """The reference game lengthened to horizon 5 (four matching-pennies
+    stages, then its coordination stage), where every belief pair of the
+    two-path check is bit-identical."""
+    ref = instances.reference_instance()
+    return dataclasses.replace(ref, horizon=5,
+                               rewards=ref.rewards[:1] * 4 + ref.rewards[1:])
+
+
+@pytest.fixture(scope="module")
+def deep_solved():
+    spec = deep_reference()
+    return spec, solve(spec)
+
+
+@pytest.mark.parametrize("case, samples", [
+    ("reference", 50), ("deep_reference", 12), ("signaling_pennies", 50),
+    ("random_20", 50), ("dominant_types", 50), ("perturbed", 50),
+])
+def test_strategy_independence_matches_brute_force(corpus_solves, deep_solved,
+                                                   case, samples):
+    if case == "deep_reference":
+        spec, result = deep_solved
+    elif case == "random_20":   # its belief pairs differ
+        spec = instances.random_instance(20)
+        result = solve(spec)
+    else:
+        spec, result = corpus_solves[
+            "reference" if case == "perturbed" else case]
+    if case == "perturbed":
+        policy = RowPerturbedPolicy(spec, result.generator, eps=0.05)
+    else:
+        policy = EquilibriumPolicy(spec, result.generator)
+    out = check_strategy_independence(spec, policy, samples=samples, seed=0)
+    assert repr(out) == repr(oracles.two_path_brute(spec, policy,
+                                                    samples=samples, seed=0))
+
+
+class NoUpdatePolicy(EquilibriumPolicy):
+    """Plays the solved prescriptions but never updates the common belief."""
+
+    def common_belief(self, history):
+        return super().common_belief(())
+
+
+def test_strategy_independence_catches_a_frozen_belief(corpus_solves):
+    spec, result = corpus_solves["signaling_pennies"]
+    out = check_strategy_independence(spec, NoUpdatePolicy(spec, result.generator))
+    assert not out["ok"]
+    assert out["max_diff"] > 1e-12
+    cert = run_certification(spec, NoUpdatePolicy(spec, result.generator))
+    assert not cert["belief_consistency"]["ok"]
+    assert not cert["all_checks_ok"]
+
+
+@pytest.mark.parametrize("case, recursions, conditionings", [
+    ("deep_reference", 0, 1360), ("signaling_pennies", 125, 32),
+])
+def test_strategy_independence_builds_pairs_once(corpus_solves, deep_solved,
+                                                 monkeypatch, case, recursions,
+                                                 conditionings):
+    spec, result = (deep_solved if case == "deep_reference"
+                    else corpus_solves[case])
+    policy = EquilibriumPolicy(spec, result.generator)
+    verify_pbe(spec, policy)
+    calls = {"expected_rewards": 0, "condition_on_type": 0}
+    for name in calls:
+        real = getattr(spbe.verify, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(spbe.verify, name, counting)
+    check_strategy_independence(spec, policy)
+    # the recursion runs only where a belief pair differs, and each
+    # (player, stage) pair's beliefs are conditioned once, not per sample
+    assert calls == {"expected_rewards": recursions,
+                     "condition_on_type": conditionings}
 
 
 def test_tree_budget_guard():
