@@ -40,7 +40,6 @@ from .backward import (
     NoFixedPointError,
     ResourceLimitError,
     SolveResult,
-    TableGenerator,
     belief_key,
     build_solve_report,
     grid_points,
@@ -103,7 +102,6 @@ __all__ = [
     "NoFixedPointError",
     "ResourceLimitError",
     "SolveResult",
-    "TableGenerator",
     "belief_key",
     "build_solve_report",
     "grid_points",

@@ -30,9 +30,10 @@ Both solve with :func:`~spbe.stage.solve_stage`, passing their own
     lookups snap to the nearest grid point: approximate but total.
 
 A policy document holds the store's converged points, checked against the
-game when loaded. An exact-mode document reloads as a ``TableGenerator``
-(exact key lookup), optionally backed by a lazy exact fallback
-(``HybridGenerator``); a grid-mode one reloads as a ``GridGenerator``.
+game when loaded. An exact-mode document reloads as an ``ExactGenerator``
+whose store holds the document's entries and solves, through the same
+store, any belief the document lacks; a grid-mode one reloads as a built
+``GridGenerator``.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ class Generator:
     """
 
     spec: GameSpec
+    # stage points solved since a policy file was loaded; None otherwise
+    completions: int | None = None
 
     def solution_at(self, t: int, pi: Belief) -> StageSolution:
         raise NotImplementedError
@@ -154,7 +157,9 @@ class ExactGenerator(Generator):
     Every distinct (stage, quantized belief) pair is solved at most once;
     the memo makes repeated queries, forward play, and verification
     bit-identical. A failed stage point raises :class:`NoFixedPointError`
-    and aborts whatever query needed it.
+    and aborts whatever query needed it. A store loaded from a policy file
+    (:func:`load_policy`) starts with the file's points, and counts in
+    ``completions`` every point it solves after that.
     """
 
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
@@ -162,8 +167,10 @@ class ExactGenerator(Generator):
         self.spec = spec
         self.config = config or SolverConfig()
         self.cache_budget = cache_budget
-        # (stage, key) -> (the belief first solved at that key, its solution)
-        self._cache: dict[tuple[int, BeliefKey], tuple[Belief, StageSolution]] = {}
+        # (stage, key) -> (the belief first solved at that key, None if
+        # loaded from a policy file; its solution)
+        self._cache: dict[tuple[int, BeliefKey],
+                          tuple[Belief | None, StageSolution]] = {}
 
     def solution_at(self, t: int, pi: Belief) -> StageSolution:
         if not 1 <= t <= self.spec.horizon:
@@ -180,20 +187,20 @@ class ExactGenerator(Generator):
             got = (pi, solve_stage_fixed_point(self.spec, t, pi,
                                                self.lookup(t + 1), self.config))
             self._cache[key] = got
+            if self.completions is not None:
+                self.completions += 1
         solution = got[1]
         if not solution.converged:
             raise NoFixedPointError(t, key[1], solution.status)
         return solution
 
-    def __contains__(self, point: tuple[int, Belief]) -> bool:
-        """Whether (stage, belief) has been solved, successfully or not."""
-        t, pi = point
-        return (t, belief_key(pi.weights)) in self._cache
-
     def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
-        """Solved points, each with the unrounded belief it was solved at."""
-        return [(t, pi, solution)
-                for (t, _key), (pi, solution) in sorted(self._cache.items())]
+        """Solved points, each with the unrounded belief it was solved at;
+        a loaded point's belief is its key."""
+        type_counts = self.spec.type_counts
+        return [(t, Belief(np.array(key), type_counts) if pi is None else pi,
+                 solution)
+                for (t, key), (pi, solution) in sorted(self._cache.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -339,53 +346,6 @@ class GridGenerator(Generator):
     def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
         return [(t, pi, solution) for t in sorted(self.tables)
                 for pi, solution in zip(self._beliefs, self.tables[t])]
-
-
-# ---------------------------------------------------------------------------
-# Saved-policy generators
-# ---------------------------------------------------------------------------
-
-class TableGenerator(Generator):
-    """Prescriptions served from a saved policy document, exact keys only."""
-
-    def __init__(self, spec: GameSpec, entries: dict[tuple[int, BeliefKey], StageSolution]):
-        self.spec = spec
-        self.entries = entries
-
-    def solution_at(self, t: int, pi: Belief) -> StageSolution:
-        key = (t, belief_key(pi.weights))
-        got = self.entries.get(key)
-        if got is None:
-            raise KeyError(
-                f"policy table has no entry for stage {t} at belief {list(key[1])}"
-            )
-        return got
-
-
-class HybridGenerator(Generator):
-    """Table lookups with a lazy exact fallback for missing keys.
-
-    Used when verifying a loaded policy file: the file pins behaviour at
-    the beliefs it covers, and any belief the verification walk needs that
-    the file lacks is solved fresh. ``completions`` counts the fallbacks.
-    """
-
-    def __init__(self, table: TableGenerator, fallback: ExactGenerator):
-        self.table = table
-        self.fallback = fallback
-        self.completions = 0
-
-    @property
-    def spec(self) -> GameSpec:
-        return self.table.spec
-
-    def solution_at(self, t: int, pi: Belief) -> StageSolution:
-        try:
-            return self.table.solution_at(t, pi)
-        except KeyError:
-            if (t, pi) not in self.fallback:
-                self.completions += 1
-            return self.fallback.solution_at(t, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +534,8 @@ def _read_entry(entry: dict, spec: GameSpec) -> tuple[tuple[int, BeliefKey], Sta
                          f"needs {need}")
     if not all(math.isfinite(v) for arr in values for v in arr.tolist()):
         raise ValueError("values are not all finite")
+    if entry["status"] != "converged":
+        raise ValueError(f"status {entry['status']!r} is not a solved point")
     for arr in values:
         arr.setflags(write=False)
     return (t, key), StageSolution(
@@ -586,13 +548,17 @@ def _read_entry(entry: dict, spec: GameSpec) -> tuple[tuple[int, BeliefKey], Sta
     )
 
 
-def load_policy(doc: dict, spec: GameSpec) -> TableGenerator | GridGenerator:
+def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
+                cache_budget: int = DEFAULT_CACHE_BUDGET
+                ) -> ExactGenerator | GridGenerator:
     """Rebuild a generator from a policy document for this game.
 
-    A grid-mode document gives a :class:`GridGenerator` that snaps queries
-    to its grid, as the generator that wrote it did; other documents give
-    a :class:`TableGenerator` keyed by exact beliefs. An entry that lacks a
-    field or does not fit the game raises ``ValueError`` naming its index.
+    A grid-mode document gives a built :class:`GridGenerator` that snaps
+    queries to its grid, as the generator that wrote it did. Any other
+    gives an :class:`ExactGenerator` whose store holds the entries and
+    solves, with ``config``, the beliefs they lack. Entries count against
+    ``cache_budget``. An entry that lacks a field, does not fit the game
+    or was not solved raises ``ValueError`` naming its index.
     """
     if type(doc) is not dict or doc.get("format") != POLICY_FORMAT:
         raise ValueError("not a policy document")
@@ -610,14 +576,21 @@ def load_policy(doc: dict, spec: GameSpec) -> TableGenerator | GridGenerator:
             raise ValueError(f"policy entry {k}: {err}") from err
         entries[point] = solution
     if doc.get("mode") == "grid" and "resolution" in doc:
-        return _grid_from_entries(spec, int(doc["resolution"]), entries)
-    return TableGenerator(spec, entries)
+        return _grid_from_entries(spec, int(doc["resolution"]), entries,
+                                  config, cache_budget)
+    generator = ExactGenerator(spec, config, cache_budget)
+    generator._cache = {point: (None, solution)
+                        for point, solution in entries.items()}
+    generator.completions = 0
+    return generator
 
 
-def _grid_from_entries(spec: GameSpec, resolution: int, entries: dict) -> GridGenerator:
+def _grid_from_entries(spec: GameSpec, resolution: int, entries: dict,
+                       config: SolverConfig | None,
+                       cache_budget: int) -> GridGenerator:
     """A built grid generator holding a document's entries; grid points the
     document lacks (they failed to solve) keep a failed placeholder."""
-    generator = GridGenerator(spec, resolution=resolution)
+    generator = GridGenerator(spec, config, resolution, cache_budget)
     missing = StageSolution(
         prescription=Prescription.uniform(spec.type_counts, spec.action_counts),
         values=tuple(np.zeros(c) for c in spec.type_counts),
@@ -639,5 +612,22 @@ def save_policy(result: SolveResult, path) -> None:
     Path(path).write_text(render_report(policy_document(result)) + "\n")
 
 
-def load_policy_file(path, spec: GameSpec) -> TableGenerator | GridGenerator:
-    return load_policy(json.loads(Path(path).read_text()), spec)
+def load_policy_file(path, spec: GameSpec, config: SolverConfig | None = None,
+                     cache_budget: int = DEFAULT_CACHE_BUDGET
+                     ) -> ExactGenerator | GridGenerator:
+    """:func:`load_policy` of the document in a file."""
+    return load_policy(json.loads(Path(path).read_text()), spec, config,
+                       cache_budget)
+
+
+def HybridGenerator(table: ExactGenerator, fallback: ExactGenerator) -> ExactGenerator:
+    """The loaded ``table``, given ``fallback``'s solver config and cache
+    budget for the points it lacks.
+
+    Kept only because ``perfbench/run.py`` builds the generator it
+    certifies a policy file with through this name; new code passes the
+    config and budget to :func:`load_policy_file`.
+    """
+    table.config = fallback.config
+    table.cache_budget = fallback.cache_budget
+    return table

@@ -20,9 +20,6 @@ from pathlib import Path
 
 from .backward import (
     DEFAULT_CACHE_BUDGET,
-    ExactGenerator,
-    GridGenerator,
-    HybridGenerator,
     NoFixedPointError,
     ResourceLimitError,
     build_solve_report,
@@ -119,8 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="path to a game JSON file")
     p.add_argument("--policy", metavar="PATH", default=None,
                    help="policy file to certify; a grid-mode file snaps "
-                        "to its grid, beliefs any other lacks are re-solved "
-                        "exactly")
+                        "to its grid, beliefs any other lacks are solved "
+                        "exactly on top of its entries, which count "
+                        "against --cache-budget")
     p.add_argument("--verify-tol", type=float, default=1e-6,
                    help="max tolerated deviation gain (default 1e-6)")
     p.add_argument("--samples", type=int, default=50,
@@ -200,15 +198,12 @@ def _cmd_solve(args) -> int:
 
 def _policy_for(spec: GameSpec, args):
     """Generator backing simulate/verify: a policy file when given (a
-    grid-mode file snaps to its grid, any other completes missing beliefs
-    exactly), otherwise a fresh solve in the chosen mode."""
+    grid-mode file snaps to its grid, any other solves the beliefs it
+    lacks exactly, within the solver knobs and cache budget), otherwise a
+    fresh solve in the chosen mode."""
     if args.policy:
-        table = load_policy_file(args.policy, spec)
-        if isinstance(table, GridGenerator):
-            return table, None
-        fallback = ExactGenerator(spec, _config(args),
-                                  cache_budget=args.cache_budget)
-        return HybridGenerator(table, fallback), None
+        return load_policy_file(args.policy, spec, _config(args),
+                                args.cache_budget), None
     result = solve(
         spec,
         mode=args.mode,

@@ -477,7 +477,6 @@ def run_certification(spec: GameSpec, policy: EquilibriumPolicy,
     doc["all_checks_ok"] = bool(
         doc["ok"] and one_shot["ok"] and doc["belief_consistency"]["ok"]
     )
-    completions = getattr(policy.generator, "completions", None)
-    if completions is not None:
-        doc["table_completions"] = completions
+    if policy.generator.completions is not None:
+        doc["table_completions"] = policy.generator.completions
     return doc

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -8,7 +9,6 @@ from spbe import (
     Belief,
     ExactGenerator,
     GridGenerator,
-    HybridGenerator,
     NoFixedPointError,
     ResourceLimitError,
     SolveResult,
@@ -318,18 +318,50 @@ def test_policy_rejects_wrong_game(reference_solved):
         load_policy({"format": "other"}, result.spec)
 
 
-def test_table_lookup_and_hybrid_completion(reference_solved):
-    spec, result = reference_solved
+@pytest.mark.parametrize("mode", ["exact", "grid"])
+def test_policy_rejects_unsolved_entries(mode):
+    spec = instances.reference_instance()
+    doc = policy_document(solve(spec, mode=mode, resolution=2))
+    doc["entries"][0]["status"] = "max_iterations"
+    with pytest.raises(ValueError, match="policy entry 0"):
+        load_policy(doc, spec)
+
+
+def horizon_3_reference():
+    """The reference game lengthened to horizon 3: two matching-pennies
+    stages, then its nudged coordination stage."""
+    ref = instances.reference_instance()
+    return dataclasses.replace(ref, horizon=3,
+                               rewards=ref.rewards[:1] * 2 + ref.rewards[1:])
+
+
+@pytest.mark.parametrize("dropped, completions", [((1,), 1), ((1, 2), 2)],
+                         ids=["stage_1", "stages_1_2"])
+def test_loaded_store_completes_on_its_own_entries(dropped, completions):
+    """A loaded exact file solves the beliefs it lacks in the same store,
+    reading the entries it kept as they were loaded; ``completions``
+    counts every point solved after loading, recursive ones included."""
+    spec = horizon_3_reference()
+    result = solve(spec)
+    assert result.generator.solve_counts == {1: 1, 2: 1, 3: 1}
     doc = policy_document(result)
-    doc["entries"] = [e for e in doc["entries"] if e["t"] == 1]
-    table = load_policy(doc, spec)
+    doc["entries"] = [e for e in doc["entries"] if e["t"] not in dropped]
+    gen = load_policy(doc, spec)
+    loaded = {t: sol for t, _pi, sol in gen.cached_points()}
+    assert gen.completions == 0
     pi = initial_belief(spec)
-    with pytest.raises(KeyError):
-        table.solution_at(2, pi)
-    hybrid = HybridGenerator(table, ExactGenerator(spec))
-    assert hybrid.value(2, pi, 0, 0) == pytest.approx(0.24, abs=1e-12)
-    hybrid.value(2, pi, 1, 1)
-    assert hybrid.completions == 1
+    assert gen.value(1, pi, 0, 0) == pytest.approx(0.24, abs=1e-12)
+    gen.value(1, pi, 1, 1)
+    assert gen.completions == completions
+    assert gen.solve_counts == result.generator.solve_counts
+    for (t, _, got), (_, _, want) in zip(gen.cached_points(),
+                                         result.generator.cached_points()):
+        if t in loaded:
+            assert got is loaded[t]
+        for i in range(spec.num_players):
+            np.testing.assert_array_equal(got.prescription.rows[i],
+                                          want.prescription.rows[i])
+            np.testing.assert_array_equal(got.values[i], want.values[i])
 
 
 def test_report_bytes_deterministic():
@@ -368,7 +400,14 @@ def test_every_generator_reads_one_store():
     exact = solve(spec, config=failing)
     assert exact.status == "failed" and exact.generator.failed_points
     _assert_one_store(exact)
-    _assert_one_store(solve(instances.dominant_types_instance()))
+    dominant = solve(instances.dominant_types_instance())
+    _assert_one_store(dominant)
+    reloaded = load_policy(policy_document(dominant), dominant.spec)
+    again = SolveResult(dominant.spec, "exact", dominant.config, reloaded, "ok")
+    _assert_one_store(again)
+    assert reloaded.solve_counts == dominant.generator.solve_counts
+    assert render_report(policy_document(again)) == \
+        render_report(policy_document(dominant))
     grid = solve(instances.coordination_instance(), mode="grid", resolution=3)
     _assert_one_store(grid)
     reloaded = load_policy(policy_document(grid), grid.spec)

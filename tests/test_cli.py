@@ -184,6 +184,49 @@ def test_verify_ok(games, reference_policy_file, capsys):
     assert doc["table_completions"] == 0
 
 
+def test_verify_rejects_unsolved_policy_entry(games, reference_policy_file,
+                                              tmp_path, capsys):
+    doc = json.loads(Path(reference_policy_file).read_text())
+    doc["entries"][0]["status"] = "max_iterations"
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run(capsys, ["verify", games["reference"], "--policy", str(path)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invalid_input"
+    assert "policy entry 0" in error["message"]
+
+
+def test_loaded_exact_entries_count_against_the_budget(games, reference_policy_file,
+                                                       tmp_path, capsys):
+    """The budget holds the file's entries plus what is solved on top."""
+    doc = json.loads(Path(reference_policy_file).read_text())
+    doc["entries"] = [e for e in doc["entries"] if e["t"] != 1]
+    path = tmp_path / "stage-2-only.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", games["reference"], "--policy", str(path), "--samples", "10",
+            "--cache-budget"]
+    code, out = _run(capsys, argv + [str(len(doc["entries"]))])
+    assert code == 5
+    assert json.loads(out)["error"]["kind"] == "resource_limit"
+    code, out = _run(capsys, argv + [str(len(doc["entries"]) + 1)])
+    assert code == 0
+    assert json.loads(out)["table_completions"] == 1
+
+
+def test_grid_policy_file_held_to_the_budget(games, tmp_path, capsys):
+    # 10 grid points per stage at resolution 2, over two stages
+    path = tmp_path / "grid.json"
+    assert main(["export", games["reference"], "--grid-resolution", "2",
+                 "--out", str(path)]) == 0
+    argv = ["verify", games["reference"], "--policy", str(path), "--samples", "0"]
+    code, out = _run(capsys, argv + ["--cache-budget", "19"])
+    assert code == 5
+    assert json.loads(out)["error"]["kind"] == "resource_limit"
+    code, _ = _run(capsys, argv + ["--cache-budget", "20"])
+    assert code == 0
+
+
 @pytest.mark.parametrize("command, flag, value, code", [
     ("verify", "--samples", "-3", 2),
     ("verify", "--samples", "0", 0),

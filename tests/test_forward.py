@@ -6,12 +6,11 @@ from spbe import (
     EquilibriumPolicy,
     Prescription,
     ResourceLimitError,
-    StageSolution,
-    TableGenerator,
     belief_key,
     expected_payoffs_exact,
     initial_belief,
     instances,
+    load_policy,
     run_certification,
     simulate,
     solve,
@@ -59,16 +58,13 @@ def test_belief_query_separating_and_pooling():
     # pools; the separator's own conditional keeps the prior pattern while
     # the observer pins the separator's type
     spec = instances.reference_instance()
-    rows = (np.array([[1.0, 0.0], [0.0, 1.0]]),
-            np.array([[0.5, 0.5], [0.5, 0.5]]))
-    sol = StageSolution(
-        prescription=Prescription(rows),
-        values=(np.zeros(2), np.zeros(2)),
-        residual=0.0,
-        status="converged",
-    )
-    table = TableGenerator(spec, {(1, belief_key(spec.prior)): sol})
-    policy = EquilibriumPolicy(spec, table)
+    entry = {"t": 1, "belief": list(belief_key(spec.prior)),
+             "rows": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]],
+             "values": [[0.0, 0.0], [0.0, 0.0]],
+             "residual": 0.0, "status": "converged"}
+    doc = {"format": "repeated-game-policy", "game": spec.digest(),
+           "mode": "exact", "entries": [entry]}
+    policy = EquilibriumPolicy(spec, load_policy(doc, spec))
     own = policy.belief_query(((0, 0),), 0, 0)
     np.testing.assert_array_equal(own.weights, [0.8, 0.2])
     observer = policy.belief_query(((0, 0),), 1, 0)

@@ -1,8 +1,10 @@
-"""The names the traced benchmark wraps exist, and are put back after.
+"""The names the benchmark calls and wraps exist, and are put back after.
 
 ``perfbench/run.py --trace 1`` records spans by replacing ``spbe`` names
 from outside the program; a name that disappears would crash the traced
-run, so its hooks are installed and restored here.
+run, so its hooks are installed and restored here. A one-game round of a
+policy-file workload runs here too, so that a break in the calls it makes
+shows before the benchmark ends as failed.
 """
 
 import importlib.util
@@ -44,3 +46,18 @@ def test_trace_hooks_install_and_restore():
             (verify, "condition_on_type")} <= targets
     for owner, attr, original in patches:
         assert owner.__dict__[attr] is original
+
+
+def test_policy_file_round_runs(tmp_path, monkeypatch):
+    """One round of a policy-file workload saves, reloads and certifies
+    through the names the benchmark calls, with no failed operation."""
+    from spbe import instances
+
+    run = _load_run()
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    wl = run.Workload("reference_policy",
+                      lambda: {"reference": instances.reference_instance()},
+                      policy_files=True, verify_reps=1, sim_reps=1, episodes=50)
+    rnd = run.run_round(wl, run.write_games(wl), run.NoTracer(), 0, 0)
+    assert run.operations(wl, rnd) == (3, 0, [])
+    assert rnd.certs[0]["reference"]["table_completions"] == 0

@@ -6,8 +6,6 @@ import pytest
 import spbe.verify
 from spbe import (
     EquilibriumPolicy,
-    ExactGenerator,
-    HybridGenerator,
     Prescription,
     ResourceLimitError,
     best_deviation_value,
@@ -273,9 +271,7 @@ def test_tree_budget_guard():
 def test_certificate_document(reference_solved):
     spec, result = reference_solved
     doc = policy_document(result)
-    table = load_policy(doc, spec)
-    hybrid = HybridGenerator(table, ExactGenerator(spec))
-    cert = run_certification(spec, EquilibriumPolicy(spec, hybrid),
+    cert = run_certification(spec, EquilibriumPolicy(spec, load_policy(doc, spec)),
                              consistency_samples=10)
     assert cert["all_checks_ok"]
     assert cert["game"] == spec.digest()
