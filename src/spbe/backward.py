@@ -27,7 +27,9 @@ Both solve with :func:`~spbe.stage.solve_stage`, passing their own
 ``GridGenerator``
     stores one table per stage over a simplex grid's fixed beliefs, each
     stage solved as one batch, final stage first. Queries and stage-(t+1)
-    lookups snap to the nearest grid point: approximate but total.
+    lookups snap to the grid point nearest in L1, the lowest index on
+    ties: approximate but total. :func:`nearest_grid_index` finds it by
+    rounding the scaled belief, not by scanning the grid.
 
 A policy document holds the store's converged points, checked against the
 game when loaded. An exact-mode document reloads as an ``ExactGenerator``
@@ -38,7 +40,9 @@ store, any belief the document lacks; a grid-mode one reloads as a built
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -207,9 +211,12 @@ class ExactGenerator(Generator):
 # Grid generator
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
 def grid_points(num_weights: int, resolution: int) -> np.ndarray:
     """All belief vectors with weights k/resolution, lexicographically
-    ascending. Row count is C(resolution + num_weights - 1, num_weights - 1)."""
+    ascending. Row count is C(resolution + num_weights - 1, num_weights - 1).
+    The array is read-only and shared by every call with the same
+    arguments."""
     if num_weights < 1 or resolution < 1:
         raise ValueError("need at least one weight and resolution >= 1")
     rows = []
@@ -227,7 +234,8 @@ def grid_points(num_weights: int, resolution: int) -> np.ndarray:
     return grid
 
 
-SNAP_BLOCK = 1 << 16   # (query, grid point, weight) differences per chunk
+SNAP_SUM_TOL = 1e-8      # a snapped row's weights sum to 1 within this
+SNAP_TIE_MARGIN = 1e-9   # times r: fractional parts this near the cut may tie
 
 
 def _l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,23 +254,184 @@ def _l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist
 
 
-def nearest_grid_index(grid: np.ndarray, weights: np.ndarray):
-    """Index of the grid row closest in L1; first (lex smallest) on ties.
+@functools.lru_cache(maxsize=16)
+def _grid_ranks(num_weights: int, num_points: int) -> tuple[int, np.ndarray]:
+    """The resolution r of ``grid_points(num_weights, r)`` with
+    ``num_points`` rows, and the table that ranks a composition among them.
 
+    Counting the compositions that precede c lexicographically (the
+    combinatorial number system) and telescoping the sum gives row
+    ``num_points - 1 + sum_k offsets[k - 1, R_k]`` over k = 1..X-1, where
+    R_k = r - c_0 - ... - c_{k-1} and offsets[k - 1, R] =
+    C(R + X-k-1, X-k-1) - C(R + X-k, X-k).
+    """
+    x = num_weights
+    r = 1 + bisect.bisect_left(range(1, num_points), num_points,
+                               key=lambda n: math.comb(n + x - 1, x - 1))
+    if x < 1 or math.comb(r + x - 1, x - 1) != num_points:
+        raise ValueError(f"{num_points} rows of {num_weights} weights are "
+                         "no grid_points(num_weights, resolution)")
+    # keeps every float near-tie inside the floor/ceil box (see
+    # nearest_grid_index)
+    if r * (SNAP_SUM_TOL + (x + 1) * SNAP_TIE_MARGIN) >= 0.5:
+        raise ValueError(f"resolution {r} is too fine to snap by rounding")
+    offsets = np.array([[math.comb(big + x - k - 1, x - k - 1)
+                         - math.comb(big + x - k, x - k)
+                         for big in range(r + 1)] for k in range(1, x)],
+                       dtype=np.intp).reshape(x - 1, r + 1)
+    offsets.setflags(write=False)
+    return r, offsets
+
+
+def _rank(counts: np.ndarray, resolution: int, offsets: np.ndarray) -> np.ndarray:
+    """Grid row of each composition in ``counts`` (integers, last axis)."""
+    width = counts.shape[-1]
+    left = np.full(counts.shape[:-1], resolution, dtype=np.intp)
+    index = np.full_like(left, math.comb(resolution + width - 1, width - 1) - 1)
+    for k, table in enumerate(offsets):
+        left -= counts[..., k]
+        index += table[left]
+    return index
+
+
+def _bad_row(rows: np.ndarray) -> str:
+    """Names the first row outside the snap's input contract, and why."""
+    finite = np.isfinite(rows).all(axis=1)
+    negative = (rows < 0.0).any(axis=1)
+    sums = rows.sum(axis=1)
+    bad = ~finite | negative | ~(np.abs(sums - 1.0) <= SNAP_SUM_TOL)
+    k = int(np.argmax(bad))
+    why = ("has a non-finite weight" if not finite[k] else
+           "has a negative weight" if negative[k] else
+           f"sums to {float(sums[k])!r}")
+    return f"row {k} of the weights {why}: {rows[k].tolist()}"
+
+
+def nearest_grid_index(grid: np.ndarray, weights: np.ndarray):
+    """Index of the ``grid`` row closest in L1 to ``weights``; the lowest
+    index among float-equal ``_l1`` distances on ties.
+
+    ``grid`` must be ``grid_points(X, r)``; r is read off its row count.
     ``weights`` is one belief, giving an int, or a 2-d array of beliefs,
-    giving one index per row; rows are compared with the grid in chunks of
-    at most ``SNAP_BLOCK`` differences so that the temporaries stay small.
+    giving an ``intp`` array with one index per row (empty for no rows).
+    Each row needs X finite, non-negative weights that sum to 1 within
+    ``SNAP_SUM_TOL``; any other row raises ``ValueError`` naming it.
+
+    The rule, for y = r * row: take floor(y), then give the m = r - sum
+    floor(y) leftover units to the m largest fractional parts f. Every
+    L1-nearest grid point lies in that floor/ceil box, and among its
+    points the rule is exact: a unit moved from a coordinate rounded up to
+    one rounded down costs 2 (f_up - f_down) / r. So two grid points can
+    tie in floats only where fractional parts lie within
+    ``SNAP_TIE_MARGIN * r`` of the cut (a move out of the box that costs
+    almost nothing needs a row sum off 1 by about 1/r). A row with such
+    parts evaluates every composition they allow with ``_l1``, in the
+    scan's summation order, and keeps the lowest index among the minima.
+    The composition's row comes from the combinatorial number system, so
+    a row costs O(X log X) instead of the O(N X) of comparing it with all
+    N grid points. One row is rounded in Python floats, the same IEEE
+    operations as NumPy's without its per-call cost.
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.ndim == 1:
-        return int(np.argmin(np.abs(grid - weights).sum(axis=1)))
-    rows = weights
+    num_points, width = grid.shape
+    resolution, offsets = _grid_ranks(width, num_points)
+    if grid is not grid_points(width, resolution) and not np.array_equal(
+            grid, grid_points(width, resolution)):
+        raise ValueError("grid is not grid_points(num_weights, resolution)")
+    if weights.ndim not in (1, 2) or weights.shape[-1] != width:
+        raise ValueError(f"weights of shape {weights.shape} are not rows of "
+                         f"{width} weights")
+    rows = weights.reshape(-1, width)
+    if rows.shape[0] == 1:
+        vals = rows[0].tolist()
+        if not (min(vals) >= 0.0 and abs(sum(vals) - 1.0) <= SNAP_SUM_TOL):
+            raise ValueError(_bad_row(rows))
+        index = _nearest_one(grid, vals, resolution, offsets)
+        return index if weights.ndim == 1 else np.array([index], dtype=np.intp)
+    if not ((np.abs(rows.sum(axis=1) - 1.0) <= SNAP_SUM_TOL).all()
+            and (rows >= 0.0).all()):
+        raise ValueError(_bad_row(rows))
+    low, frac, up_min, down_max = _cut(rows, resolution)
+    low += frac >= up_min
+    out = _rank(low.astype(np.intp), resolution, offsets)
+    tied = np.flatnonzero(up_min - down_max <= SNAP_TIE_MARGIN * resolution)
+    if tied.size:
+        out[tied] = _nearest_of_tied(grid, rows[tied], resolution, offsets)
+    return out
+
+
+def _cut(rows: np.ndarray, resolution: int):
+    """floor(y) and its fractional parts for y = resolution * rows, and per
+    row (as a column) the smallest part rounded up, +inf if none is, and
+    the largest rounded down, -inf if none is."""
+    frac = rows * resolution
+    low = np.floor(frac)
+    frac -= low
+    width = rows.shape[1]
+    ups = (resolution - low.sum(axis=1)).astype(np.intp)[:, None]
+    ordered = np.sort(frac, axis=1)
+    up_min = np.take_along_axis(ordered, np.minimum(width - ups, width - 1),
+                                axis=1)
+    down_max = np.take_along_axis(ordered, np.maximum(width - ups - 1, 0),
+                                  axis=1)
+    up_min[ups == 0] = np.inf
+    down_max[ups == width] = -np.inf
+    return low, frac, up_min, down_max
+
+
+def _nearest_one(grid: np.ndarray, vals: list[float], resolution: int,
+                 offsets: np.ndarray) -> int:
+    """``nearest_grid_index`` of one row, given as a list of floats."""
+    scaled = [v * resolution for v in vals]
+    low = [math.floor(v) for v in scaled]
+    frac = [v - c for v, c in zip(scaled, low)]
+    ups = resolution - sum(low)
+    ordered = sorted(frac)
+    up_min = ordered[len(frac) - ups] if ups else math.inf
+    down_max = ordered[len(frac) - ups - 1] if ups < len(frac) else -math.inf
+    if up_min - down_max <= SNAP_TIE_MARGIN * resolution:
+        return int(_nearest_of_tied(grid, np.array([vals]), resolution,
+                                    offsets)[0])
+    index, left = grid.shape[0] - 1, resolution
+    for table, c, f in zip(offsets, low, frac):
+        left -= c + (f >= up_min)
+        index += int(table[left])
+    return index
+
+
+def _nearest_of_tied(grid: np.ndarray, rows: np.ndarray, resolution: int,
+                     offsets: np.ndarray) -> np.ndarray:
+    """Lowest index among the float-nearest candidates of each row.
+
+    Coordinates whose fractional part lies within the margin of both
+    sides of the cut may round either way; the rest round as the rule
+    says. Rows are grouped by how many such coordinates they have and how
+    many of them round up, so that a group evaluates its candidate
+    patterns at once.
+    """
+    low, frac, up_min, down_max = _cut(rows, resolution)
+    margin = SNAP_TIE_MARGIN * resolution
+    sure_up = frac > down_max + margin
+    free = (frac >= up_min - margin) & ~sure_up
+    base = (low + sure_up).astype(np.intp)
+    width = rows.shape[1]
+    group_of = free.sum(axis=1) * (width + 1) + resolution - base.sum(axis=1)
     out = np.empty(rows.shape[0], dtype=np.intp)
-    step = max(1, SNAP_BLOCK // grid.size)
-    for start in range(0, rows.shape[0], step):
-        chunk = rows[start:start + step]
-        out[start:start + step] = np.argmin(
-            _l1(grid[None, :, :], chunk[:, None, :]), axis=1)
+    # a set, not np.unique, which imports numpy.ma (about 1 MB resident)
+    for group in set(group_of.tolist()):
+        members = np.flatnonzero(group_of == group)
+        size, ups = divmod(group, width + 1)
+        patterns = np.zeros((math.comb(size, ups), size), dtype=np.intp)
+        for p, chosen in enumerate(itertools.combinations(range(size), ups)):
+            patterns[p, list(chosen)] = 1
+        where = np.nonzero(free[members])[1].reshape(members.size, 1, size)
+        cand = np.repeat(base[members][:, None, :], len(patterns), axis=1)
+        cand[np.arange(members.size)[:, None, None],
+             np.arange(len(patterns))[None, :, None], where] += patterns[None]
+        idx = _rank(cand, resolution, offsets)
+        dist = _l1(grid[idx], rows[members][:, None, :])
+        out[members] = np.where(dist == dist.min(axis=1, keepdims=True), idx,
+                                grid.shape[0]).min(axis=1)
     return out
 
 

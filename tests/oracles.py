@@ -5,10 +5,12 @@ Python loops, deliberately avoiding the library's own update, stage and
 value machinery. GameSpec is used only as a data container (shapes,
 reward lookups, discount).
 
-The exception is :func:`two_path_brute`, the verifier's two-path check
-as a plain loop over samples and histories. It reuses the verifier's own
-pieces on purpose: it pins the check's results, including which work it
-may leave out, rather than re-deriving its arithmetic.
+The exceptions are :func:`two_path_brute`, the verifier's two-path check
+as a plain loop over samples and histories, and :func:`nearest_grid_brute`,
+the grid snap as a scan of every grid point. They reuse the library's own
+pieces on purpose: they pin its results, including which work it may
+leave out and how it breaks float ties, rather than re-deriving its
+arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import itertools
 
 import numpy as np
 
+from spbe.backward import _l1
 from spbe.beliefs import condition_on_type
 from spbe.forward import expected_rewards
 from spbe.game import embedding_map, unflatten_joint
@@ -284,3 +287,22 @@ def two_path_brute(spec, policy, i=None, t=None, samples=50, seed=0,
         "tolerance": tol,
         "samples": sample_reports,
     }
+
+
+def nearest_grid_brute(grid, weights):
+    """Index of the grid row closest in L1; first (lex smallest) on ties,
+    by comparing every row of ``weights`` with every grid point.
+
+    One belief gives an int; a 2-d array gives one index per row, compared
+    with the grid in chunks of at most 2**16 differences.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim == 1:
+        return int(np.argmin(np.abs(grid - weights).sum(axis=1)))
+    out = np.empty(weights.shape[0], dtype=np.intp)
+    step = max(1, (1 << 16) // grid.size)
+    for start in range(0, weights.shape[0], step):
+        chunk = weights[start:start + step]
+        out[start:start + step] = np.argmin(
+            _l1(grid[None, :, :], chunk[:, None, :]), axis=1)
+    return out

@@ -5,8 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import spbe.backward
 from spbe import (
     Belief,
+    EquilibriumPolicy,
     ExactGenerator,
     GridGenerator,
     NoFixedPointError,
@@ -22,9 +24,11 @@ from spbe import (
     nearest_grid_index,
     policy_document,
     render_report,
+    run_certification,
     solve,
     solve_stage_fixed_point,
 )
+from spbe.game import PRIOR_TOL
 
 import oracles
 
@@ -273,6 +277,111 @@ def test_nearest_grid_index_rows_match_single_queries():
         direct = [int(np.argmin(np.abs(pts - q).sum(axis=1))) for q in queries]
         assert batched.tolist() == direct
         assert [nearest_grid_index(pts, q) for q in queries] == direct
+
+
+SNAP_GRIDS = ((1, 3), (2, 4), (3, 1), (4, 5), (4, 20), (8, 2), (8, 10))
+
+
+def _assert_snaps_like_brute_force(grid, rows, singles=None):
+    """Batched and one-row snaps of ``rows`` give the scan's indices; the
+    one-row check runs on the first ``singles`` rows (all by default)."""
+    batched = nearest_grid_index(grid, rows)
+    assert batched.dtype == np.intp and batched.shape == (len(rows),)
+    assert batched.tolist() == oracles.nearest_grid_brute(grid, rows).tolist()
+    for row in rows[:singles]:
+        got = nearest_grid_index(grid, row)
+        assert type(got) is int
+        assert got == oracles.nearest_grid_brute(grid, row)
+
+
+def _tie_rows(grid, rng, limit=120):
+    """Grid points, midpoints and 2:1 mixes of pairs of grid points (a
+    seeded sample of them on large grids), each also moved one ulp up and
+    one ulp down; a zero weight is not moved down."""
+    points = grid if len(grid) <= limit else grid[rng.choice(len(grid), limit)]
+    a = grid[rng.choice(len(grid), limit)]
+    b = grid[rng.choice(len(grid), limit)]
+    rows = np.vstack([points, (a + b) / 2, (2 * a + b) / 3, (a + 2 * b) / 3])
+    down = np.where(rows > 0.0, np.nextafter(rows, -np.inf), rows)
+    return np.vstack([rows, np.nextafter(rows, np.inf), down])
+
+
+@pytest.mark.parametrize("num_weights, resolution", SNAP_GRIDS)
+def test_nearest_grid_index_matches_brute_force(num_weights, resolution):
+    """Rounding to the grid gives the scan's index, ties included: the
+    lowest index among float-equal L1 distances."""
+    rng = np.random.default_rng(num_weights * 100 + resolution)
+    grid = grid_points(num_weights, resolution)
+    # the scan is slow on the 19,448 points of (8, 10)
+    limit = 120 if len(grid) < 2000 else 25
+    dirichlet = rng.dirichlet(np.ones(num_weights), size=limit)
+    _assert_snaps_like_brute_force(grid, dirichlet)
+    _assert_snaps_like_brute_force(grid, _tie_rows(grid, rng, limit),
+                                   singles=limit)
+    empty = nearest_grid_index(grid, np.empty((0, num_weights)))
+    assert empty.dtype == np.intp and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("spec, resolution", [
+    (instances.coordination_instance(), 3),
+    (instances.signaling_pennies_instance(), 2),
+], ids=["coordination", "signaling_pennies"])
+def test_grid_snaps_of_build_and_certification_match_brute_force(
+        spec, resolution, monkeypatch):
+    """Every snap of a grid build and of its certification gives the
+    scan's index."""
+    calls = []
+
+    def recording(grid, weights):
+        got = nearest_grid_index(grid, weights)
+        calls.append((grid, np.array(weights), got))
+        return got
+
+    monkeypatch.setattr(spbe.backward, "nearest_grid_index", recording)
+    result = solve(spec, mode="grid", resolution=resolution)
+    built = len(calls)
+    run_certification(spec, EquilibriumPolicy(spec, result.generator))
+    assert len(calls) > built > 0
+    for grid, weights, got in calls:
+        want = oracles.nearest_grid_brute(grid, weights)
+        assert np.array_equal(got, want)
+
+
+def test_nearest_grid_index_rejects_rows_outside_its_rule():
+    grid = grid_points(4, 5)
+    bad = [
+        ([np.nan, 0.5, 0.25, 0.25], "has a non-finite weight"),
+        ([np.inf, 0.5, 0.25, 0.25], "has a non-finite weight"),
+        ([-0.1, 0.6, 0.25, 0.25], "has a negative weight"),
+        ([0.3, 0.3, 0.3, 0.3], "sums to 1.2"),
+    ]
+    for row, why in bad:
+        with pytest.raises(ValueError, match=f"row 0 of the weights {why}"):
+            nearest_grid_index(grid, row)
+        batch = np.vstack([grid[:2], [row], grid[:1]])
+        with pytest.raises(ValueError, match="row 2 of the weights"):
+            nearest_grid_index(grid, batch)
+    for weights in ([0.5, 0.25, 0.25], np.full((3, 5), 0.2),
+                    np.full((1, 1, 4), 0.25)):
+        with pytest.raises(ValueError, match="not rows of 4 weights"):
+            nearest_grid_index(grid, weights)
+    # a prior is normalized to PRIOR_TOL only, and still snaps
+    for off in (PRIOR_TOL, -PRIOR_TOL):
+        row = np.array([0.2 + off, 0.3, 0.25, 0.25])
+        assert nearest_grid_index(grid, row) == \
+            oracles.nearest_grid_brute(grid, row)
+
+
+def test_nearest_grid_index_needs_a_simplex_grid():
+    for grid in (grid_points(3, 4)[::-1].copy(), np.full((5, 3), 1 / 3)):
+        with pytest.raises(ValueError, match="grid_points"):
+            nearest_grid_index(grid, [0.2, 0.3, 0.5])
+    # a grid equal to grid_points but not the same array still snaps
+    copy = grid_points(3, 4).copy()
+    assert nearest_grid_index(copy, [0.2, 0.3, 0.5]) == \
+        oracles.nearest_grid_brute(copy, [0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match="too fine"):
+        spbe.backward._grid_ranks(2, 10**8)
 
 
 def test_grid_solve_report():
