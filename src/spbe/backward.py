@@ -32,7 +32,7 @@ Both solve with :func:`~spbe.stage.solve_stage`, passing their own
     rounding the scaled belief, not by scanning the grid.
 
 A policy document holds the store's converged points, checked against the
-game when loaded. An exact-mode document reloads as an ``ExactGenerator``
+game in one pass when loaded. An exact-mode document reloads as an ``ExactGenerator``
 whose store holds the document's entries and solves, through the same
 store, any belief the document lacks; a grid-mode one reloads as a built
 ``GridGenerator``.
@@ -50,10 +50,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
-from .beliefs import Belief, Prescription, initial_belief
+from .beliefs import Belief, Prescription, RowError, initial_belief
 from .game import GameSpec
 from .stage import (Lookup, SolverConfig, StageSolution, solve_stage,
                     solve_stage_fixed_point)
@@ -93,7 +94,7 @@ def belief_key(weights) -> BeliefKey:
     """
     q = np.round(np.asarray(weights, dtype=float), KEY_DIGITS)
     q[q == 0.0] = 0.0
-    return tuple(float(v) for v in q)
+    return tuple(q.tolist())
 
 
 class Generator:
@@ -607,7 +608,7 @@ def solve(
 
 
 def _rows_to_lists(prescription: Prescription) -> list[list[list[float]]]:
-    return [[[float(v) for v in row] for row in player] for player in prescription.rows]
+    return [player.tolist() for player in prescription.rows]
 
 
 def _solution_entry(t: int, pi: Belief, solution: StageSolution) -> dict:
@@ -615,7 +616,7 @@ def _solution_entry(t: int, pi: Belief, solution: StageSolution) -> dict:
         "t": t,
         "belief": list(belief_key(pi.weights)),
         "rows": _rows_to_lists(solution.prescription),
-        "values": [[float(v) for v in arr] for arr in solution.values],
+        "values": [arr.tolist() for arr in solution.values],
         "residual": float(solution.residual),
         "status": solution.status,
         "method": solution.method,
@@ -648,7 +649,7 @@ def build_solve_report(result: SolveResult) -> dict:
         report["root"] = {
             "residual": float(result.root.residual),
             "prescription": _rows_to_lists(result.root.prescription),
-            "values": [[float(v) for v in arr] for arr in result.root.values],
+            "values": [arr.tolist() for arr in result.root.values],
         }
     if result.failure is not None:
         report["failure"] = result.failure
@@ -683,38 +684,130 @@ def policy_document(result: SolveResult) -> dict:
     return doc
 
 
-def _read_entry(entry: dict, spec: GameSpec) -> tuple[tuple[int, BeliefKey], StageSolution]:
-    """One policy entry as ((stage, belief key), solution), checked against
-    the game's horizon and shapes."""
-    t = int(entry["t"])
-    key = tuple(float(v) for v in entry["belief"])
-    rows = tuple(np.asarray(player, dtype=float) for player in entry["rows"])
-    values = tuple(np.asarray(arr, dtype=float) for arr in entry["values"])
-    shapes = [r.shape for r in rows], [v.shape for v in values]
-    need = (list(zip(spec.type_counts, spec.action_counts)),
+def _entry_shapes(spec: GameSpec) -> tuple[list[tuple], list[tuple]]:
+    """The shapes a policy entry's rows and values need, player by player."""
+    return (list(zip(spec.type_counts, spec.action_counts)),
             [(c,) for c in spec.type_counts])
-    if not 1 <= t <= spec.horizon:
-        raise ValueError(f"stage {t} outside 1..{spec.horizon}")
-    if len(key) != spec.num_joint_types:
-        raise ValueError(f"belief has {len(key)} weights for "
-                         f"{spec.num_joint_types} joint types")
-    if shapes != need:
-        raise ValueError(f"rows and values have shapes {shapes}, the game "
-                         f"needs {need}")
-    if not all(math.isfinite(v) for arr in values for v in arr.tolist()):
-        raise ValueError("values are not all finite")
-    if entry["status"] != "converged":
-        raise ValueError(f"status {entry['status']!r} is not a solved point")
-    for arr in values:
-        arr.setflags(write=False)
-    return (t, key), StageSolution(
-        prescription=Prescription(rows),
-        values=values,
-        residual=float(entry["residual"]),
-        status=entry["status"],
-        method=entry.get("method"),
-        restart_index=entry.get("restart_index"),
-    )
+
+
+def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
+                                                    StageSolution]:
+    """A policy document's entries as (stage, belief key) -> solution,
+    checked against the game in one pass.
+
+    Python checks, entry by entry, what needs no arrays: fields present,
+    stage range, belief length, number of players, status and residual;
+    it stops at the first entry that fails. The rows and values of the
+    entries before it become one read-only stack per player, each built
+    by one ``np.array`` call, whose shapes, finiteness and row rule
+    (:meth:`Prescription.batch`) are checked at once. The solutions hold
+    views of the stacks. If any entry fails, :func:`_raise_entry_fault`
+    names the lowest failing one.
+    """
+    n, size = spec.num_players, spec.num_joint_types
+    fields = []
+    for entry in raw:
+        try:
+            t = int(entry["t"])
+            key = tuple(map(float, entry["belief"]))
+            rows, values = entry["rows"], entry["values"]
+            point = (t, key, rows, values, float(entry["residual"]),
+                     entry.get("method"), entry.get("restart_index"))
+            if not (1 <= t <= spec.horizon and len(key) == size
+                    and len(rows) == n and len(values) == n
+                    and entry["status"] == "converged"):
+                break
+        except (KeyError, TypeError, ValueError, OverflowError):
+            break   # named below, as the entry's own checks name it
+        fields.append(point)
+    rows_need, values_need = _entry_shapes(spec)
+
+    def stacks(m: int):
+        rows = _stack([f[2] for f in fields[:m]], rows_need)
+        values = _stack([f[3] for f in fields[:m]], values_need)
+        return None if rows is None or values is None else (rows, values)
+
+    stop = len(fields)
+    if (stacked := stacks(stop)) is None:
+        # the longest prefix that stacks ends at the first entry whose rows
+        # or values do not convert to the game's shapes
+        stop = bisect.bisect_left(range(stop), True,
+                                  key=lambda m: stacks(m + 1) is None)
+        stacked = stacks(stop)
+    row_stacks, value_stacks = stacked
+    finite = np.logical_and.reduce(
+        [np.isfinite(v).all(axis=1) for v in value_stacks])
+    if not finite.all():
+        stop = int(finite.argmin())
+    try:
+        prescriptions = Prescription.batch([s[:stop] for s in row_stacks])
+    except RowError as err:
+        stop = err.index
+    if stop < len(raw):
+        _raise_entry_fault(stop, raw[stop], spec)
+    return {(t, key): StageSolution(prescription=gamma, values=vals,
+                                    residual=residual, status="converged",
+                                    method=method, restart_index=restart)
+            for (t, key, _rows, _values, residual, method, restart), gamma, vals
+            in zip(fields, prescriptions, zip(*value_stacks))}
+
+
+def _stack(parts: list, shapes: list[tuple]) -> list[np.ndarray] | None:
+    """Every entry's part (its rows, or its values) as one read-only float
+    stack per player, of shape (entries, *shape); ``None`` if some entry's
+    part does not convert to these shapes."""
+    out = []
+    for player, shape in zip(zip(*parts) if parts else [()] * len(shapes),
+                             shapes):
+        try:
+            stack = np.array(player, dtype=float) if player else np.empty((0, *shape))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if stack.shape != (len(player), *shape):
+            return None
+        stack.setflags(write=False)
+        out.append(stack)
+    return out
+
+
+def _raise_entry_fault(k: int, entry, spec: GameSpec) -> NoReturn:
+    """Raise the error of policy entry k's first failing check.
+
+    Runs the checks on that entry alone, in this order: the fields ``t``
+    and ``belief``; rows and values as arrays, so that a part that does
+    not convert raises as NumPy says; stage range; belief length; shapes;
+    finite values; status; the row rule of :class:`Prescription`; the
+    residual. A missing field raises ``ValueError("policy entry k has no
+    field ...")``, any other fault ``ValueError("policy entry k: ...")``.
+    """
+    try:
+        t = int(entry["t"])
+        key = tuple(float(v) for v in entry["belief"])
+        rows = [np.asarray(player, dtype=float) for player in entry["rows"]]
+        values = [np.asarray(arr, dtype=float) for arr in entry["values"]]
+        shapes = [r.shape for r in rows], [v.shape for v in values]
+        need = _entry_shapes(spec)
+        if not 1 <= t <= spec.horizon:
+            raise ValueError(f"stage {t} outside 1..{spec.horizon}")
+        if len(key) != spec.num_joint_types:
+            raise ValueError(f"belief has {len(key)} weights for "
+                             f"{spec.num_joint_types} joint types")
+        if shapes != need:
+            raise ValueError(f"rows and values have shapes {shapes}, the game "
+                             f"needs {need}")
+        if not all(np.isfinite(arr).all() for arr in values):
+            raise ValueError("values are not all finite")
+        if entry["status"] != "converged":
+            raise ValueError(f"status {entry['status']!r} is not a solved point")
+        Prescription(tuple(rows))
+        float(entry["residual"])
+    except KeyError as err:
+        raise ValueError(f"policy entry {k} has no field {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"policy entry {k}: {err}") from err
+    # reached only by documents built in Python whose rows or values
+    # iterate unlike lists (with no len(), say); JSON holds none
+    raise ValueError(f"policy entry {k}: its rows or values do not stack")
 
 
 def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
@@ -726,8 +819,11 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
     queries to its grid, as the generator that wrote it did. Any other
     gives an :class:`ExactGenerator` whose store holds the entries and
     solves, with ``config``, the beliefs they lack. Entries count against
-    ``cache_budget``. An entry that lacks a field, does not fit the game
-    or was not solved raises ``ValueError`` naming its index.
+    ``cache_budget``. The entries are checked against the game in one
+    pass (:func:`_read_entries`): rows and values are stacked per player
+    and checked at once. An entry that lacks a field, does not fit the
+    game or was not solved fails the load: the lowest such entry k raises
+    ``ValueError`` naming its index and its first failing check.
     """
     if type(doc) is not dict or doc.get("format") != POLICY_FORMAT:
         raise ValueError("not a policy document")
@@ -735,15 +831,7 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
         raise ValueError("policy document was produced for a different game")
     if type(doc.get("entries")) is not list:
         raise ValueError("policy document has no list of entries")
-    entries: dict[tuple[int, BeliefKey], StageSolution] = {}
-    for k, entry in enumerate(doc["entries"]):
-        try:
-            point, solution = _read_entry(entry, spec)
-        except KeyError as err:
-            raise ValueError(f"policy entry {k} has no field {err}") from err
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"policy entry {k}: {err}") from err
-        entries[point] = solution
+    entries = _read_entries(doc["entries"], spec)
     if doc.get("mode") == "grid" and "resolution" in doc:
         return _grid_from_entries(spec, int(doc["resolution"]), entries,
                                   config, cache_budget)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -69,25 +69,79 @@ class Belief:
         return out
 
 
+class RowError(ValueError):
+    """Prescription rows that are not distributions: ``index`` is the
+    lowest such point of a batch and ``player`` the lowest such player at
+    it."""
+
+    def __init__(self, index: int, player: int, problem: str):
+        super().__init__(f"prescription rows[{player}] {problem}")
+        self.index = index
+        self.player = player
+
+
+def _checked_stacks(stacks: Iterable) -> list[np.ndarray]:
+    """Freezes per-player stacks of shape (B, n_x, n_a) and checks that
+    every row is a distribution: entries >= -1e-12 and a sum within 1e-9
+    of 1, written so that NaN and infinite entries fail.
+
+    Stacks are frozen and checked in player order; a stack that is not
+    3-d, or a bad row at point 0, raises :class:`RowError` at once, and
+    any other bad row once every stack is checked, at its lowest point.
+    """
+    frozen: list[np.ndarray] = []
+    bad: tuple[int, int] | None = None
+    for i, stack in enumerate(stacks):
+        arr = _frozen(stack)
+        if arr.ndim != 3:
+            raise RowError(0, i, "must be 2-d")
+        ok = ((arr >= -1e-12).all(axis=(1, 2))
+              & (np.abs(arr.sum(axis=2) - 1.0) <= 1e-9).all(axis=1))
+        if not ok.all():
+            b = int(ok.argmin())
+            if b == 0:
+                raise RowError(0, i, "is not row-stochastic")
+            if bad is None or b < bad[0]:
+                bad = (b, i)
+        frozen.append(arr)
+    if bad is not None:
+        raise RowError(*bad, "is not row-stochastic")
+    return frozen
+
+
 @dataclass(frozen=True, slots=True)
 class Prescription:
     """One row-stochastic matrix per player: rows[i][xi] is a distribution
-    over player i's actions prescribed to its type xi."""
+    over player i's actions prescribed to its type xi.
+
+    The rows are read-only float arrays. Constructing one checks them
+    with the rule of :meth:`batch`, as a batch of one point."""
 
     rows: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        frozen = []
-        for i, row in enumerate(self.rows):
-            arr = _frozen(row)
-            if arr.ndim != 2:
-                raise ValueError(f"prescription rows[{i}] must be 2-d")
-            sums = arr.sum(axis=1)
-            # written so that NaN and infinite entries fail too
-            if not (np.all(arr >= -1e-12) and np.all(np.abs(sums - 1.0) <= 1e-9)):
-                raise ValueError(f"prescription rows[{i}] is not row-stochastic")
-            frozen.append(arr)
-        object.__setattr__(self, "rows", tuple(frozen))
+        stacks = _checked_stacks(_frozen(row)[None] for row in self.rows)
+        object.__setattr__(self, "rows", tuple(s[0] for s in stacks))
+
+    @classmethod
+    def batch(cls, stacks: Sequence[np.ndarray]) -> list["Prescription"]:
+        """The B prescriptions of per-player stacks of shape (B, n_x, n_a).
+
+        Checks every row of every stack at once, by the rule
+        ``Prescription(...)`` applies to one point: entries >= -1e-12 and
+        sums within 1e-9 of 1, so NaN and infinite entries fail. A failure
+        raises :class:`RowError`, a ``ValueError`` whose ``index`` is the
+        lowest failing point and whose message is the one that point's
+        ``Prescription(...)`` raises. The stacks are frozen (copied only
+        where writeable), and each prescription holds read-only views of
+        them, built without checking again.
+        """
+        out = []
+        for rows in zip(*_checked_stacks(stacks)):
+            gamma = object.__new__(cls)
+            object.__setattr__(gamma, "rows", rows)
+            out.append(gamma)
+        return out
 
     @property
     def type_counts(self) -> tuple[int, ...]:

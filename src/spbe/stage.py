@@ -641,7 +641,8 @@ def _solve_support(ev: StageEvaluator, profile, config: SolverConfig) -> Prescri
 
 def _finalize_rows(ev: StageEvaluator, rows):
     """Fill fallback rows for zero-marginal types and attach values, at
-    every batch point. Returns (final rows, values, residual).
+    every batch point. Returns (one prescription per point, values,
+    residual); the prescriptions' rows are checked once, as a batch.
 
     Zero-marginal rows never influence the belief update or any positive-
     marginal agent's payoff, so replacing them after the fixed point is
@@ -660,17 +661,17 @@ def _finalize_rows(ev: StageEvaluator, rows):
     # solutions hold read-only views of these arrays rather than copies
     for arr in final + values:
         arr.setflags(write=False)
-    return final, values, residual
+    return Prescription.batch(final), values, residual
 
 
 def _solution(ev: StageEvaluator, b: int, finalized, config: SolverConfig,
               status: str, method: str | None, restart_index: int | None,
               support_profile=None) -> StageSolution:
-    final, values, residual = finalized
+    prescriptions, values, residual = finalized
     if status == "converged" and residual[b] > config.fp_tol:
         status = "max_iterations"
     return StageSolution(
-        prescription=Prescription(tuple(r[b] for r in final)),
+        prescription=prescriptions[b],
         values=tuple(v[b] for v in values),
         residual=float(residual[b]),
         status=status,

@@ -10,12 +10,15 @@ as a plain loop over samples and histories, and :func:`nearest_grid_brute`,
 the grid snap as a scan of every grid point. They reuse the library's own
 pieces on purpose: they pin its results, including which work it may
 leave out and how it breaks float ties, rather than re-deriving its
-arithmetic.
+arithmetic. :func:`policy_entries_fault` pins the policy loader's error
+messages the same way: it checks one entry at a time, in the loader's
+documented order, with NumPy's own conversions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -306,3 +309,56 @@ def nearest_grid_brute(grid, weights):
         out[start:start + step] = np.argmin(
             _l1(grid[None, :, :], chunk[:, None, :]), axis=1)
     return out
+
+
+def rows_stochastic(rows) -> tuple[bool, str | None]:
+    """One prescription's rows, player by player: whether they pass the
+    row rule (2-d, entries >= -1e-12, sums within 1e-9 of 1) and, if not,
+    the message of the first player that fails."""
+    for i, row in enumerate(rows):
+        arr = np.asarray(row, dtype=np.float64)
+        if arr.ndim != 2:
+            return False, f"prescription rows[{i}] must be 2-d"
+        sums = arr.sum(axis=1)
+        if not (np.all(arr >= -1e-12) and np.all(np.abs(sums - 1.0) <= 1e-9)):
+            return False, f"prescription rows[{i}] is not row-stochastic"
+    return True, None
+
+
+def policy_entries_fault(entries, spec) -> str | None:
+    """The message loading these policy entries for ``spec`` fails with,
+    or None if every entry is sound: entries are read one at a time, each
+    checked in order (fields, arrays, stage, belief length, shapes, finite
+    values, status, row rule, residual), and the first failing check of
+    the first failing entry names it."""
+    need = (list(zip(spec.type_counts, spec.action_counts)),
+            [(c,) for c in spec.type_counts])
+    for k, entry in enumerate(entries):
+        try:
+            t = int(entry["t"])
+            key = tuple(float(v) for v in entry["belief"])
+            rows = [np.asarray(player, dtype=float) for player in entry["rows"]]
+            values = [np.asarray(arr, dtype=float) for arr in entry["values"]]
+            shapes = [r.shape for r in rows], [v.shape for v in values]
+            if not 1 <= t <= spec.horizon:
+                raise ValueError(f"stage {t} outside 1..{spec.horizon}")
+            if len(key) != spec.num_joint_types:
+                raise ValueError(f"belief has {len(key)} weights for "
+                                 f"{spec.num_joint_types} joint types")
+            if shapes != need:
+                raise ValueError(f"rows and values have shapes {shapes}, the "
+                                 f"game needs {need}")
+            if not all(math.isfinite(v) for arr in values for v in arr.tolist()):
+                raise ValueError("values are not all finite")
+            if entry["status"] != "converged":
+                raise ValueError(f"status {entry['status']!r} is not a solved "
+                                 "point")
+            ok, why = rows_stochastic(rows)
+            if not ok:
+                raise ValueError(why)
+            float(entry["residual"])
+        except KeyError as err:
+            return f"policy entry {k} has no field {err}"
+        except (TypeError, ValueError) as err:
+            return f"policy entry {k}: {err}"
+    return None

@@ -28,7 +28,7 @@ from spbe import (
     solve,
     solve_stage_fixed_point,
 )
-from spbe.game import PRIOR_TOL
+from spbe.game import PRIOR_TOL, GameSpec
 
 import oracles
 
@@ -399,23 +399,192 @@ def test_unknown_mode_rejected():
         solve(instances.matching_pennies_instance(), mode="magic")
 
 
-def test_policy_document_round_trip(reference_solved):
-    spec, result = reference_solved
+def per_player_shapes_game():
+    """Player 0 has 2 types and 3 actions, player 1 has 3 types and 2, so
+    a policy file's stacks differ in shape per player."""
+    rng = np.random.default_rng(1)
+    return GameSpec(num_players=2, horizon=2,
+                    type_labels=(("a", "b"), ("c", "d", "e")),
+                    action_labels=(("x", "y", "z"), ("u", "v")),
+                    prior=rng.dirichlet(np.ones(6)),
+                    rewards=tuple(rng.uniform(-1.0, 1.0, size=(2, 6, 6))
+                                  for _ in range(2)),
+                    stationary=False, discount=1.0)
+
+
+ROUND_TRIPS = {
+    "reference": lambda corpus: corpus["reference"][1],
+    "signaling_pennies": lambda corpus: corpus["signaling_pennies"][1],
+    "coordination_grid": lambda corpus: solve(
+        instances.coordination_instance(), mode="grid", resolution=3),
+    "three_players": lambda corpus: solve(
+        instances.random_instance(0, players=3, horizon=1)),
+    "per_player_shapes": lambda corpus: solve(per_player_shapes_game()),
+}
+
+
+def _point_bytes(t, key, sol):
+    return (t, key, [r.tobytes() for r in sol.prescription.rows],
+            [v.tobytes() for v in sol.values], sol.status, sol.method,
+            sol.restart_index, sol.residual)
+
+
+@pytest.mark.parametrize("game", sorted(ROUND_TRIPS))
+def test_policy_document_round_trip(corpus_solves, game):
+    """A policy file reloads to the solved store's converged points, raw
+    bytes included, and writes back the same text."""
+    result = ROUND_TRIPS[game](corpus_solves)
+    spec = result.spec
     doc = policy_document(result)
     assert doc["format"] == "repeated-game-policy"
     text = render_report(doc)
     table = load_policy(json.loads(text), spec)
+    solved = [_point_bytes(t, belief_key(pi.weights), sol)
+              for t, pi, sol in result.generator.cached_points() if sol.converged]
+    loaded = [_point_bytes(t, belief_key(pi.weights), sol)
+              for t, pi, sol in table.cached_points() if sol.converged]
+    assert loaded == solved
     for t, pi, sol in result.generator.cached_points():
-        if not sol.converged:
-            continue
-        got = table.solution_at(t, Belief(np.array(belief_key(pi.weights)),
-                                          spec.type_counts))
-        for i in range(spec.num_players):
-            np.testing.assert_array_equal(got.prescription.rows[i],
-                                          sol.prescription.rows[i])
-            np.testing.assert_array_equal(got.values[i], sol.values[i])
-        assert (got.status, got.method, got.restart_index, got.residual) == (
-            sol.status, sol.method, sol.restart_index, sol.residual)
+        if sol.converged:
+            got = table.solution_at(t, Belief(np.array(belief_key(pi.weights)),
+                                              spec.type_counts))
+            assert _point_bytes(t, 0, got) == _point_bytes(t, 0, sol)
+    again = SolveResult(spec, result.mode, result.config, table, result.status,
+                        resolution=result.resolution)
+    assert render_report(policy_document(again)) == text
+    for _t, _pi, sol in table.cached_points():
+        with pytest.raises(ValueError):
+            sol.prescription.rows[-1][0, 0] = 0.5
+        with pytest.raises(ValueError):
+            sol.values[-1][0] = 0.5
+
+
+FAULTS = {
+    "negative_entry": lambda e: e["rows"][0].__setitem__(0, [1.0 + 1e-6, -1e-6]),
+    "sum_off": lambda e: e["rows"][1].__setitem__(-1, [0.5, 0.5 + 1e-6]),
+    "inf_value": lambda e: e["values"][0].__setitem__(0, float("inf")),
+    "not_converged": lambda e: e.update(status="max_iterations"),
+    "rows_not_a_list": lambda e: e.update(rows=None),
+    "missing_player": lambda e: e["rows"].pop(),
+    "ragged_row": lambda e: e["rows"][0].__setitem__(0, [1.0]),
+}
+
+
+@pytest.fixture(scope="module")
+def signaling_policy_text(corpus_solves):
+    spec, result = corpus_solves["signaling_pennies"]
+    return spec, render_report(policy_document(result))
+
+
+def _load_error(spec, doc) -> str:
+    with pytest.raises(ValueError) as err:
+        load_policy(doc, spec)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "two"])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_policy_load_names_the_lowest_bad_entry(signaling_policy_text, fault,
+                                                where):
+    """A fault at entry 0, at a middle entry, or at the middle and the last
+    entry at once is named at the lowest faulty index, with the message an
+    entry-by-entry reader gives (``oracles.policy_entries_fault``)."""
+    spec, text = signaling_policy_text
+    doc = json.loads(text)
+    last = len(doc["entries"]) - 1
+    at = {"first": [0], "middle": [last // 2], "two": [last // 2, last]}[where]
+    for k in at:
+        FAULTS[fault](doc["entries"][k])
+    message = _load_error(spec, doc)
+    assert message.startswith(f"policy entry {at[0]}")
+    assert message == oracles.policy_entries_fault(doc["entries"], spec)
+
+
+def test_policy_load_messages(signaling_policy_text):
+    """The wording of each fault's message, and the order of the checks
+    within one entry: values, then status, then rows, then residual."""
+    spec, text = signaling_policy_text
+
+    def error(*edits):
+        doc = json.loads(text)
+        for k, edit in edits:
+            edit(doc["entries"][k])
+        return _load_error(spec, doc)
+
+    assert error((3, FAULTS["negative_entry"])) == \
+        "policy entry 3: prescription rows[0] is not row-stochastic"
+    assert error((3, FAULTS["sum_off"])) == \
+        "policy entry 3: prescription rows[1] is not row-stochastic"
+    assert error((3, FAULTS["inf_value"])) == \
+        "policy entry 3: values are not all finite"
+    assert error((3, FAULTS["not_converged"])) == \
+        "policy entry 3: status 'max_iterations' is not a solved point"
+    assert error((3, FAULTS["rows_not_a_list"])) == \
+        "policy entry 3: 'NoneType' object is not iterable"
+    assert error((3, FAULTS["missing_player"])) == (
+        "policy entry 3: rows and values have shapes ([(2, 2)], [(2,), (2,)]), "
+        "the game needs ([(2, 2), (2, 2)], [(2,), (2,)])")
+    assert error((3, FAULTS["ragged_row"])).startswith(
+        "policy entry 3: setting an array element with a sequence.")
+    assert error((3, lambda e: e.pop("residual"))) == \
+        "policy entry 3 has no field 'residual'"
+    assert error((3, FAULTS["not_converged"]), (3, FAULTS["inf_value"])) == \
+        "policy entry 3: values are not all finite"
+    assert error((3, FAULTS["sum_off"]), (3, FAULTS["not_converged"])) == \
+        "policy entry 3: status 'max_iterations' is not a solved point"
+    assert error((3, lambda e: e.pop("residual")), (3, FAULTS["sum_off"])) == \
+        "policy entry 3: prescription rows[1] is not row-stochastic"
+    assert error((5, FAULTS["not_converged"]), (4, FAULTS["negative_entry"])) \
+        .startswith("policy entry 4:")
+    assert error((5, FAULTS["ragged_row"]), (4, FAULTS["inf_value"])) \
+        .startswith("policy entry 4:")
+
+
+SHUFFLED_FAULTS = {
+    **FAULTS,
+    "no_t": lambda e: e.pop("t"),
+    "no_status": lambda e: e.pop("status"),
+    "no_residual": lambda e: e.pop("residual"),
+    "no_values": lambda e: e.pop("values"),
+    "residual_none": lambda e: e.update(residual=None),
+    "stage_past_horizon": lambda e: e.update(t=9),
+    "short_belief": lambda e: e.update(belief=e["belief"][:-1]),
+    "string_entry": lambda e: e["rows"][1].__setitem__(0, ["0.5", "x"]),
+    "nested_deeper": lambda e: e.update(rows=[[[[v] for v in r] for r in p]
+                                              for p in e["rows"]]),
+    "nan_row": lambda e: e["rows"][0].__setitem__(1, [float("nan")] * 2),
+    "short_values": lambda e: e["values"][1].pop(),
+    "extra_type_row": lambda e: e["rows"][0].append([0.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "grid"])
+def test_policy_load_faults_match_entry_by_entry_reader(corpus_solves, mode):
+    """Seeded documents with one to three faults, each at a random entry
+    and some on the same entry, fail with the entry-by-entry reader's
+    message; a document without faults loads."""
+    if mode == "exact":
+        spec, result = corpus_solves["signaling_pennies"]
+    else:
+        result = ROUND_TRIPS["coordination_grid"](corpus_solves)
+        spec = result.spec
+    text = render_report(policy_document(result))
+    rng = np.random.default_rng(11)
+    names = sorted(SHUFFLED_FAULTS)
+    for _ in range(60):
+        doc = json.loads(text)
+        size = len(doc["entries"])
+        spots = rng.integers(size, size=rng.integers(1, 4))
+        if rng.integers(2):
+            spots = np.minimum(spots, 3)
+        for k in spots:
+            try:
+                SHUFFLED_FAULTS[names[rng.integers(len(names))]](doc["entries"][k])
+            except (KeyError, TypeError, IndexError, AttributeError):
+                pass    # an earlier fault removed what this one edits
+        assert _load_error(spec, doc) == \
+            oracles.policy_entries_fault(doc["entries"], spec)
+    assert oracles.policy_entries_fault(json.loads(text)["entries"], spec) is None
 
 
 def test_policy_rejects_wrong_game(reference_solved):

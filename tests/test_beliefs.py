@@ -10,6 +10,7 @@ from spbe import (
     instances,
     update,
 )
+from spbe.beliefs import RowError
 
 import oracles
 
@@ -130,6 +131,83 @@ def test_prescription_rejects_non_stochastic():
         _rows([[0.5, 0.6], [0.5, 0.5]])
     with pytest.raises(ValueError):
         _rows([[np.nan, np.nan], [0.5, 0.5]])
+
+
+def _edge_stacks(seed: int, points: int, shapes) -> list[np.ndarray]:
+    """Seeded Dirichlet stacks of shape (points, n_x, n_a), one per player,
+    with about a third of the rows replaced by rows at the edges of the row
+    rule: NaN, +-inf, an entry at -1e-12 or one ulp either side, and sums
+    at 1 +- 1e-9, each also moved one ulp up and down."""
+    rng = np.random.default_rng(seed)
+    edge = -1e-12
+    negatives = [edge, np.nextafter(edge, -1.0), np.nextafter(edge, 1.0)]
+    stacks = []
+    for nx, na in shapes:
+        stack = rng.dirichlet(np.ones(na), size=(points, nx))
+        for row in stack.reshape(-1, na):
+            kind = rng.integers(9)
+            col = rng.integers(na)
+            if kind == 0:
+                row[col] = [np.nan, np.inf, -np.inf][rng.integers(3)]
+            elif kind == 1:
+                row[col] = negatives[rng.integers(3)]
+                row[col - 1] = 1.0 - row[col] - (row.sum() - row[col] - row[col - 1])
+            elif kind == 2:
+                row[col] += (1e-9 if rng.integers(2) else -1e-9) - (row.sum() - 1.0)
+                row[col] = np.nextafter(row[col], [-1.0, 2.0, row[col]][rng.integers(3)])
+        stacks.append(stack)
+    return stacks
+
+
+@pytest.mark.parametrize("shapes", [[(2, 2), (2, 2)], [(2, 3), (3, 2), (1, 4)]],
+                         ids=["equal_shapes", "per_player_shapes"])
+def test_prescription_batch_matches_single_points(shapes):
+    """The batch constructor and ``Prescription(...)`` accept and reject the
+    same points with the same message, which is the row rule's
+    (``oracles.rows_stochastic``); a batch that fails names its lowest
+    failing point."""
+    stacks = _edge_stacks(7, 300, shapes)
+    verdicts = [oracles.rows_stochastic([s[b] for s in stacks])
+                for b in range(300)]
+    ok = np.array([good for good, _ in verdicts])
+    assert 0.2 < ok.mean() < 0.8
+    for b, (good, why) in enumerate(verdicts):
+        rows = tuple(s[b] for s in stacks)
+        if good:
+            np.testing.assert_array_equal(Prescription(rows).rows[0], rows[0])
+            assert len(Prescription.batch([s[b:b + 1] for s in stacks])) == 1
+            continue
+        with pytest.raises(ValueError) as single:
+            Prescription(rows)
+        with pytest.raises(RowError) as batched:
+            Prescription.batch([s[b:b + 1] for s in stacks])
+        assert str(single.value) == str(batched.value) == why
+        assert batched.value.index == 0
+    for start in range(0, 300, 23):
+        window = [s[start:start + 40] for s in stacks]
+        bad = np.flatnonzero(~ok[start:start + 40])
+        if not bad.size:
+            assert len(Prescription.batch(window)) == len(window[0])
+            continue
+        with pytest.raises(RowError) as batched:
+            Prescription.batch(window)
+        assert batched.value.index == bad[0]
+        assert str(batched.value) == verdicts[start + bad[0]][1]
+    # every accepted point at once: views of read-only stacks, equal rows
+    good = [s[ok] for s in stacks]
+    for gamma, rows in zip(Prescription.batch(good), zip(*good)):
+        for got, want in zip(gamma.rows, rows):
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0, 0] = 0.5
+
+
+def test_prescription_batch_needs_stacks():
+    with pytest.raises(RowError, match=r"rows\[1\] must be 2-d"):
+        Prescription.batch([np.full((3, 2, 2), 0.5), np.full((2, 2), 0.5)])
+    with pytest.raises(ValueError, match=r"rows\[0\] must be 2-d"):
+        Prescription((np.array([0.5, 0.5]),))
+    assert Prescription.batch([np.empty((0, 2, 2)), np.empty((0, 1, 3))]) == []
 
 
 def test_prescription_uniform_shape():
