@@ -239,26 +239,44 @@ def update(pi: Belief, gamma: Prescription, a: Sequence[int]) -> Belief:
     return Belief(post, pi.type_counts) if moved else pi
 
 
+def conditional_weights(weights: np.ndarray, type_counts: Sequence[int],
+                        i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of :func:`condition_on_type` for every type of player i,
+    over a stack of beliefs.
+
+    ``weights`` (..., X) are beliefs over flat joint types. Returns
+    ``(cond, degenerate)``: ``cond[..., xi, :]`` is the belief over the
+    others' joint types given type xi, indexed as in
+    :func:`condition_on_type`, and ``degenerate[..., xi]`` marks the uniform
+    conditional returned where the marginal at xi is at most
+    ``EPS_DENOMINATOR``.
+    """
+    counts = tuple(type_counts)
+    idx = np.array([embedding_map(counts, i, xi) for xi in range(counts[i])])
+    slices = np.asarray(weights, dtype=np.float64)[..., idx]
+    mass = slices.sum(axis=-1)
+    degenerate = mass <= EPS_DENOMINATOR
+    cond = slices / np.where(degenerate, 1.0, mass)[..., None]
+    cond[degenerate] = 1.0 / idx.shape[1]
+    return cond, degenerate
+
+
 def condition_on_type(pi: Belief, i: int, xi: int) -> ConditionalBelief:
     """Belief over the other players' joint types given player i's type.
 
     The result is indexed row-major over players != i in ascending player
     order. When player i's marginal at xi is numerically zero the uniform
     conditional is returned with ``degenerate=True``; downstream consumers
-    must surface that flag rather than hide it.
+    must surface that flag rather than hide it. This is
+    :func:`conditional_weights` at one belief.
     """
     counts = pi.type_counts
     if not 0 <= i < len(counts):
         raise ValueError(f"player {i} out of range")
     if not 0 <= xi < counts[i]:
         raise ValueError(f"type {xi} out of range for player {i}")
-    idx = embedding_map(counts, i, xi)
-    slice_w = pi.weights[idx]
-    mass = float(slice_w.sum())
-    if mass <= EPS_DENOMINATOR:
-        n = slice_w.shape[0]
-        return ConditionalBelief(np.full(n, 1.0 / n), degenerate=True)
-    return ConditionalBelief(slice_w / mass, degenerate=False)
+    cond, degenerate = conditional_weights(pi.weights, counts, i)
+    return ConditionalBelief(cond[xi], degenerate=bool(degenerate[xi]))
 
 
 def belief_entropy(pi: Belief) -> float:

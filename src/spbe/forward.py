@@ -6,7 +6,7 @@ at the prior, each stage's prescription is the solved one at the current
 belief, and the belief advances with the public update applied to the
 realized joint action. Beliefs and prescriptions are cached per history,
 so repeated queries along shared prefixes (simulation episodes,
-verification walks) ask the generator once and are reproducible.
+verification passes) ask the generator once and are reproducible.
 
 Also here: Monte Carlo simulation of the constructed profile, and
 :func:`expected_rewards`, the one payoff recursion over the history tree,

@@ -53,7 +53,8 @@ import numpy as np
 from .beliefs import (
     Belief,
     Prescription,
-    condition_on_type,
+    condition_on_type,  # noqa: F401  (bound here so profilers can wrap it by name)
+    conditional_weights,
     posterior_weights,
     update,  # noqa: F401  (bound here so profilers can wrap it by name)
 )
@@ -144,7 +145,7 @@ class StageEvaluator:
       every joint action at once;
     * agent (i, x_i) weighs the others' types and actions by
       ``W_i = cond_i * prod_{j != i} G_j``, where ``cond_i`` is the belief
-      conditioned on x_i (:func:`condition_on_type`, uniform fallback
+      conditioned on x_i (:func:`conditional_weights`, uniform fallback
       included); ``mass_i`` sums W_i over the others' types, and a joint
       action the agent reaches (positive mass) needs its continuation;
     * ``Q_i[b, x_i, a_i]`` adds, over the others' actions, the stage
@@ -191,23 +192,25 @@ class StageEvaluator:
         self._r = [reward[i][x[None, None, :, :], a[:, :, None, None]]
                    for i, (a, x) in enumerate(zip(a_of, x_of))]
         # cond[i][b, x_i, x_{-i}]: the belief conditioned on x_i
-        self.cond = [np.zeros((len(beliefs), c, x.shape[1])) for c, x in zip(tc, x_of)]
-        self.active = [np.zeros((len(beliefs), c), dtype=bool) for c in tc]
-        for b, pi in enumerate(beliefs):
-            for i in range(n):
-                for xi in range(tc[i]):
-                    cond = condition_on_type(pi, i, xi)
-                    self.cond[i][b, xi] = cond.weights
-                    self.active[i][b, xi] = not cond.degenerate
-        self.corner = [~m for m in self.active]
+        self.cond, self.corner = [], []
+        for i in range(n):
+            cond, degenerate = conditional_weights(self.weights, tc, i)
+            self.cond.append(cond)
+            self.corner.append(degenerate)
+        self.active = [~m for m in self.corner]
 
     @property
     def size(self) -> int:
         return len(self.beliefs)
 
-    def agents_at(self, b: int, corner: bool = False) -> list[tuple[int, int]]:
-        masks = self.corner if corner else self.active
-        return [(i, int(xi)) for i, m in enumerate(masks) for xi in np.flatnonzero(m[b])]
+    def agents(self, corner: bool = False) -> list[list[tuple[int, int]]]:
+        """Per batch point, its active agents (zero-marginal ones with
+        ``corner``), by player and then type."""
+        out = [[] for _ in range(self.size)]
+        for i, m in enumerate(self.corner if corner else self.active):
+            for b, xi in zip(*(idx.tolist() for idx in np.nonzero(m))):
+                out[b].append((i, xi))
+        return out
 
     def take(self, idx) -> "StageEvaluator":
         """The evaluator restricted to the batch points ``idx`` (ascending)."""
@@ -422,12 +425,12 @@ def _placeholder_rows(ev: StageEvaluator, *batch: int) -> list[np.ndarray]:
             for nt, na in zip(ev.type_counts, ev.action_counts)]
 
 
-def _pure_rows(ev: StageEvaluator, points, k: int) -> list[np.ndarray]:
-    """At each batch point in ``points``, the k-th assignment of one pure
-    action per active agent, in lexicographic order over its agents."""
-    rows = _placeholder_rows(ev, len(points))
-    for j, b in enumerate(points):
-        agents = ev.agents_at(b)
+def _pure_rows(ev: StageEvaluator, agents_of, k: int) -> list[np.ndarray]:
+    """For each list of active agents in ``agents_of``, one per point, the
+    k-th assignment of one pure action per agent, in lexicographic
+    order."""
+    rows = _placeholder_rows(ev, len(agents_of))
+    for j, agents in enumerate(agents_of):
         combo = np.unravel_index(k, [ev.action_counts[i] for i, _ in agents])
         for (i, xi), a in zip(agents, combo):
             rows[i][j, xi] = 0.0
@@ -446,7 +449,7 @@ def _support_profiles(ev: StageEvaluator):
     have already failed the pure scan and the iterative phase, which catch
     strict equilibria; what remains is typically interior.
     """
-    agents = ev.agents_at(0)
+    agents = ev.agents()[0]
     per_agent = []
     for (i, _) in agents:
         na = ev.action_counts[i]
@@ -486,7 +489,7 @@ def _solve_frozen_two_player(ev: StageEvaluator, profile_map: dict,
 
     if n == 1:
         q = _frozen_q(ev, rows, frozen)[0]
-        for (i, xi) in ev.agents_at(0):
+        for (i, xi) in ev.agents()[0]:
             support = list(profile_map[(i, xi)])
             vals = q[xi, support]
             if vals.max() - vals.min() > 1e-9:
@@ -495,7 +498,7 @@ def _solve_frozen_two_player(ev: StageEvaluator, profile_map: dict,
             rows[i][xi, support] = 1.0 / len(support)
         return Prescription(tuple(rows))
 
-    agents_of = {i: [xi for (j, xi) in ev.agents_at(0) if j == i] for i in range(2)}
+    agents_of = {i: [xi for (j, xi) in ev.agents()[0] if j == i] for i in range(2)}
     for solved in (0, 1):
         # player `solved`'s rows are pinned by the *other* player's indifference
         other = 1 - solved
@@ -551,7 +554,7 @@ def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
     """
     from scipy.optimize import root
 
-    agents = ev.agents_at(0)
+    agents = ev.agents()[0]
     layout: list[tuple[int, int, tuple[int, ...]]] = []
     for (i, xi) in agents:
         layout.append((i, xi, tuple(profile_map[(i, xi)])))
@@ -608,7 +611,7 @@ def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
 
 def _solve_support(ev: StageEvaluator, profile, config: SolverConfig) -> Prescription | None:
     """Find a candidate supported on `profile` that survives freeze refresh."""
-    profile_map = dict(zip(ev.agents_at(0), profile))
+    profile_map = dict(zip(ev.agents()[0], profile))
     rows = _placeholder_rows(ev)
     for (i, xi), support in profile_map.items():
         rows[i][xi] = 0.0
@@ -664,9 +667,9 @@ def _finalize_rows(ev: StageEvaluator, rows):
     return Prescription.batch(final), values, residual
 
 
-def _solution(ev: StageEvaluator, b: int, finalized, config: SolverConfig,
-              status: str, method: str | None, restart_index: int | None,
-              support_profile=None) -> StageSolution:
+def _solution(b: int, finalized, degenerate: list[tuple[int, int]],
+              config: SolverConfig, status: str, method: str | None,
+              restart_index: int | None, support_profile=None) -> StageSolution:
     prescriptions, values, residual = finalized
     if status == "converged" and residual[b] > config.fp_tol:
         status = "max_iterations"
@@ -678,7 +681,7 @@ def _solution(ev: StageEvaluator, b: int, finalized, config: SolverConfig,
         method=method,
         restart_index=restart_index,
         support_profile=support_profile,
-        degenerate_types=tuple(ev.agents_at(b, corner=True)),
+        degenerate_types=tuple(degenerate),
     )
 
 
@@ -735,13 +738,14 @@ def solve_stage(
         for b in points[passed]:
             outcome[b] = found
 
-    pure_counts = [math.prod(ev.action_counts[i] for i, _ in ev.agents_at(b))
-                   for b in range(ev.size)]
+    active = ev.agents()
+    pure_counts = [math.prod(ev.action_counts[i] for i, _ in agents)
+                   for agents in active]
     for k in itertools.count():
         points = still_open(b for b in range(ev.size) if k < pure_counts[b])
         if not points.size:
             break
-        rows = _pure_rows(ev, points, k)
+        rows = _pure_rows(ev, [active[b] for b in points], k)
         keep(points, rows, _check(ev.take(points), rows),
              ("converged", "pure_scan", None, None))
 
@@ -772,7 +776,8 @@ def solve_stage(
     failed = ("no_fixed_point" if enumeration_ran else "max_iterations",
               None, None, None)
     finalized = _finalize_rows(ev, best)
-    return [_solution(ev, b, finalized, config, *(found or failed))
+    corner = ev.agents(corner=True)
+    return [_solution(b, finalized, corner[b], config, *(found or failed))
             for b, found in enumerate(outcome)]
 
 

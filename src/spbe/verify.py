@@ -3,34 +3,38 @@
 The verifier takes a constructed policy as a black box over public
 histories and asks, for every player and every type with positive prior
 mass, whether any unilateral deviation plan beats sticking to the policy.
-It walks the public history tree once for all of them: each node reads
-the policy's belief and prescription once and conditions on each type.
-From that view it takes, before the children, the agent's one-shot gap
-against the policy's claimed values, and after them the on-policy
-continuation value and the best achievable deviation value, where the
-deviator may change actions at this node and at every descendant.
-Deviations are private, so the public belief still advances with the
-prescribed profile along every branch.
+It passes over the public history tree once for all of them, one depth
+at a time, deepest first. A depth's histories are taken in lexicographic
+order; the policy's belief and prescription are read once per history
+and stacked, and each player's types are conditioned once on the whole
+stack. From these arrays it takes every agent's one-shot gap against the
+policy's claimed values, and, from the values of the depth below, the
+on-policy continuation value and the best achievable deviation value,
+where the deviator may change actions at this node and at every
+descendant. Deviations are private, so the public belief still advances
+with the prescribed profile along every branch.
 
-Beliefs are recomputed from the policy at every node rather than carried
+Beliefs are read from the policy at every history rather than carried
 through the recursion, so the check exercises the same conditioning a
 player would actually perform. Conditioning on a type the public belief
 has ruled out falls back to the uniform conditional, matching the
 solver's treatment of those rows.
 
-The tree walk is the certificate and the one-shot check; it visits
+The level pass is the certificate and the one-shot check; it visits
 every history once. The two-path check builds its belief pairs once per
-(player, stage) and runs the forward pass's payoff recursion over a
-subtree only per sample and stage-t history whose pair differs. On the
-horizon-5 reference game, where no pair differs, in process on a 2-core
-Xeon with the policy's caches warm, median of 5 calls: walk 0.08 s,
-two-path with its default 50 samples 0.03 s.
+(player, stage), from the same stacked arrays, and runs the forward
+pass's payoff recursion over a subtree only per sample and stage-t
+history whose pair differs. On the horizon-5 reference game, where no
+pair differs, in process on a 2-core Xeon with the policy's caches warm,
+median of 15 calls: level pass 0.02 s, two-path with its default 50
+samples 0.004 s.
 
-All three checks share one stage evaluation, :func:`_agent_stage`: for
-an agent (i, xi), per flat joint action, the weight of the others' type
-profiles times their prescribed probability of playing that action's
-other components, and the expected stage reward it earns. It is written
-here from the definition and shares no arithmetic with the solver.
+All three checks share one stage evaluation, :func:`_agent_weights`: for
+an agent (i, xi) at a stack of histories, per flat joint action, the
+weight of the others' type profiles times their prescribed probability of
+playing that action's other components. The expected stage reward is
+summed from it. It is written here from the definition and shares no
+arithmetic with the solver.
 """
 
 from __future__ import annotations
@@ -42,7 +46,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward import ResourceLimitError
-from .beliefs import Prescription, condition_on_type, initial_belief
+from .beliefs import (
+    condition_on_type,  # noqa: F401  (bound here so profilers can wrap it by name)
+    conditional_weights,
+    initial_belief,
+)
 from .forward import EquilibriumPolicy, History, _normalize_history, expected_rewards
 from .game import GameSpec, component_maps, embedding_map, unflatten_joint
 
@@ -86,7 +94,7 @@ class DeviationFinding:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of the full best-deviation walk."""
+    """Outcome of the full best-deviation check."""
 
     ok: bool
     tolerance: float
@@ -112,37 +120,94 @@ class VerificationReport:
         }
 
 
-def _agent_stage(spec: GameSpec, t: int, cond: np.ndarray, gamma: Prescription,
-                 i: int, xi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Agent (i, xi)'s view of stage t, per flat joint action a.
+def _joint_actions(spec: GameSpec) -> list[tuple[int, ...]]:
+    return [unflatten_joint(a, spec.action_counts)
+            for a in range(spec.num_joint_actions)]
 
-    ``cond`` is the agent's belief over the others' type profiles k
-    (:func:`condition_on_type`). Returns ``w[a, k]``, the weight of k times
-    the probability that the others' rows in gamma play a's other
-    components, and ``stage[a] = sum_k w[a, k] * R_i(x(k), a)``, with x(k)
-    the joint type of xi and k. Summing ``w`` over k gives the
-    probability that the others play a's other components.
+
+def _agent_weights(spec: GameSpec, cond: np.ndarray, rows: list[np.ndarray],
+                   i: int, xi: int) -> np.ndarray:
+    """Agent (i, xi)'s ``w[h, a, k]`` at a stack of histories h.
+
+    ``cond[h]`` is the agent's belief over the others' type profiles k
+    (:func:`conditional_weights`) and ``rows[j][h]`` player j's prescribed
+    rows there. ``w[h, a, k]`` is the weight of k times the probability
+    that the others' rows play a's other components, so summing it over k
+    gives the probability that the others play them.
     """
     x_full = embedding_map(spec.type_counts, i, xi)
     xmaps = component_maps(spec.type_counts)
     amaps = component_maps(spec.action_counts)
-    p = np.ones((spec.num_joint_actions, x_full.size))
+    p = np.ones((len(cond), spec.num_joint_actions, x_full.size))
     for j in range(spec.num_players):
         if j != i:
-            p = p * gamma.rows[j][xmaps[j][x_full][None, :], amaps[j][:, None]]
-    w = cond * p
-    stage = (w * spec.reward_tensor(t)[i][x_full].T).sum(axis=1)
-    return w, stage
+            p = p * rows[j][:, xmaps[j][x_full][None, :], amaps[j][:, None]]
+    return cond[:, None, :] * p
 
 
-def _action_values(spec: GameSpec, i: int, w: np.ndarray, stage: np.ndarray,
+def _level(spec: GameSpec, policy: EquilibriumPolicy, histories: list,
+           agents: list[tuple[int, int]]) -> list[tuple]:
+    """Every agent's view of the stage after each of ``histories``, which
+    have one length: its own rows, and per joint action a the mass
+    ``sum_k w[h, a, k]`` and the expected stage reward
+    ``sum_k w[h, a, k] * R_i(x(k), a)``, with x(k) the joint type of xi
+    and k, each as an (H, ...) array.
+
+    The policy's belief and prescription are read once per history, in
+    order; each player's types are conditioned once, on the whole stack.
+    """
+    weights, gammas = [], []
+    for history in histories:
+        weights.append(policy.common_belief(history).weights)
+        gammas.append(policy.prescription_for_history(history))
+    rows = [np.array([g.rows[j] for g in gammas]) for j in range(spec.num_players)]
+    weights = np.array(weights)
+    cond = {i: conditional_weights(weights, spec.type_counts, i)[0]
+            for i in dict.fromkeys(i for i, _ in agents)}
+    reward = spec.reward_tensor(len(histories[0]) + 1)
+    views = []
+    for i, xi in agents:
+        w = _agent_weights(spec, cond[i][:, xi], rows, i, xi)
+        stage = (w * reward[i][embedding_map(spec.type_counts, i, xi)].T).sum(axis=-1)
+        views.append((np.ascontiguousarray(rows[i][:, xi]), w.sum(axis=-1), stage))
+    return views
+
+
+def _action_values(spec: GameSpec, i: int, mass: np.ndarray, stage: np.ndarray,
                    cont: np.ndarray) -> np.ndarray:
-    """q[b]: sum over the joint actions a with own component b of
-    ``stage[a] + mass[a] * discount * cont[a]``, in flat order, where
-    ``cont[a]`` is the agent's continuation value after a."""
-    terms = stage + w.sum(axis=1) * spec.discount * cont
-    return np.bincount(component_maps(spec.action_counts)[i], weights=terms,
-                       minlength=spec.action_counts[i])
+    """q[h, b]: sum over the joint actions a with own component b of
+    ``stage[h, a] + mass[h, a] * discount * cont[h, a]``, in flat order,
+    where ``cont[h, a]`` is the agent's continuation value after a."""
+    terms = stage + mass * spec.discount * cont
+    own = spec.action_counts[i]
+    bins = np.arange(len(terms))[:, None] * own + component_maps(spec.action_counts)[i]
+    return np.bincount(bins.ravel(), weights=terms.ravel(),
+                       minlength=len(terms) * own).reshape(-1, own)
+
+
+def _dot(row: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``row[h] @ q[h]`` for every h, through the same BLAS dot as ``@``
+    on one pair (an elementwise product and sum rounds differently)."""
+    return np.matmul(row[:, None, :], q[:, :, None])[:, 0, 0]
+
+
+def _one_shot(spec: GameSpec, policy: EquilibriumPolicy,
+              agents: list[tuple[int, int]], views: list[tuple],
+              children: list | None) -> np.ndarray:
+    """(H, agents) one-shot gaps at a level, read against the policy's
+    claimed value of each child ``children[h * A + a]`` that the agent
+    reaches; ``children=None`` at the last stage, where continuations are
+    zero."""
+    out = np.empty((len(views[0][0]), len(agents)))
+    for k, ((i, xi), (row, mass, stage)) in enumerate(zip(agents, views)):
+        cont = np.zeros(mass.size)
+        if children is not None:
+            for c in np.flatnonzero(mass).tolist():
+                cont[c] = policy.continuation_value(children[c], i, xi)
+        q = _action_values(spec, i, mass, stage, cont.reshape(mass.shape))
+        with np.errstate(invalid="ignore"):   # inf - inf is NaN, as in floats
+            out[:, k] = q.max(axis=-1) - _dot(row, q)
+    return out
 
 
 def _agents(spec: GameSpec) -> list[tuple[int, int]]:
@@ -152,83 +217,51 @@ def _agents(spec: GameSpec) -> list[tuple[int, int]]:
             for xi, mass in enumerate(prior.type_marginal(i)) if mass > 0.0]
 
 
-def _views(spec: GameSpec, policy: EquilibriumPolicy, history: History,
-           agents: list[tuple[int, int]], gaps: bool = True) -> tuple[list, dict]:
-    """Each agent's (own row, w, stage) at the stage after ``history``, and
-    with ``gaps`` the :func:`one_shot_gaps` result there, read against the
-    policy's claimed values after the joint actions the agent can meet."""
-    t = len(history) + 1
-    pi = policy.common_belief(history)
-    gamma = policy.prescription_for_history(history)
-    views, found = [], {}
-    for i, xi in agents:
-        cond = condition_on_type(pi, i, xi).weights
-        w, stage = _agent_stage(spec, t, cond, gamma, i, xi)
-        row = np.asarray(gamma.rows[i][xi], dtype=float)
-        views.append((row, w, stage))
-        if gaps:
-            cont = np.zeros(spec.num_joint_actions)
-            if t < spec.horizon:
-                for a_flat in np.flatnonzero(w.sum(axis=1)).tolist():
-                    cont[a_flat] = policy.continuation_value(
-                        history + (unflatten_joint(a_flat, spec.action_counts),),
-                        i, xi)
-            q = _action_values(spec, i, w, stage, cont)
-            found[(i, xi)] = float(q.max()) - float(row @ q)
-    return views, {"history": history, "stage": t,
-                   "max_gap": max([0.0, *found.values()]), "gaps": found}
+def _gap_document(history: History, agents: list[tuple[int, int]],
+                  gaps: list[float]) -> dict:
+    """The :func:`one_shot_gaps` result at one history."""
+    return {"history": history, "stage": len(history) + 1,
+            "max_gap": max([0.0, *gaps]), "gaps": dict(zip(agents, gaps))}
 
 
-class _Walk:
-    """One post-order pass over a history subtree for every agent at once.
+def _walk(spec: GameSpec, policy: EquilibriumPolicy, agents: list[tuple[int, int]],
+          root: History = (), gaps: bool = True) -> tuple[list, list, list]:
+    """One pass over the subtree below ``root`` for every agent at once,
+    one depth at a time from the deepest up.
 
-    Each node's views are built once. Before the children, the node's
-    one-shot gaps are recorded (in pre-order, when ``gaps``); after them,
-    each agent's on-policy and best deviation values are formed.
+    Returns, per depth below the root, the histories in lexicographic
+    order, each agent's (on-policy value, best deviation value) at them
+    as (H, agents, 2), and with ``gaps`` their (H, agents) one-shot gaps.
+    The children of a depth's h-th history are entries h * A .. h * A +
+    A - 1 of the next, and each depth's values are formed from the next
+    one's alone.
     """
-
-    def __init__(self, spec: GameSpec, policy: EquilibriumPolicy,
-                 agents: list[tuple[int, int]], tol: float = np.inf,
-                 gaps: bool = True):
-        self.spec, self.policy, self.agents = spec, policy, agents
-        self.tol, self.gaps = tol, gaps
-        self.worst: list[DeviationFinding | None] = [None] * len(agents)
-        self.violations: list[DeviationFinding] = []
-        self.one_shot: list[dict] = []
-        self.nodes = 0
-        self._joint_actions = [unflatten_joint(a, spec.action_counts)
-                               for a in range(spec.num_joint_actions)]
-
-    def run(self, history: History = ()) -> np.ndarray:
-        """Per agent, (on-policy value, best deviation value) at this node."""
-        spec = self.spec
-        if len(history) >= spec.horizon:
-            return np.zeros((len(self.agents), 2))
-        self.nodes += 1
-        views, gaps = _views(spec, self.policy, history, self.agents, self.gaps)
-        if self.gaps:
-            self.one_shot.append(gaps)
-        cont = np.array([self.run(history + (a,)) for a in self._joint_actions])
-        out = np.empty((len(self.agents), 2))
-        for k, ((i, xi), (row, w, stage)) in enumerate(zip(self.agents, views)):
-            eq = float(row @ _action_values(spec, i, w, stage, cont[:, k, 0]))
-            dev = float(_action_values(spec, i, w, stage, cont[:, k, 1]).max())
-            out[k] = eq, dev
-            found = DeviationFinding(player=i, type_index=xi, history=history,
-                                     equilibrium_value=eq, deviation_value=dev)
-            if self.worst[k] is None or found.gain > self.worst[k].gain:
-                self.worst[k] = found
-            if found.gain > self.tol:
-                self.violations.append(found)
-        return out
+    joint = _joint_actions(spec)
+    levels = [[root + tail for tail in itertools.product(joint, repeat=r)]
+              for r in range(spec.horizon - len(root))]
+    values, gap_levels = [None] * len(levels), [None] * len(levels)
+    child = np.zeros((len(joint) ** len(levels), len(agents), 2))
+    for r in reversed(range(len(levels))):
+        views = _level(spec, policy, levels[r], agents)
+        children = levels[r + 1] if r + 1 < len(levels) else None
+        if gaps:
+            gap_levels[r] = _one_shot(spec, policy, agents, views, children)
+        out = np.empty((len(levels[r]), len(agents), 2))
+        for k, ((i, xi), (row, mass, stage)) in enumerate(zip(agents, views)):
+            eq, dev = (child[:, k, m].reshape(mass.shape) for m in (0, 1))
+            out[:, k, 0] = _dot(row, _action_values(spec, i, mass, stage, eq))
+            out[:, k, 1] = _action_values(spec, i, mass, stage, dev).max(axis=-1)
+        values[r] = child = out
+    return levels, values, gap_levels
 
 
 def best_deviation_value(spec: GameSpec, policy: EquilibriumPolicy,
                          i: int, xi: int, history: History = ()) -> float:
     """Value of the best full deviation plan of (i, xi) from this node on."""
     _guard_tree(spec)
-    walk = _Walk(spec, policy, [(i, xi)], gaps=False)
-    return float(walk.run(_normalize_history(history))[0, 1])
+    _, values, _ = _walk(spec, policy, [(i, xi)], _normalize_history(history),
+                         gaps=False)
+    return float(values[0][0, 0, 1]) if values else 0.0
 
 
 def equilibrium_continuation_value(spec: GameSpec, policy: EquilibriumPolicy,
@@ -236,8 +269,9 @@ def equilibrium_continuation_value(spec: GameSpec, policy: EquilibriumPolicy,
     """On-policy continuation value of (i, xi) from this node on, computed
     by the verifier's own recursion rather than read from the solver."""
     _guard_tree(spec)
-    walk = _Walk(spec, policy, [(i, xi)], gaps=False)
-    return float(walk.run(_normalize_history(history))[0, 0])
+    _, values, _ = _walk(spec, policy, [(i, xi)], _normalize_history(history),
+                         gaps=False)
+    return float(values[0][0, 0, 0]) if values else 0.0
 
 
 def verify_pbe(spec: GameSpec, policy: EquilibriumPolicy,
@@ -245,26 +279,52 @@ def verify_pbe(spec: GameSpec, policy: EquilibriumPolicy,
     """Certify that no agent gains more than tol by deviating anywhere.
 
     Every (player, type) with positive prior type marginal is checked at
-    every public history node of every length up to the horizon. The
-    report also keeps every history's one-shot gaps.
+    every public history node of every length up to the horizon. An
+    agent's worst finding is its largest gain, the first in post-order
+    among equal ones, or the first node in post-order if its gain is NaN.
+    The report also keeps every history's one-shot gaps, in pre-order.
     """
     if not tol >= 0:   # NaN too: no gain would ever exceed it
         raise ValueError("tol must be >= 0")
     _guard_tree(spec)
-    walk = _Walk(spec, policy, _agents(spec), tol=tol)
-    walk.run()
-    worst = max(walk.worst, key=lambda f: f.gain)   # first of the largest
-    violations = sorted(walk.violations,
+    agents = _agents(spec)
+    levels, values, gaps = _walk(spec, policy, agents)
+    histories = [h for level in levels for h in level]
+    values = np.concatenate(values)
+    with np.errstate(invalid="ignore"):   # inf - inf is NaN, as in floats
+        gain = values[:, :, 1] - values[:, :, 0]
+    nodes = range(len(histories))
+    in_pre = sorted(nodes, key=histories.__getitem__)
+    # a history ends with a sentinel above every joint action, so that it
+    # sorts after its extensions
+    in_post = sorted(nodes, key=lambda node: histories[node] + ((math.inf,),))
+
+    def finding(node: int, k: int) -> DeviationFinding:
+        eq, dev = values[node, k].tolist()
+        return DeviationFinding(player=agents[k][0], type_index=agents[k][1],
+                                history=histories[node], equilibrium_value=eq,
+                                deviation_value=dev)
+
+    worst = []
+    for k in range(len(agents)):
+        col = gain[in_post, k]
+        worst.append(finding(
+            in_post[0 if np.isnan(col[0]) else int(np.nanargmax(col))], k))
+    worst = max(worst, key=lambda f: f.gain)   # first of the largest
+    violations = sorted((finding(node, k) for node, k in
+                         zip(*np.nonzero(gain > tol))),
                         key=lambda f: (-f.gain, f.player, f.type_index, f.history))
+    gaps = np.concatenate(gaps).tolist()
     return VerificationReport(
         ok=not violations,
         tolerance=tol,
         max_gain=float(worst.gain),
         worst=worst,
         violations=tuple(violations),
-        agents_checked=len(walk.agents),
-        histories_per_agent=walk.nodes,
-        one_shot=tuple(walk.one_shot),
+        agents_checked=len(agents),
+        histories_per_agent=len(histories),
+        one_shot=tuple(_gap_document(histories[node], agents, gaps[node])
+                       for node in in_pre),
     )
 
 
@@ -283,13 +343,18 @@ def one_shot_gaps(spec: GameSpec, policy: EquilibriumPolicy,
     maximal gap equals that stage's residual.
 
     The arithmetic is the definition, written out here rather than shared
-    with the solver; the deviation walk makes the same evaluation at each
-    node it visits.
+    with the solver; it is the level pass's evaluation on a stack of one
+    history.
     """
     history = _normalize_history(history)
     if len(history) >= spec.horizon:
         raise ValueError("history already spans the whole horizon")
-    return _views(spec, policy, history, _agents(spec))[1]
+    agents = _agents(spec)
+    children = ([history + (a,) for a in _joint_actions(spec)]
+                if len(history) + 1 < spec.horizon else None)
+    gaps = _one_shot(spec, policy, agents, _level(spec, policy, [history], agents),
+                     children)
+    return _gap_document(history, agents, gaps[0].tolist())
 
 
 def _one_shot_summary(gaps: tuple[dict, ...], tol: float) -> dict:
@@ -312,9 +377,9 @@ def verify_one_shot(spec: GameSpec, policy: EquilibriumPolicy,
                     tol: float = 1e-6) -> dict:
     """One-stage deviation check at every public history within the horizon.
 
-    Weaker than the full deviation walk (it trusts the policy's claimed
+    Weaker than the full deviation check (it trusts the policy's claimed
     continuation values) but pinpoints the stage whose prescription is
-    off. It summarizes the gaps recorded by :func:`verify_pbe`'s walk.
+    off. It summarizes the gaps recorded by :func:`verify_pbe`'s pass.
     """
     return _one_shot_summary(verify_pbe(spec, policy, tol).one_shot, tol)
 
@@ -336,42 +401,55 @@ def _belief_pairs(spec: GameSpec, policy: EquilibriumPolicy, player: int,
     Returns the number of (stage-``stage`` history, own type) pairs
     compared and skipped, and, in lexicographic history order, each
     history where some pair's two beliefs are not bit-identical, as
-    (history, {own type: (lhs, rhs) belief}, reach mask).
+    (history, {own type: (lhs, rhs) belief}, reach mask). A pair is
+    skipped where the own prescribed probability of the last action is
+    zero, where either belief is the degenerate fallback, and where the
+    lhs belief's mass is at most 1e-12.
+
+    The histories' parents are stacked in lexicographic order, so the
+    children of the p-th parent are histories p * A .. p * A + A - 1;
+    each side's beliefs are conditioned once, on the whole stack.
     """
-    joint_actions = [unflatten_joint(a, spec.action_counts)
-                     for a in range(spec.num_joint_actions)]
-    checked = skipped = 0
+    joint = _joint_actions(spec)
+    before, gammas, histories, after = [], [], [], []
+    for parent in itertools.product(joint, repeat=stage - 1):
+        before.append(policy.common_belief(parent).weights)
+        gammas.append(policy.prescription_for_history(parent))
+        for a in joint:
+            histories.append(parent + (a,))
+            after.append(policy.common_belief(histories[-1]).weights)
+    rows = [np.array([g.rows[j] for g in gammas]) for j in range(spec.num_players)]
+    cond_before, degenerate_before = conditional_weights(
+        np.array(before), spec.type_counts, player)
+    cond_after, degenerate_after = conditional_weights(
+        np.array(after), spec.type_counts, player)
+    own = rows[player][:, :, component_maps(spec.action_counts)[player]]
+    # per own type: (H, K) beliefs along each path, and which pairs count
+    sides, kept = [], []
+    for xi in range(spec.type_counts[player]):
+        lhs = _agent_weights(spec, cond_before[:, xi], rows, player, xi)
+        lhs = lhs.reshape(len(histories), -1)
+        mass = lhs.sum(axis=-1)
+        keep = ~((own[:, xi].ravel() == 0.0)
+                 | np.repeat(degenerate_before[:, xi], len(joint))
+                 | degenerate_after[:, xi] | (mass <= 1e-12))
+        lhs = lhs / np.where(keep, mass, 1.0)[:, None]
+        sides.append((lhs, cond_after[:, xi]))
+        kept.append(keep)
+    kept = np.array(kept)
+    differs = kept & np.array([(lhs.view(np.uint64) != rhs.view(np.uint64)).any(axis=-1)
+                               for lhs, rhs in sides])
     differing = []
-    for history in itertools.product(joint_actions, repeat=stage):
-        before = policy.common_belief(history[:-1])
-        after = policy.common_belief(history)
-        gamma = policy.prescription_for_history(history[:-1])
-        a = history[-1]
-        # per own type: the belief over the others' types along each path
-        paths = {}
+    for h in np.flatnonzero(differs.any(axis=0)).tolist():
+        types = np.flatnonzero(kept[:, h]).tolist()
         reach = np.zeros(spec.num_joint_types, dtype=bool)
-        for xi in range(spec.type_counts[player]):
-            if float(gamma.rows[player][xi, a[player]]) == 0.0:
-                skipped += 1
-                continue
-            cond_before = condition_on_type(before, player, xi)
-            cond_after = condition_on_type(after, player, xi)
-            if cond_before.degenerate or cond_after.degenerate:
-                skipped += 1
-                continue
-            w, _ = _agent_stage(spec, stage, cond_before.weights, gamma,
-                                player, xi)
-            lhs_belief = w[spec.flatten_actions(a)]
-            mass = float(lhs_belief.sum())
-            if mass <= 1e-12:
-                skipped += 1
-                continue
-            paths[xi] = (lhs_belief / mass, cond_after.weights)
+        for xi in types:
             reach[embedding_map(spec.type_counts, player, xi)] = True
-        checked += len(paths)
-        if any(lhs.tobytes() != rhs.tobytes() for lhs, rhs in paths.values()):
-            differing.append((history, paths, reach))
-    return checked, skipped, differing
+        differing.append((histories[h],
+                          {xi: (sides[xi][0][h], sides[xi][1][h]) for xi in types},
+                          reach))
+    checked = int(kept.sum())
+    return checked, kept.size - checked, differing
 
 
 def check_strategy_independence(spec: GameSpec, policy: EquilibriumPolicy,
@@ -397,7 +475,8 @@ def check_strategy_independence(spec: GameSpec, policy: EquilibriumPolicy,
 
     A sample's deviation rows enter only the payoff recursion, so the
     belief pairs, skips and reach masks are built once per (player,
-    stage) and reused by every sample that draws that pair. The recursion
+    stage), from the stacked beliefs of every stage-t history, and reused
+    by every sample that draws that pair. The recursion
     runs only at histories where some pair's two beliefs differ in some
     bit. A bit-identical pair has diff exactly 0 for any continuation:
     the same bytes dotted with the same vector give the same sum, so
@@ -458,7 +537,7 @@ def check_strategy_independence(spec: GameSpec, policy: EquilibriumPolicy,
 def run_certification(spec: GameSpec, policy: EquilibriumPolicy,
                       tol: float = 1e-6, consistency_samples: int = 50,
                       seed: int = 0) -> dict:
-    """Full certificate: the deviation walk plus the one-shot and
+    """Full certificate: the deviation check plus the one-shot and
     belief-consistency spot checks, as one JSON-ready document."""
     report = verify_pbe(spec, policy, tol=tol)
     doc = report.to_document()

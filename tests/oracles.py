@@ -6,8 +6,10 @@ value machinery. GameSpec is used only as a data container (shapes,
 reward lookups, discount).
 
 The exceptions are :func:`two_path_brute`, the verifier's two-path check
-as a plain loop over samples and histories, and :func:`nearest_grid_brute`,
-the grid snap as a scan of every grid point. They reuse the library's own
+as a plain loop over samples and histories, :func:`walk_brute`, the
+deviation walk and one-shot check node by node in post-order, and
+:func:`nearest_grid_brute`, the grid snap as a scan of every grid point.
+They reuse the library's own
 pieces on purpose: they pin its results, including which work it may
 leave out and how it breaks float ties, rather than re-deriving its
 arithmetic. :func:`policy_entries_fault` pins the policy loader's error
@@ -25,8 +27,13 @@ import numpy as np
 from spbe.backward import _l1
 from spbe.beliefs import condition_on_type
 from spbe.forward import expected_rewards
-from spbe.game import embedding_map, unflatten_joint
-from spbe.verify import _agent_stage, _random_deviation_rows
+from spbe.game import component_maps, embedding_map, unflatten_joint
+from spbe.verify import (
+    DeviationFinding,
+    VerificationReport,
+    _agents,
+    _random_deviation_rows,
+)
 
 EPS_DEN = 1e-12
 
@@ -221,6 +228,114 @@ def path_payoffs_brute(spec, rows_at, history=(), deviation=None):
     return out
 
 
+def agent_stage(spec, t, cond, gamma, i, xi):
+    """Agent (i, xi)'s view of stage t at one history, per flat joint
+    action a: ``w[a, k]``, the weight of the others' type profile k in
+    ``cond`` times the probability that the others' rows in gamma play a's
+    other components, and ``stage[a] = sum_k w[a, k] * R_i(x(k), a)``."""
+    x_full = embedding_map(spec.type_counts, i, xi)
+    xmaps = component_maps(spec.type_counts)
+    amaps = component_maps(spec.action_counts)
+    p = np.ones((spec.num_joint_actions, x_full.size))
+    for j in range(spec.num_players):
+        if j != i:
+            p = p * gamma.rows[j][xmaps[j][x_full][None, :], amaps[j][:, None]]
+    w = cond * p
+    stage = (w * spec.reward_tensor(t)[i][x_full].T).sum(axis=1)
+    return w, stage
+
+
+def _action_values(spec, i, w, stage, cont):
+    terms = stage + w.sum(axis=1) * spec.discount * cont
+    return np.bincount(component_maps(spec.action_counts)[i], weights=terms,
+                       minlength=spec.action_counts[i])
+
+
+def _views(spec, policy, history, agents, gaps=True):
+    """Each agent's (own row, w, stage) at the stage after ``history``,
+    and with ``gaps`` the one-shot gaps there."""
+    t = len(history) + 1
+    pi = policy.common_belief(history)
+    gamma = policy.prescription_for_history(history)
+    views, found = [], {}
+    for i, xi in agents:
+        cond = condition_on_type(pi, i, xi).weights
+        w, stage = agent_stage(spec, t, cond, gamma, i, xi)
+        row = np.asarray(gamma.rows[i][xi], dtype=float)
+        views.append((row, w, stage))
+        if gaps:
+            cont = np.zeros(spec.num_joint_actions)
+            if t < spec.horizon:
+                for a_flat in np.flatnonzero(w.sum(axis=1)).tolist():
+                    cont[a_flat] = policy.continuation_value(
+                        history + (unflatten_joint(a_flat, spec.action_counts),),
+                        i, xi)
+            q = _action_values(spec, i, w, stage, cont)
+            found[(i, xi)] = float(q.max()) - float(row @ q)
+    return views, {"history": history, "stage": t,
+                   "max_gap": max([0.0, *found.values()]), "gaps": found}
+
+
+class WalkBrute:
+    """The deviation walk one node at a time: a post-order recursion that
+    records each node's one-shot gaps before its children (in pre-order)
+    and each agent's on-policy and best deviation values after them."""
+
+    def __init__(self, spec, policy, agents, tol=np.inf, gaps=True):
+        self.spec, self.policy, self.agents = spec, policy, agents
+        self.tol, self.gaps = tol, gaps
+        self.worst = [None] * len(agents)
+        self.violations = []
+        self.one_shot = []
+        self.nodes = 0
+        self._joint_actions = [unflatten_joint(a, spec.action_counts)
+                               for a in range(spec.num_joint_actions)]
+
+    def run(self, history=()):
+        """Per agent, (on-policy value, best deviation value) at this node."""
+        spec = self.spec
+        if len(history) >= spec.horizon:
+            return np.zeros((len(self.agents), 2))
+        self.nodes += 1
+        views, gaps = _views(spec, self.policy, history, self.agents, self.gaps)
+        if self.gaps:
+            self.one_shot.append(gaps)
+        cont = np.array([self.run(history + (a,)) for a in self._joint_actions])
+        out = np.empty((len(self.agents), 2))
+        for k, ((i, xi), (row, w, stage)) in enumerate(zip(self.agents, views)):
+            eq = float(row @ _action_values(spec, i, w, stage, cont[:, k, 0]))
+            dev = float(_action_values(spec, i, w, stage, cont[:, k, 1]).max())
+            out[k] = eq, dev
+            found = DeviationFinding(player=i, type_index=xi, history=history,
+                                     equilibrium_value=eq, deviation_value=dev)
+            if self.worst[k] is None or found.gain > self.worst[k].gain:
+                self.worst[k] = found
+            if found.gain > self.tol:
+                self.violations.append(found)
+        return out
+
+
+def walk_brute(spec, policy, tol=1e-6):
+    """``verify_pbe`` as the node-by-node :class:`WalkBrute`."""
+    walk = WalkBrute(spec, policy, _agents(spec), tol=tol)
+    walk.run()
+    worst = max(walk.worst, key=lambda f: f.gain)
+    violations = sorted(walk.violations,
+                        key=lambda f: (-f.gain, f.player, f.type_index, f.history))
+    return VerificationReport(
+        ok=not violations, tolerance=tol, max_gain=float(worst.gain),
+        worst=worst, violations=tuple(violations),
+        agents_checked=len(walk.agents), histories_per_agent=walk.nodes,
+        one_shot=tuple(walk.one_shot))
+
+
+def walk_values_brute(spec, policy, i, xi, history=()):
+    """(on-policy value, best deviation value) of (i, xi) from ``history``
+    on, by :class:`WalkBrute`."""
+    eq, dev = WalkBrute(spec, policy, [(i, xi)], gaps=False).run(history)[0]
+    return float(eq), float(dev)
+
+
 def two_path_brute(spec, policy, i=None, t=None, samples=50, seed=0,
                    tol=1e-12):
     """``check_strategy_independence`` rebuilding every belief pair and
@@ -258,8 +373,8 @@ def two_path_brute(spec, policy, i=None, t=None, samples=50, seed=0,
                 if cond_before.degenerate or cond_after.degenerate:
                     skipped += 1
                     continue
-                w, _ = _agent_stage(spec, stage, cond_before.weights, gamma,
-                                    player, xi)
+                w, _ = agent_stage(spec, stage, cond_before.weights, gamma,
+                                   player, xi)
                 lhs_belief = w[spec.flatten_actions(a)]
                 mass = float(lhs_belief.sum())
                 if mass <= 1e-12:

@@ -253,6 +253,22 @@ def _evaluator_cases():
         yield spec, [Belief(w, spec.type_counts) for w in beliefs], rng
 
 
+def test_evaluator_agents_by_point():
+    """Every point's active and zero-marginal agents, by player and then
+    type, at grid points where types of both players have zero marginal."""
+    from spbe.backward import grid_points
+    spec = instances.coordination_instance()
+    beliefs = [Belief(w, spec.type_counts)
+               for w in grid_points(spec.num_joint_types, 3)]
+    ev = stage.StageEvaluator(spec, 1, beliefs)
+    active, corner = ev.agents(), ev.agents(corner=True)
+    agents = [(i, xi) for i, c in enumerate(spec.type_counts) for xi in range(c)]
+    for b, pi in enumerate(beliefs):
+        assert active[b] == oracles.active_agents(spec, pi.weights)
+        assert corner[b] == [a for a in agents if a not in active[b]]
+    assert any(len({i for i, _ in c}) > 1 for c in corner)
+
+
 def test_evaluator_q_matches_brute_oracle():
     for spec, beliefs, rng in _evaluator_cases():
         coeffs = rng.uniform(-1.0, 1.0, size=(spec.num_players, 3,

@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
+import zlib
 
 import numpy as np
 import pytest
 
 import spbe.verify
 from spbe import (
+    Belief,
     EquilibriumPolicy,
+    NoFixedPointError,
     Prescription,
     ResourceLimitError,
     best_deviation_value,
@@ -21,7 +25,10 @@ from spbe import (
     verify_pbe,
 )
 
+from spbe.game import embedding_map
+
 import oracles
+from test_forward import RandomRowsPolicy
 
 
 class RowPerturbedPolicy(EquilibriumPolicy):
@@ -192,9 +199,24 @@ def deep_solved():
     return spec, solve(spec)
 
 
+class RuledOutPolicy(EquilibriumPolicy):
+    """Equilibrium play whose beliefs after the first stage give player
+    0's type 0 no mass, so the two-path check meets degenerate
+    post-stage conditionals."""
+
+    def common_belief(self, history):
+        pi = super().common_belief(history)
+        if not history:
+            return pi
+        w = np.array(pi.weights)
+        w[embedding_map(pi.type_counts, 0, 0)] = 0.0
+        return Belief(w / w.sum(), pi.type_counts)
+
+
 @pytest.mark.parametrize("case, samples", [
     ("reference", 50), ("deep_reference", 12), ("signaling_pennies", 50),
     ("random_20", 50), ("dominant_types", 50), ("perturbed", 50),
+    ("ruled_out", 50),
 ])
 def test_strategy_independence_matches_brute_force(corpus_solves, deep_solved,
                                                    case, samples):
@@ -205,9 +227,11 @@ def test_strategy_independence_matches_brute_force(corpus_solves, deep_solved,
         result = solve(spec)
     else:
         spec, result = corpus_solves[
-            "reference" if case == "perturbed" else case]
+            "reference" if case in ("perturbed", "ruled_out") else case]
     if case == "perturbed":
         policy = RowPerturbedPolicy(spec, result.generator, eps=0.05)
+    elif case == "ruled_out":
+        policy = RuledOutPolicy(spec, result.generator)
     else:
         policy = EquilibriumPolicy(spec, result.generator)
     out = check_strategy_independence(spec, policy, samples=samples, seed=0)
@@ -233,8 +257,11 @@ def test_strategy_independence_catches_a_frozen_belief(corpus_solves):
 
 
 @pytest.mark.parametrize("case, recursions, conditionings", [
-    ("deep_reference", 0, 1360), ("signaling_pennies", 125, 32),
-])
+    # the four (player, stage) pairs 50 samples draw on the horizon-5 game
+    ("deep_reference", 0, [(0, 1), (0, 4), (1, 4), (1, 16),
+                           (0, 16), (0, 64), (1, 64), (1, 256)]),
+    ("signaling_pennies", 125, [(0, 1), (0, 4), (1, 1), (1, 4)]),
+], ids=["deep_reference", "signaling_pennies"])
 def test_strategy_independence_builds_pairs_once(corpus_solves, deep_solved,
                                                  monkeypatch, case, recursions,
                                                  conditionings):
@@ -242,20 +269,26 @@ def test_strategy_independence_builds_pairs_once(corpus_solves, deep_solved,
                     else corpus_solves[case])
     policy = EquilibriumPolicy(spec, result.generator)
     verify_pbe(spec, policy)
-    calls = {"expected_rewards": 0, "condition_on_type": 0}
-    for name in calls:
-        real = getattr(spbe.verify, name)
+    recursion_calls, stacks = [0], []
+    real_rewards = spbe.verify.expected_rewards
+    real_condition = spbe.verify.conditional_weights
 
-        def counting(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+    def counting_rewards(*args):
+        recursion_calls[0] += 1
+        return real_rewards(*args)
 
-        monkeypatch.setattr(spbe.verify, name, counting)
+    def counting_condition(weights, type_counts, i):
+        stacks.append((i, len(weights)))
+        return real_condition(weights, type_counts, i)
+
+    monkeypatch.setattr(spbe.verify, "expected_rewards", counting_rewards)
+    monkeypatch.setattr(spbe.verify, "conditional_weights", counting_condition)
     check_strategy_independence(spec, policy)
     # the recursion runs only where a belief pair differs, and each
-    # (player, stage) pair's beliefs are conditioned once, not per sample
-    assert calls == {"expected_rewards": recursions,
-                     "condition_on_type": conditionings}
+    # (player, stage) pair conditions two stacks once, not per sample or
+    # per history: the stage-(t-1) histories' beliefs and the stage-t ones'
+    assert recursion_calls == [recursions]
+    assert stacks == conditionings
 
 
 def test_tree_budget_guard():
@@ -266,6 +299,28 @@ def test_tree_budget_guard():
         verify_one_shot(spec, None)
     with pytest.raises(ResourceLimitError):
         check_strategy_independence(spec, None)
+
+
+class FailingPointPolicy(EquilibriumPolicy):
+    """Equilibrium play, except that the stage point after one history
+    failed to solve."""
+
+    def prescription_for_history(self, history):
+        if history == ((1, 1),):
+            raise NoFixedPointError(2, (), "no_fixed_point")
+        return super().prescription_for_history(history)
+
+
+def test_failed_stage_point_raises_from_the_checks(reference_solved):
+    spec, result = reference_solved
+    policy = FailingPointPolicy(spec, result.generator)
+    for check in (verify_pbe, verify_one_shot, run_certification):
+        with pytest.raises(NoFixedPointError):
+            check(spec, policy)
+    with pytest.raises(NoFixedPointError):
+        best_deviation_value(spec, policy, 0, 0)
+    # a subtree that avoids the failed point still checks
+    assert one_shot_gaps(spec, policy, ((0, 0),))["stage"] == 2
 
 
 def test_certificate_document(reference_solved):
@@ -303,17 +358,18 @@ def test_nan_claimed_values_fail_one_shot(reference_solved):
 def test_certificate_conditions_each_node_once(reference_solved, monkeypatch):
     spec, result = reference_solved
     calls = []
-    real = spbe.verify.condition_on_type
+    real = spbe.verify.conditional_weights
 
-    def counting(pi, i, xi):
-        calls.append((i, xi))
-        return real(pi, i, xi)
+    def counting(weights, type_counts, i):
+        calls.append((i, len(weights)))
+        return real(weights, type_counts, i)
 
-    monkeypatch.setattr(spbe.verify, "condition_on_type", counting)
+    monkeypatch.setattr(spbe.verify, "conditional_weights", counting)
     run_certification(spec, EquilibriumPolicy(spec, result.generator),
                       consistency_samples=0)
-    # 4 agents x 5 histories (the root and its 4 children), each once
-    assert sorted(calls) == sorted([(0, 0), (0, 1), (1, 0), (1, 1)] * 5)
+    # one stack per (depth, player), deepest first: the root's 4 children,
+    # then the root; every history is in exactly one stack
+    assert calls == [(0, 4), (1, 4), (0, 1), (1, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -345,3 +401,87 @@ def test_certificate_agrees_with_the_separate_checks(reference_solved,
     assert cert["all_checks_ok"] == (kind != "perturbed")
     worst = one_shot["worst"]
     assert worst == one_shot_gaps(spec, policy(), worst["history"])
+
+
+class RandomClaimsPolicy(RandomRowsPolicy):
+    """Random rows, and claimed values seeded by (history, player, type),
+    so that they do not depend on the order they are asked in."""
+
+    def continuation_value(self, history, i, xi):
+        seed = zlib.crc32(repr((history, i, xi)).encode())
+        return float(np.random.default_rng(seed).normal())
+
+
+@pytest.fixture(scope="module")
+def random_solves():
+    return {seed: solve(instances.random_instance(seed)) for seed in range(10)}
+
+
+LEVEL_PASS_CASES = (
+    [f"corpus_{name}" for name in instances.corpus()]
+    + [f"random_{seed}" for seed in range(10)]
+    + ["deep_reference", "reference_grid", "perturbed", "nan_claims",
+       "no_update", "random_rows_reference", "random_rows_discounted",
+       "random_rows_three_players"])
+
+
+@pytest.mark.parametrize("case", LEVEL_PASS_CASES)
+def test_level_pass_matches_the_node_walk(corpus_solves, random_solves,
+                                          deep_solved, reference_grid, case):
+    """The level pass gives the per-node walk's report, one-shot gaps in
+    pre-order, and values at every history of depth <= 2, to the bit."""
+    reference, solved = corpus_solves["reference"]
+    kinds = {"perturbed": RowPerturbedPolicy, "nan_claims": NanClaimsPolicy,
+             "no_update": NoUpdatePolicy}
+    random_rows = {"random_rows_reference": instances.reference_instance(),
+                   "random_rows_discounted": instances.random_instance(3, discount=0.9),
+                   "random_rows_three_players":
+                       instances.random_instance(0, players=3, horizon=2)}
+    if case in random_rows:
+        spec = random_rows[case]
+        shared = RandomClaimsPolicy(spec, seed=5)
+        for depth in range(spec.horizon):   # draw every history's rows once
+            for history in itertools.product(
+                    itertools.product(*map(range, spec.action_counts)), repeat=depth):
+                shared.prescription_for_history(history)
+        policy = lambda: shared
+    else:
+        if case.startswith("corpus_"):
+            spec, result = corpus_solves[case[len("corpus_"):]]
+        elif case.startswith("random_"):
+            seed = int(case[len("random_"):])
+            spec, result = instances.random_instance(seed), random_solves[seed]
+        elif case == "deep_reference":
+            spec, result = deep_solved
+        else:
+            spec, result = reference, solved
+        generator = reference_grid if case == "reference_grid" else result.generator
+        kind = kinds.get(case, EquilibriumPolicy)
+        policy = lambda: kind(spec, generator)
+
+    asked = {"level": [], "node": []}
+
+    def logged(check, log):
+        # runs check, logging the (child, player, type) claims it reads
+        p = policy()
+        real = p.continuation_value
+        p.continuation_value = lambda *args: log.append(args) or real(*args)
+        try:
+            return check(spec, p)
+        finally:
+            del p.continuation_value
+
+    report = logged(verify_pbe, asked["level"])
+    brute = logged(oracles.walk_brute, asked["node"])
+    assert repr(report.to_document()) == repr(brute.to_document())
+    assert repr(report.one_shot) == repr(brute.one_shot)
+    assert sorted(asked["level"]) == sorted(asked["node"])
+    joint = list(itertools.product(*map(range, spec.action_counts)))
+    for depth in range(min(2, spec.horizon) + 1):
+        for history in itertools.product(joint, repeat=depth):
+            for i, types in enumerate(spec.type_counts):
+                for xi in range(types):
+                    got = (equilibrium_continuation_value(spec, policy(), i, xi, history),
+                           best_deviation_value(spec, policy(), i, xi, history))
+                    want = oracles.walk_values_brute(spec, policy(), i, xi, history)
+                    assert repr(got) == repr(want), (history, i, xi)
