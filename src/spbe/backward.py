@@ -19,7 +19,8 @@ Both solve with :func:`~spbe.stage.solve_stage`, passing their own
 
 ``ExactGenerator``
     solves each belief it is asked for, as a batch of one, and stores it
-    by (stage, quantized belief). Solving the initial belief at stage 1
+    by (stage, quantized belief), the belief's :attr:`~spbe.beliefs.Belief.key`,
+    which :func:`~spbe.beliefs.belief_key` rounds once per belief. Solving the initial belief at stage 1
     solves every belief it touches; later queries (forward play,
     verification) hit the store or solve more. A cache budget bounds
     runaway recursion on large games.
@@ -54,15 +55,13 @@ from typing import NoReturn
 
 import numpy as np
 
-from .beliefs import Belief, Prescription, RowError, initial_belief
+from .beliefs import Belief, BeliefKey, Prescription, RowError, initial_belief
+from .beliefs import belief_key  # noqa: F401  (re-exported: the store's key rule)
 from .game import GameSpec
 from .stage import (Lookup, SolverConfig, StageSolution, solve_stage,
                     solve_stage_fixed_point)
 
-KEY_DIGITS = 9
 DEFAULT_CACHE_BUDGET = 1_000_000
-
-BeliefKey = tuple
 
 
 class NoFixedPointError(RuntimeError):
@@ -84,17 +83,6 @@ class ResourceLimitError(RuntimeError):
     def __init__(self, message: str, limit: int):
         super().__init__(message)
         self.limit = limit
-
-
-def belief_key(weights) -> BeliefKey:
-    """Quantize belief weights to a hashable cache key.
-
-    Rounds to 9 digits and normalizes negative zero so that beliefs equal
-    to solver precision share a key.
-    """
-    q = np.round(np.asarray(weights, dtype=float), KEY_DIGITS)
-    q[q == 0.0] = 0.0
-    return tuple(q.tolist())
 
 
 class Generator:
@@ -123,7 +111,7 @@ class Generator:
 
     @property
     def failed_points(self) -> list[tuple[int, BeliefKey, str]]:
-        return [(t, belief_key(pi.weights), solution.status)
+        return [(t, pi.key, solution.status)
                 for t, pi, solution in self.cached_points()
                 if not solution.converged]
 
@@ -180,7 +168,7 @@ class ExactGenerator(Generator):
     def solution_at(self, t: int, pi: Belief) -> StageSolution:
         if not 1 <= t <= self.spec.horizon:
             raise ValueError(f"stage {t} outside horizon 1..{self.spec.horizon}")
-        key = (t, belief_key(pi.weights))
+        key = (t, pi.key)
         got = self._cache.get(key)
         if got is None:
             if len(self._cache) >= self.cache_budget:
@@ -510,7 +498,7 @@ class GridGenerator(Generator):
         self.snap_stats["queries"] += 1
         solution = self.tables[t][idx]
         if not solution.converged:
-            raise NoFixedPointError(t, belief_key(self.grid[idx]), solution.status)
+            raise NoFixedPointError(t, self._beliefs[idx].key, solution.status)
         return solution
 
     def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
@@ -614,7 +602,7 @@ def _rows_to_lists(prescription: Prescription) -> list[list[list[float]]]:
 def _solution_entry(t: int, pi: Belief, solution: StageSolution) -> dict:
     return {
         "t": t,
-        "belief": list(belief_key(pi.weights)),
+        "belief": list(pi.key),
         "rows": _rows_to_lists(solution.prescription),
         "values": [arr.tolist() for arr in solution.values],
         "residual": float(solution.residual),
@@ -854,7 +842,7 @@ def _grid_from_entries(spec: GameSpec, resolution: int, entries: dict,
         residual=float("inf"),
         status="not_in_policy",
     )
-    index = {belief_key(pi.weights): idx for idx, pi in enumerate(generator._beliefs)}
+    index = {pi.key: idx for idx, pi in enumerate(generator._beliefs)}
     generator.tables = {t: [missing] * len(index) for t in range(1, spec.horizon + 1)}
     for (t, key), solution in entries.items():
         if key not in index:

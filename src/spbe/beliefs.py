@@ -19,10 +19,14 @@ Two fallbacks keep the operations total:
 
 All operations are pure: inputs are never mutated, and arrays inside
 returned objects are read-only.
+
+A belief's cache key, :func:`belief_key`, rounds its weights; a
+:class:`Belief` rounds them once and keeps the key.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -32,6 +36,20 @@ import numpy as np
 from .game import GameSpec, component_maps, embedding_map
 
 EPS_DENOMINATOR = 1e-12
+KEY_DIGITS = 9
+
+BeliefKey = tuple
+
+
+def belief_key(weights) -> BeliefKey:
+    """Quantize belief weights to a hashable cache key.
+
+    Rounds to 9 digits and normalizes negative zero so that beliefs equal
+    to solver precision share a key.
+    """
+    q = np.round(np.asarray(weights, dtype=float), KEY_DIGITS)
+    q[q == 0.0] = 0.0
+    return tuple(q.tolist())
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -59,6 +77,11 @@ class Belief:
     @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.weights > 0.0)
+
+    @functools.cached_property
+    def key(self) -> BeliefKey:
+        """:func:`belief_key` of the weights, computed on first use."""
+        return belief_key(self.weights)
 
     def type_marginal(self, i: int) -> np.ndarray:
         """Marginal distribution of player i's type."""
@@ -183,23 +206,6 @@ def initial_belief(spec: GameSpec) -> Belief:
     return Belief(spec.prior, spec.type_counts)
 
 
-def joint_action_likelihood(gamma: Prescription, a: Sequence[int]) -> np.ndarray:
-    """For every flat joint type x, the probability that the prescription
-    produces joint action a: the product over players of rows[i][x_i, a_i]."""
-    counts = gamma.type_counts
-    if len(a) != len(counts):
-        raise ValueError(f"joint action {tuple(a)} has {len(a)} components "
-                         f"for {len(counts)} players")
-    maps = component_maps(counts)
-    like = np.ones(int(np.prod(counts)))
-    for i, row in enumerate(gamma.rows):
-        ai = a[i]
-        if not 0 <= ai < row.shape[1]:
-            raise ValueError(f"action component {ai} out of range for player {i}")
-        like = like * row[maps[i], ai]
-    return like
-
-
 def posterior_weights(weights: np.ndarray, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched public Bayes update: the rule of :func:`update` on arrays.
 
@@ -221,22 +227,51 @@ def posterior_weights(weights: np.ndarray, like: np.ndarray) -> tuple[np.ndarray
     return np.where(moved[..., None], post, weights), moved
 
 
+def posteriors(pi: Belief, gamma: Prescription,
+               actions: Sequence[Sequence[int]]) -> list[Belief]:
+    """:func:`update` after each of ``actions``, as one batch.
+
+    The likelihood of every action is stacked and updated by one
+    :func:`posterior_weights` call, so each posterior is the bytes a
+    single update would give. Where the belief does not move (off path
+    or pooling) the result is ``pi`` itself. The actions are checked in
+    order, each as :func:`update` checks one.
+    """
+    counts = pi.type_counts
+    if gamma.type_counts != counts:
+        raise ValueError(
+            f"prescription type shape {gamma.type_counts} does not match "
+            f"belief shape {counts}"
+        )
+    for a in actions:
+        if len(a) != len(counts):
+            raise ValueError(f"joint action {tuple(a)} has {len(a)} components "
+                             f"for {len(counts)} players")
+        for i, row in enumerate(gamma.rows):
+            if not 0 <= a[i] < row.shape[1]:
+                raise ValueError(f"action component {a[i]} out of range for player {i}")
+    acts = np.array(actions, dtype=np.intp).reshape(len(actions), len(counts))
+    maps = component_maps(counts)
+    like = np.ones((len(actions), pi.weights.size))
+    for i, row in enumerate(gamma.rows):
+        like = like * row[maps[i][None, :], acts[:, i, None]]
+    post, moved = posterior_weights(pi.weights, like)
+    post.setflags(write=False)
+    return [Belief(w, counts) if m else pi for w, m in zip(post, moved.tolist())]
+
+
 def update(pi: Belief, gamma: Prescription, a: Sequence[int]) -> Belief:
     """Posterior after publicly observing joint action a.
 
     Multiplies each type's weight by the prescription probability of the
-    observed action and renormalizes. If the observed action has total
-    probability <= EPS_DENOMINATOR under pi, the belief is returned
-    unchanged. A likelihood that is constant across the support (pooling)
-    also returns pi unchanged, exactly, rather than renormalizing.
+    observed action (the product over players of rows[i][x_i, a_i]) and
+    renormalizes. If the observed action has total probability <=
+    EPS_DENOMINATOR under pi, the belief is returned unchanged. A
+    likelihood that is constant across the support (pooling) also
+    returns pi unchanged, exactly, rather than renormalizing. This is
+    :func:`posteriors` of one action.
     """
-    if gamma.type_counts != pi.type_counts:
-        raise ValueError(
-            f"prescription type shape {gamma.type_counts} does not match "
-            f"belief shape {pi.type_counts}"
-        )
-    post, moved = posterior_weights(pi.weights, joint_action_likelihood(gamma, a))
-    return Belief(post, pi.type_counts) if moved else pi
+    return posteriors(pi, gamma, [a])[0]
 
 
 def conditional_weights(weights: np.ndarray, type_counts: Sequence[int],

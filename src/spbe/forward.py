@@ -4,9 +4,18 @@ An :class:`EquilibriumPolicy` turns a prescription generator into an
 actual strategy profile over public histories: the common belief starts
 at the prior, each stage's prescription is the solved one at the current
 belief, and the belief advances with the public update applied to the
-realized joint action. Beliefs and prescriptions are cached per history,
-so repeated queries along shared prefixes (simulation episodes,
-verification passes) ask the generator once and are reproducible.
+realized joint action. Beliefs, prescriptions and the generator's
+claimed values are cached per history, so repeated queries along shared
+prefixes (simulation episodes, verification passes) ask the generator
+once and are reproducible. Beliefs are made a sibling group at a time:
+the first query of a child of some history updates the parent's belief
+after every joint action in one batch (:func:`~spbe.beliefs.posteriors`).
+Claimed values are read once per history, for every agent at once.
+
+The verifier reaches a policy only through four override points:
+``common_belief``, ``prescription_at``, ``prescription_for_history`` and
+``continuation_value``. The belief recursion goes through the first
+three, so an override of any of them reaches the belief process too.
 
 Also here: Monte Carlo simulation of the constructed profile, and
 :func:`expected_rewards`, the one payoff recursion over the history tree,
@@ -16,6 +25,7 @@ and the continuations of the verifier's two-path check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +38,7 @@ from .beliefs import (
     belief_entropy,
     condition_on_type,
     initial_belief,
+    posteriors,
     update,
 )
 from .game import GameSpec, component_maps, unflatten_joint
@@ -41,16 +52,16 @@ def _normalize_history(history) -> History:
     return tuple(tuple(int(a) for a in joint) for joint in history)
 
 
-def _find(cache: dict, history) -> tuple:
-    """(history, cache entry or None), normalizing the history on a miss."""
-    try:
-        got = cache.get(history)
-    except TypeError:   # unhashable spelling, e.g. lists
-        got = None
-    if got is not None:
-        return history, got
-    history = _normalize_history(history)
-    return history, cache.get(history)
+@dataclass(slots=True)
+class _Node:
+    """What a policy has read at one history, filled in as it is asked:
+    the common belief, the prescription and the generator's solved
+    values, under the history's normal form."""
+
+    history: History
+    belief: Belief | None = None
+    prescription: Prescription | None = None
+    values: tuple[np.ndarray, ...] | None = None
 
 
 class EquilibriumPolicy:
@@ -58,33 +69,58 @@ class EquilibriumPolicy:
 
     A history is a tuple of joint action tuples, one per elapsed stage;
     the empty history is the start of play. ``stage_of(history)`` is the
-    stage about to be played.
+    stage about to be played. Subclasses may override the four methods
+    the module docstring names.
     """
 
     def __init__(self, spec: GameSpec, generator):
         self.spec = spec
         self.generator = generator
-        self._beliefs: dict[History, Belief] = {}
-        self._prescriptions: dict[History, Prescription] = {}
+        self._nodes: dict[History, _Node] = {}
+
+    def _node(self, history) -> _Node:
+        """The node of a history, made on first use. Any spelling of a
+        history (lists, NumPy ints) reaches it; one is normalized only
+        when no node answers to it as written."""
+        try:
+            node = self._nodes.get(history)
+        except TypeError:   # unhashable spelling, e.g. lists
+            node = None
+        if node is None:
+            history = _normalize_history(history)
+            node = self._nodes.setdefault(history, _Node(history))
+        return node
 
     def stage_of(self, history) -> int:
         return len(history) + 1
 
     def common_belief(self, history) -> Belief:
-        """Public belief held entering stage len(history)+1."""
-        history, got = _find(self._beliefs, history)
-        if got is not None:
-            return got
+        """Public belief held entering stage len(history)+1, made with
+        its siblings (see the module docstring). A last action that is no
+        joint action of the parent's prescription goes through
+        :func:`~spbe.beliefs.update`, which raises.
+        """
+        node = self._node(history)
+        if node.belief is not None:
+            return node.belief
+        history = node.history
         if len(history) > self.spec.horizon:
             raise ValueError("history longer than the horizon")
         if not history:
-            belief = initial_belief(self.spec)
-        else:
-            prev = self.common_belief(history[:-1])
-            gamma = self.prescription_for_history(history[:-1])
-            belief = update(prev, gamma, history[-1])
-        self._beliefs[history] = belief
-        return belief
+            node.belief = initial_belief(self.spec)
+            return node.belief
+        parent = history[:-1]
+        prev = self.common_belief(parent)
+        gamma = self.prescription_for_history(parent)
+        joint = list(itertools.product(*map(range, gamma.action_counts)))
+        for a, belief in zip(joint, posteriors(prev, gamma, joint)):
+            key = parent + (a,)   # in normal form, as parent is
+            child = self._nodes.setdefault(key, _Node(key))
+            if child.belief is None:
+                child.belief = belief
+        if node.belief is None:
+            node.belief = update(prev, gamma, history[-1])
+        return node.belief
 
     def prescription_at(self, t: int, pi: Belief) -> Prescription:
         """Prescription used at stage t when the common belief is pi.
@@ -96,12 +132,11 @@ class EquilibriumPolicy:
 
     def prescription_for_history(self, history) -> Prescription:
         """Prescription after this history, asked of ``prescription_at`` once."""
-        history, got = _find(self._prescriptions, history)
-        if got is None:
-            got = self.prescription_at(self.stage_of(history),
-                                       self.common_belief(history))
-            self._prescriptions[history] = got
-        return got
+        node = self._node(history)
+        if node.prescription is None:
+            node.prescription = self.prescription_at(
+                self.stage_of(node.history), self.common_belief(node.history))
+        return node.prescription
 
     def strategy_query(self, history, i: int, xi: int) -> np.ndarray:
         """Mixed action of player i with type xi after this public history."""
@@ -113,9 +148,19 @@ class EquilibriumPolicy:
         return condition_on_type(self.common_belief(history), i, xi)
 
     def continuation_value(self, history, i: int, xi: int) -> float:
-        """Solved value of (i, xi) entering the stage after this history."""
-        return self.generator.value(self.stage_of(history),
-                                    self.common_belief(history), i, xi)
+        """Solved value of (i, xi) entering the stage after this history.
+
+        The generator's solution there is read once per history, for
+        every agent; past the horizon the value is the generator's zero.
+        """
+        node = self._node(history)
+        if node.values is None:
+            t = self.stage_of(node.history)
+            belief = self.common_belief(node.history)
+            if t > self.spec.horizon:
+                return self.generator.value(t, belief, i, xi)
+            node.values = self.generator.solution_at(t, belief).values
+        return float(node.values[i][xi])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from spbe import (
     traces_to_delimited,
     update,
 )
+from spbe.beliefs import posterior_weights
 from spbe.forward import expected_rewards
+from spbe.game import component_maps
 
 import oracles
 
@@ -270,3 +274,75 @@ def test_history_spellings_share_one_cache_entry():
     assert policy.common_belief(()) is not belief
     with pytest.raises(ValueError, match="longer than the horizon"):
         policy.common_belief([[0, 0]] * (spec.horizon + 1))
+
+
+def _one_update(pi, gamma, a):
+    """The public update after one joint action, with the likelihood
+    built as a 1-d product of the players' rows."""
+    maps = component_maps(pi.type_counts)
+    like = np.ones(pi.weights.size)
+    for i, row in enumerate(gamma.rows):
+        like = like * row[maps[i], a[i]]
+    post, moved = posterior_weights(pi.weights, like)
+    return Belief(post, pi.type_counts) if moved else pi
+
+
+def _check_siblings(spec, policy) -> tuple[int, int]:
+    """Compares every child's belief with the scalar update of its
+    parent's; returns how many children moved and how many kept the
+    parent's belief."""
+    joint = [spec.unflatten_actions(a) for a in range(spec.num_joint_actions)]
+    moved = kept = 0
+    for depth in range(spec.horizon):
+        for parent in itertools.product(joint, repeat=depth):
+            for a in joint:
+                got = policy.common_belief(parent + (a,))
+                prev = policy.common_belief(parent)
+                gamma = policy.prescription_for_history(parent)
+                want = update(prev, gamma, a)
+                assert (got is prev) == (want is prev)
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert (_one_update(prev, gamma, a).weights.tobytes()
+                        == want.weights.tobytes())
+                kept += got is prev
+                moved += got is not prev
+    return moved, kept
+
+
+@pytest.mark.parametrize("name", list(instances.corpus()))
+def test_sibling_beliefs_match_update_on_the_corpus(corpus_solves, name):
+    """Beliefs made a sibling group at a time are the bytes ``update``
+    gives one child at a time; a child where the belief does not move is
+    the parent's object."""
+    spec, result = corpus_solves[name]
+    _check_siblings(spec, EquilibriumPolicy(spec, result.generator))
+    _check_siblings(spec, RandomRowsPolicy(spec, seed=3))
+
+
+def test_sibling_beliefs_match_update_on_random_shapes():
+    counts = np.zeros(2, dtype=int)
+    for shape in (dict(players=3, horizon=1), dict(types=3), dict(actions=3)):
+        for seed in range(4):
+            spec = instances.random_instance(seed, **shape)
+            counts += _check_siblings(spec, RandomRowsPolicy(spec, seed=seed))
+    assert counts.all()   # children that moved, and children that did not
+
+
+def test_sibling_beliefs_keep_the_update_errors():
+    """A history whose last action is no joint action of the game raises
+    what ``update`` raises, and siblings made before still serve."""
+    spec = instances.reference_instance()
+    policy = EquilibriumPolicy(spec, solve(spec).generator)
+    gamma = policy.prescription_for_history(())
+    cases = [(((5, 0),), "action component 5 out of range for player 0"),
+             (((0, -1),), "action component -1 out of range for player 1"),
+             (((0,),), r"joint action \(0,\) has 1 components for 2 players"),
+             (((0, 0, 1),), r"joint action \(0, 0, 1\) has 3 components for 2 players")]
+    for history, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            update(policy.common_belief(()), gamma, history[-1])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            policy.common_belief(history)
+    with pytest.raises(ValueError, match="^history longer than the horizon$"):
+        policy.common_belief([[0, 0]] * (spec.horizon + 1))
+    assert policy.common_belief(((1, 1),)) is policy.common_belief([[1, 1]])

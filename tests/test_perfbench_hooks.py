@@ -3,10 +3,12 @@
 ``perfbench/run.py --trace 1`` records spans by replacing ``spbe`` names
 from outside the program; a name that disappears would crash the traced
 run, so its hooks are installed and restored here. A one-game round of a
-policy-file workload runs here too, so that a break in the calls it makes
-shows before the benchmark ends as failed.
+policy-file workload, and a reduced ``certify_deep`` round with its
+checks, run here too, so that a break in the calls they make shows
+before the benchmark ends as failed.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -61,3 +63,16 @@ def test_policy_file_round_runs(tmp_path, monkeypatch):
     rnd = run.run_round(wl, run.write_games(wl), run.NoTracer(), 0, 0)
     assert run.operations(wl, rnd) == (3, 0, [])
     assert rnd.certs[0]["reference"]["table_completions"] == 0
+
+
+def test_certify_deep_round_runs(tmp_path, monkeypatch):
+    """One reduced round of ``certify_deep`` runs and passes its checks,
+    the perturbed-policy ones included: the perturbation is a
+    ``prescription_at`` override, which must reach the belief process."""
+    run = _load_run()
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    wl = dataclasses.replace(run.WORKLOADS["certify_deep"], solve_reps=1,
+                             verify_reps=1, sim_reps=1, episodes=200)
+    rnd = run.run_round(wl, run.write_games(wl), run.NoTracer(), 0, 0)
+    assert run.operations(wl, rnd) == (3, 0, [])
+    assert run.CHECKS["certify_deep"](wl, rnd) == []

@@ -5,6 +5,9 @@ import zlib
 import numpy as np
 import pytest
 
+import spbe.backward
+import spbe.beliefs
+import spbe.forward
 import spbe.verify
 from spbe import (
     Belief,
@@ -289,6 +292,41 @@ def test_strategy_independence_builds_pairs_once(corpus_solves, deep_solved,
     # per history: the stage-(t-1) histories' beliefs and the stage-t ones'
     assert recursion_calls == [recursions]
     assert stacks == conditionings
+
+
+def test_cold_certificate_reads_each_history_once(monkeypatch):
+    """A certificate on a fresh policy of the horizon-5 reference makes
+    beliefs a sibling group at a time, asks the generator at most twice
+    per history (for its prescription and for its claimed values) and
+    rounds each belief's key at most once."""
+    spec = deep_reference()
+    generator = solve(spec).generator
+    updates, batches, solved_at, rounded = [], [], [], []
+
+    def counting(calls, real):
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(spbe.forward, "update", counting(updates, spbe.forward.update))
+    monkeypatch.setattr(spbe.forward, "posteriors",
+                        counting(batches, spbe.forward.posteriors))
+    monkeypatch.setattr(type(generator), "solution_at",
+                        counting(solved_at, type(generator).solution_at))
+    key = counting(rounded, spbe.beliefs.belief_key)
+    monkeypatch.setattr(spbe.beliefs, "belief_key", key)
+    monkeypatch.setattr(spbe.backward, "belief_key", key)
+    assert run_certification(spec, EquilibriumPolicy(spec, generator))["all_checks_ok"]
+    histories = sum(spec.num_joint_actions ** k for k in range(spec.horizon))
+    parents = histories - spec.num_joint_actions ** (spec.horizon - 1)
+    assert (len(updates), len(batches)) == (0, parents)
+    # one prescription per history, claimed values once per child read
+    assert len(solved_at) == histories + histories - 1
+    assert len(solved_at) <= 2 * histories
+    # the calls hold every rounded array, so their ids stay distinct
+    assert len({id(weights) for (weights,) in rounded}) == len(rounded)
+    assert len(rounded) <= len({id(pi) for _self, _t, pi in solved_at})
 
 
 def test_tree_budget_guard():
