@@ -13,6 +13,7 @@ from .beliefs import (
     ConditionalBelief,
     Prescription,
     belief_entropy,
+    belief_key,
     condition_on_type,
     initial_belief,
     update,
@@ -40,7 +41,6 @@ from .backward import (
     NoFixedPointError,
     ResourceLimitError,
     SolveResult,
-    belief_key,
     build_solve_report,
     grid_points,
     load_policy,

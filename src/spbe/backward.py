@@ -19,10 +19,11 @@ Both solve with :func:`~spbe.stage.solve_stage`, passing their own
 
 ``ExactGenerator``
     solves each belief it is asked for, as a batch of one, and stores it
-    by (stage, quantized belief), the belief's :attr:`~spbe.beliefs.Belief.key`,
-    which :func:`~spbe.beliefs.belief_key` rounds once per belief. Solving the initial belief at stage 1
-    solves every belief it touches; later queries (forward play,
-    verification) hit the store or solve more. A cache budget bounds
+    by (stage, quantized belief), the belief's
+    :attr:`~spbe.beliefs.Belief.key`, which :func:`~spbe.beliefs.belief_key`
+    rounds once per belief. Solving the initial belief at stage 1 solves
+    every belief it touches; later queries (forward play, verification)
+    hit the store or solve more. A cache budget bounds
     runaway recursion on large games.
 
 ``GridGenerator``
@@ -56,7 +57,6 @@ from typing import NoReturn
 import numpy as np
 
 from .beliefs import Belief, BeliefKey, Prescription, RowError, initial_belief
-from .beliefs import belief_key  # noqa: F401  (re-exported: the store's key rule)
 from .game import GameSpec
 from .stage import (Lookup, SolverConfig, StageSolution, solve_stage,
                     solve_stage_fixed_point)

@@ -7,15 +7,20 @@ belief, and the belief advances with the public update applied to the
 realized joint action. Beliefs, prescriptions and the generator's
 claimed values are cached per history, so repeated queries along shared
 prefixes (simulation episodes, verification passes) ask the generator
-once and are reproducible. Beliefs are made a sibling group at a time:
-the first query of a child of some history updates the parent's belief
-after every joint action in one batch (:func:`~spbe.beliefs.posteriors`).
-Claimed values are read once per history, for every agent at once.
+once and are reproducible. A belief is made from its parent's alone,
+so sparse traffic (one simulated path after another) makes only the
+beliefs it reads; a caller about to read every child of a history, as
+the verifier's passes over the tree do, asks
+:meth:`EquilibriumPolicy.expand` to make them in one batch
+(:func:`~spbe.beliefs.posteriors`). Claimed values are read once per
+history, for every agent at once.
 
 The verifier reaches a policy only through four override points:
 ``common_belief``, ``prescription_at``, ``prescription_for_history`` and
 ``continuation_value``. The belief recursion goes through the first
 three, so an override of any of them reaches the belief process too.
+``expand`` is no override point: it only fills the default
+``common_belief``'s cache, through the other three.
 
 Also here: Monte Carlo simulation of the constructed profile, and
 :func:`expected_rewards`, the one payoff recursion over the history tree,
@@ -55,13 +60,15 @@ def _normalize_history(history) -> History:
 @dataclass(slots=True)
 class _Node:
     """What a policy has read at one history, filled in as it is asked:
-    the common belief, the prescription and the generator's solved
-    values, under the history's normal form."""
+    the common belief, the prescription, the generator's solved values,
+    and whether every child's belief was made
+    (:meth:`EquilibriumPolicy.expand`), under the history's normal form."""
 
     history: History
     belief: Belief | None = None
     prescription: Prescription | None = None
     values: tuple[np.ndarray, ...] | None = None
+    expanded: bool = False
 
 
 class EquilibriumPolicy:
@@ -78,49 +85,73 @@ class EquilibriumPolicy:
         self.generator = generator
         self._nodes: dict[History, _Node] = {}
 
-    def _node(self, history) -> _Node:
-        """The node of a history, made on first use. Any spelling of a
-        history (lists, NumPy ints) reaches it; one is normalized only
-        when no node answers to it as written."""
+    def _find(self, history) -> tuple[History, _Node | None]:
+        """(normal form of a history, its node or None). Any spelling of a
+        history (lists, NumPy ints) reaches its node; one is normalized
+        only when no node answers to it as written."""
         try:
             node = self._nodes.get(history)
         except TypeError:   # unhashable spelling, e.g. lists
             node = None
+        if node is not None:
+            return node.history, node
+        history = _normalize_history(history)
+        return history, self._nodes.get(history)
+
+    def _add(self, history: History) -> _Node:
+        """The node of a history in normal form, made if it has none yet.
+        Called only once the history is known to be valid."""
+        node = self._nodes.get(history)
         if node is None:
-            history = _normalize_history(history)
-            node = self._nodes.setdefault(history, _Node(history))
+            node = self._nodes[history] = _Node(history)
         return node
 
     def stage_of(self, history) -> int:
         return len(history) + 1
 
     def common_belief(self, history) -> Belief:
-        """Public belief held entering stage len(history)+1, made with
-        its siblings (see the module docstring). A last action that is no
-        joint action of the parent's prescription goes through
-        :func:`~spbe.beliefs.update`, which raises.
-        """
-        node = self._node(history)
-        if node.belief is not None:
+        """Public belief held entering stage len(history)+1: the parent's
+        belief updated after the last joint action, unless
+        :meth:`expand` made it with its siblings."""
+        history, node = self._find(history)
+        if node is not None and node.belief is not None:
             return node.belief
-        history = node.history
         if len(history) > self.spec.horizon:
             raise ValueError("history longer than the horizon")
-        if not history:
-            node.belief = initial_belief(self.spec)
-            return node.belief
-        parent = history[:-1]
-        prev = self.common_belief(parent)
-        gamma = self.prescription_for_history(parent)
+        if history:
+            parent = history[:-1]
+            belief = update(self.common_belief(parent),
+                            self.prescription_for_history(parent), history[-1])
+        else:
+            belief = initial_belief(self.spec)
+        self._add(history).belief = belief
+        return belief
+
+    def expand(self, history) -> None:
+        """Make the belief after every joint action at this history in one
+        batch (:func:`~spbe.beliefs.posteriors`), for a caller about to read
+        them all, as the verifier's passes over the history tree do. An
+        ancestor whose own belief is not made yet is expanded first.
+        Each child's belief is the bytes, or the object, that
+        :meth:`common_belief` would make alone, and the prescriptions it
+        asks for, this history's and its ancestors', are those reading
+        any one child asks for, in the same order.
+        """
+        history, node = self._find(history)
+        if node is not None and node.expanded:
+            return
+        if len(history) >= self.spec.horizon:
+            raise ValueError("no stage after this history")
+        if history and (node is None or node.belief is None):
+            self.expand(history[:-1])
+        pi = self.common_belief(history)
+        gamma = self.prescription_for_history(history)
         joint = list(itertools.product(*map(range, gamma.action_counts)))
-        for a, belief in zip(joint, posteriors(prev, gamma, joint)):
-            key = parent + (a,)   # in normal form, as parent is
-            child = self._nodes.setdefault(key, _Node(key))
+        for a, belief in zip(joint, posteriors(pi, gamma, joint)):
+            child = self._add(history + (a,))   # in normal form, as history is
             if child.belief is None:
                 child.belief = belief
-        if node.belief is None:
-            node.belief = update(prev, gamma, history[-1])
-        return node.belief
+        self._add(history).expanded = True
 
     def prescription_at(self, t: int, pi: Belief) -> Prescription:
         """Prescription used at stage t when the common belief is pi.
@@ -132,11 +163,12 @@ class EquilibriumPolicy:
 
     def prescription_for_history(self, history) -> Prescription:
         """Prescription after this history, asked of ``prescription_at`` once."""
-        node = self._node(history)
-        if node.prescription is None:
-            node.prescription = self.prescription_at(
-                self.stage_of(node.history), self.common_belief(node.history))
-        return node.prescription
+        history, node = self._find(history)
+        if node is not None and node.prescription is not None:
+            return node.prescription
+        gamma = self.prescription_at(self.stage_of(history), self.common_belief(history))
+        self._add(history).prescription = gamma
+        return gamma
 
     def strategy_query(self, history, i: int, xi: int) -> np.ndarray:
         """Mixed action of player i with type xi after this public history."""
@@ -153,12 +185,13 @@ class EquilibriumPolicy:
         The generator's solution there is read once per history, for
         every agent; past the horizon the value is the generator's zero.
         """
-        node = self._node(history)
-        if node.values is None:
-            t = self.stage_of(node.history)
-            belief = self.common_belief(node.history)
+        history, node = self._find(history)
+        if node is None or node.values is None:
+            t = self.stage_of(history)
+            belief = self.common_belief(history)
             if t > self.spec.horizon:
                 return self.generator.value(t, belief, i, xi)
+            node = self._add(history)
             node.values = self.generator.solution_at(t, belief).values
         return float(node.values[i][xi])
 

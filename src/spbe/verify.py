@@ -21,14 +21,16 @@ has ruled out falls back to the uniform conditional, matching the
 solver's treatment of those rows.
 
 The level pass is the certificate and the one-shot check; it visits
-every history once. The two-path check builds its belief pairs once per
-(player, stage), from the same stacked arrays, and runs the forward
-pass's payoff recursion over a subtree only per sample and stage-t
-history whose pair differs. On the horizon-5 reference game, where no
+every history once, and has the policy make each sibling group's
+beliefs in one batch (:meth:`~spbe.forward.EquilibriumPolicy.expand`),
+as the two-path check does too. The two-path check builds its belief
+pairs once per (player, stage), from the same stacked arrays, and runs
+the forward pass's payoff recursion over a subtree only per sample and
+stage-t history whose pair differs. On the horizon-5 reference game, where no
 pair differs, in process on a 2-core Xeon with the policy's caches warm,
-median of 15 calls, over several runs: level pass 0.004-0.008 s,
-two-path with its default 50 samples 0.002-0.004 s, and the whole
-certificate on a fresh policy 0.012-0.020 s.
+median of 15 calls, over three runs: level pass 0.005-0.008 s,
+two-path with its default 50 samples 0.003-0.004 s, and the whole
+certificate on a fresh policy 0.015-0.020 s.
 
 All three checks share one stage evaluation, :func:`_agent_weights`: for
 an agent (i, xi) at a stack of histories, per flat joint action, the
@@ -147,7 +149,7 @@ def _agent_weights(spec: GameSpec, cond: np.ndarray, rows: list[np.ndarray],
 
 
 def _level(spec: GameSpec, policy: EquilibriumPolicy, histories: list,
-           agents: list[tuple[int, int]]) -> list[tuple]:
+           agents: list[tuple[int, int]], siblings: bool) -> list[tuple]:
     """Every agent's view of the stage after each of ``histories``, which
     have one length: its own rows, and per joint action a the mass
     ``sum_k w[h, a, k]`` and the expected stage reward
@@ -156,9 +158,13 @@ def _level(spec: GameSpec, policy: EquilibriumPolicy, histories: list,
 
     The policy's belief and prescription are read once per history, in
     order; each player's types are conditioned once, on the whole stack.
+    With ``siblings`` the histories are whole sibling groups, and each
+    group's beliefs are made in one batch.
     """
     weights, gammas = [], []
     for history in histories:
+        if siblings:
+            policy.expand(history[:-1])
         weights.append(policy.common_belief(history).weights)
         gammas.append(policy.prescription_for_history(history))
     rows = [np.array([g.rows[j] for g in gammas]) for j in range(spec.num_players)]
@@ -243,7 +249,7 @@ def _walk(spec: GameSpec, policy: EquilibriumPolicy, agents: list[tuple[int, int
     values, gap_levels = [None] * len(levels), [None] * len(levels)
     child = np.zeros((len(joint) ** len(levels), len(agents), 2))
     for r in reversed(range(len(levels))):
-        views = _level(spec, policy, levels[r], agents)
+        views = _level(spec, policy, levels[r], agents, siblings=r > 0)
         children = levels[r + 1] if r + 1 < len(levels) else None
         if gaps:
             gap_levels[r] = _one_shot(spec, policy, agents, views, children)
@@ -353,7 +359,8 @@ def one_shot_gaps(spec: GameSpec, policy: EquilibriumPolicy,
     agents = _agents(spec)
     children = ([history + (a,) for a in _joint_actions(spec)]
                 if len(history) + 1 < spec.horizon else None)
-    gaps = _one_shot(spec, policy, agents, _level(spec, policy, [history], agents),
+    gaps = _one_shot(spec, policy, agents,
+                     _level(spec, policy, [history], agents, siblings=False),
                      children)
     return _gap_document(history, agents, gaps[0].tolist())
 
@@ -416,6 +423,7 @@ def _belief_pairs(spec: GameSpec, policy: EquilibriumPolicy, player: int,
     for parent in itertools.product(joint, repeat=stage - 1):
         before.append(policy.common_belief(parent).weights)
         gammas.append(policy.prescription_for_history(parent))
+        policy.expand(parent)
         for a in joint:
             histories.append(parent + (a,))
             after.append(policy.common_belief(histories[-1]).weights)

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+import spbe.forward
 from spbe import (
     Belief,
     EquilibriumPolicy,
@@ -288,13 +290,14 @@ def _one_update(pi, gamma, a):
 
 
 def _check_siblings(spec, policy) -> tuple[int, int]:
-    """Compares every child's belief with the scalar update of its
-    parent's; returns how many children moved and how many kept the
-    parent's belief."""
+    """Makes every history's children in one batch and compares each
+    child's belief with the scalar update of its parent's; returns how
+    many children moved and how many kept the parent's belief."""
     joint = [spec.unflatten_actions(a) for a in range(spec.num_joint_actions)]
     moved = kept = 0
     for depth in range(spec.horizon):
         for parent in itertools.product(joint, repeat=depth):
+            policy.expand(parent)
             for a in joint:
                 got = policy.common_belief(parent + (a,))
                 prev = policy.common_belief(parent)
@@ -338,11 +341,39 @@ def test_sibling_beliefs_keep_the_update_errors():
              (((0, -1),), "action component -1 out of range for player 1"),
              (((0,),), r"joint action \(0,\) has 1 components for 2 players"),
              (((0, 0, 1),), r"joint action \(0, 0, 1\) has 3 components for 2 players")]
+    policy.expand(())
+    nodes = len(policy._nodes)
     for history, message in cases:
         with pytest.raises(ValueError, match=f"^{message}$"):
             update(policy.common_belief(()), gamma, history[-1])
         with pytest.raises(ValueError, match=f"^{message}$"):
             policy.common_belief(history)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            policy.prescription_for_history(history)
     with pytest.raises(ValueError, match="^history longer than the horizon$"):
         policy.common_belief([[0, 0]] * (spec.horizon + 1))
+    with pytest.raises(ValueError, match="^no stage after this history$"):
+        policy.expand([[0, 0]] * spec.horizon)
+    assert len(policy._nodes) == nodes   # a failed query leaves no node behind
     assert policy.common_belief(((1, 1),)) is policy.common_belief([[1, 1]])
+
+
+def test_simulation_makes_only_the_beliefs_it_reads(monkeypatch):
+    """Sparse traffic stays lazy: a simulation on a fresh policy updates
+    one belief per history it reaches and makes no sibling batch."""
+    ref = instances.reference_instance()
+    spec = dataclasses.replace(ref, horizon=5,
+                               rewards=ref.rewards[:1] * 4 + ref.rewards[1:])
+    generator = solve(spec).generator
+    updates, batches = [], []
+    for name, calls in (("update", updates), ("posteriors", batches)):
+        real = getattr(spbe.forward, name)
+        monkeypatch.setattr(spbe.forward, name,
+                            lambda *args, calls=calls, real=real:
+                            calls.append(args) or real(*args))
+    policy = EquilibriumPolicy(spec, generator)
+    traces = simulate(spec, policy, episodes=3, seed=1).traces
+    reached = {trace.actions[:k] for trace in traces for k in range(spec.horizon)}
+    assert batches == []
+    assert len(updates) == len(reached) - 1
+    assert len(policy._nodes) == len(reached)

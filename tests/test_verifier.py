@@ -5,7 +5,6 @@ import zlib
 import numpy as np
 import pytest
 
-import spbe.backward
 import spbe.beliefs
 import spbe.forward
 import spbe.verify
@@ -296,7 +295,7 @@ def test_strategy_independence_builds_pairs_once(corpus_solves, deep_solved,
 
 def test_cold_certificate_reads_each_history_once(monkeypatch):
     """A certificate on a fresh policy of the horizon-5 reference makes
-    beliefs a sibling group at a time, asks the generator at most twice
+    beliefs a sibling group at a time, through ``expand``, asks the generator at most twice
     per history (for its prescription and for its claimed values) and
     rounds each belief's key at most once."""
     spec = deep_reference()
@@ -316,7 +315,6 @@ def test_cold_certificate_reads_each_history_once(monkeypatch):
                         counting(solved_at, type(generator).solution_at))
     key = counting(rounded, spbe.beliefs.belief_key)
     monkeypatch.setattr(spbe.beliefs, "belief_key", key)
-    monkeypatch.setattr(spbe.backward, "belief_key", key)
     assert run_certification(spec, EquilibriumPolicy(spec, generator))["all_checks_ok"]
     histories = sum(spec.num_joint_actions ** k for k in range(spec.horizon))
     parents = histories - spec.num_joint_actions ** (spec.horizon - 1)
