@@ -33,11 +33,12 @@ Both solve with :func:`~spbe.stage.solve_stage`, passing their own
     ties: approximate but total. :func:`nearest_grid_index` finds it by
     rounding the scaled belief, not by scanning the grid.
 
-A policy document holds the store's converged points, checked against the
-game in one pass when loaded. An exact-mode document reloads as an ``ExactGenerator``
-whose store holds the document's entries and solves, through the same
-store, any belief the document lacks; a grid-mode one reloads as a built
-``GridGenerator``.
+A policy document holds the store's converged points. A load checks them
+against the game in one pass; a document that fails it is read again entry
+by entry, and the per-entry checker alone words the error. An exact-mode
+document reloads as an ``ExactGenerator`` whose store holds the document's
+entries and solves, through the same store, any belief the document lacks;
+a grid-mode one reloads as a built ``GridGenerator``.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
-from .beliefs import Belief, BeliefKey, Prescription, RowError, initial_belief
+from .beliefs import Belief, BeliefKey, Prescription, initial_belief
 from .game import GameSpec
 from .stage import (Lookup, SolverConfig, StageSolution, solve_stage,
                     solve_stage_fixed_point)
@@ -150,9 +150,10 @@ class ExactGenerator(Generator):
     Every distinct (stage, quantized belief) pair is solved at most once;
     the memo makes repeated queries, forward play, and verification
     bit-identical. A failed stage point raises :class:`NoFixedPointError`
-    and aborts whatever query needed it. A store loaded from a policy file
-    (:func:`load_policy`) starts with the file's points, and counts in
-    ``completions`` every point it solves after that.
+    and aborts whatever query needed it; a belief with non-finite weights
+    that the store lacks raises ``ValueError`` before any solve. A store
+    loaded from a policy file (:func:`load_policy`) starts with the file's
+    points, and counts in ``completions`` every point it solves after that.
     """
 
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
@@ -171,6 +172,9 @@ class ExactGenerator(Generator):
         key = (t, pi.key)
         got = self._cache.get(key)
         if got is None:
+            if not np.isfinite(pi.weights).all():
+                raise ValueError(f"stage {t} belief has non-finite weights "
+                                 f"{pi.weights.tolist()}")
             if len(self._cache) >= self.cache_budget:
                 raise ResourceLimitError(
                     f"stage-point cache exceeded {self.cache_budget} entries; "
@@ -681,16 +685,17 @@ def _entry_shapes(spec: GameSpec) -> tuple[list[tuple], list[tuple]]:
 def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
                                                     StageSolution]:
     """A policy document's entries as (stage, belief key) -> solution,
-    checked against the game in one pass.
+    checked against the game.
 
-    Python checks, entry by entry, what needs no arrays: fields present,
-    stage range, belief length, number of players, status and residual;
-    it stops at the first entry that fails. The rows and values of the
-    entries before it become one read-only stack per player, each built
-    by one ``np.array`` call, whose shapes, finiteness and row rule
+    One pass decides whether every entry is sound. Python checks, entry by
+    entry, what needs no arrays: fields present, stage range, belief
+    length, number of players, status and residual. The rows and values
+    then become one read-only stack per player, each built by one
+    ``np.array`` call, whose shapes, finiteness and row rule
     (:meth:`Prescription.batch`) are checked at once. The solutions hold
-    views of the stacks. If any entry fails, :func:`_raise_entry_fault`
-    names the lowest failing one.
+    views of the stacks. If any check fails, the entries are read again
+    one at a time by :func:`_check_entry`, which alone words the error:
+    the first entry it rejects is the lowest bad one.
     """
     n, size = spec.num_players, spec.num_joint_types
     fields = []
@@ -708,65 +713,55 @@ def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
         except (KeyError, TypeError, ValueError, OverflowError):
             break   # named below, as the entry's own checks name it
         fields.append(point)
-    rows_need, values_need = _entry_shapes(spec)
-
-    def stacks(m: int):
-        rows = _stack([f[2] for f in fields[:m]], rows_need)
-        values = _stack([f[3] for f in fields[:m]], values_need)
-        return None if rows is None or values is None else (rows, values)
-
-    stop = len(fields)
-    if (stacked := stacks(stop)) is None:
-        # the longest prefix that stacks ends at the first entry whose rows
-        # or values do not convert to the game's shapes
-        stop = bisect.bisect_left(range(stop), True,
-                                  key=lambda m: stacks(m + 1) is None)
-        stacked = stacks(stop)
-    row_stacks, value_stacks = stacked
-    finite = np.logical_and.reduce(
-        [np.isfinite(v).all(axis=1) for v in value_stacks])
-    if not finite.all():
-        stop = int(finite.argmin())
-    try:
-        prescriptions = Prescription.batch([s[:stop] for s in row_stacks])
-    except RowError as err:
-        stop = err.index
-    if stop < len(raw):
-        _raise_entry_fault(stop, raw[stop], spec)
-    return {(t, key): StageSolution(prescription=gamma, values=vals,
-                                    residual=residual, status="converged",
-                                    method=method, restart_index=restart)
-            for (t, key, _rows, _values, residual, method, restart), gamma, vals
-            in zip(fields, prescriptions, zip(*value_stacks))}
+    if len(fields) == len(raw):
+        rows_need, values_need = _entry_shapes(spec)
+        try:
+            row_stacks = _stack([f[2] for f in fields], rows_need)
+            value_stacks = _stack([f[3] for f in fields], values_need)
+            if not all(np.isfinite(v).all() for v in value_stacks):
+                raise ValueError("values are not all finite")
+            prescriptions = Prescription.batch(row_stacks)
+        except (TypeError, ValueError, OverflowError):
+            pass    # named below, by the lowest entry that fails alone
+        else:
+            return {(t, key): StageSolution(prescription=gamma, values=vals,
+                                            residual=residual, status="converged",
+                                            method=method, restart_index=restart)
+                    for (t, key, _rows, _values, residual, method, restart), gamma, vals
+                    in zip(fields, prescriptions, zip(*value_stacks))}
+    for k, entry in enumerate(raw):
+        _check_entry(k, entry, spec)
+    # reached only by documents built in Python whose rows or values
+    # iterate unlike lists (with no len(), say); JSON holds none
+    raise ValueError("policy entries pass one by one, but their rows or "
+                     "values do not stack")
 
 
-def _stack(parts: list, shapes: list[tuple]) -> list[np.ndarray] | None:
+def _stack(parts: list, shapes: list[tuple]) -> list[np.ndarray]:
     """Every entry's part (its rows, or its values) as one read-only float
-    stack per player, of shape (entries, *shape); ``None`` if some entry's
-    part does not convert to these shapes."""
+    stack per player, of shape (entries, *shape). A part that does not
+    convert to these shapes raises NumPy's error or ``ValueError``."""
     out = []
     for player, shape in zip(zip(*parts) if parts else [()] * len(shapes),
                              shapes):
-        try:
-            stack = np.array(player, dtype=float) if player else np.empty((0, *shape))
-        except (TypeError, ValueError, OverflowError):
-            return None
+        stack = np.array(player, dtype=float) if player else np.empty((0, *shape))
         if stack.shape != (len(player), *shape):
-            return None
+            raise ValueError(f"a stack of shape {stack.shape}")
         stack.setflags(write=False)
         out.append(stack)
     return out
 
 
-def _raise_entry_fault(k: int, entry, spec: GameSpec) -> NoReturn:
-    """Raise the error of policy entry k's first failing check.
+def _check_entry(k: int, entry, spec: GameSpec) -> None:
+    """Check policy entry k alone; return if it is sound, else raise the
+    error of its first failing check.
 
-    Runs the checks on that entry alone, in this order: the fields ``t``
-    and ``belief``; rows and values as arrays, so that a part that does
-    not convert raises as NumPy says; stage range; belief length; shapes;
-    finite values; status; the row rule of :class:`Prescription`; the
-    residual. A missing field raises ``ValueError("policy entry k has no
-    field ...")``, any other fault ``ValueError("policy entry k: ...")``.
+    The checks run in this order: the fields ``t`` and ``belief``; rows
+    and values as arrays, so that a part that does not convert raises as
+    NumPy says; stage range; belief length; shapes; finite values; status;
+    the row rule of :class:`Prescription`; the residual. A missing field
+    raises ``ValueError("policy entry k has no field ...")``, any other
+    fault ``ValueError("policy entry k: ...")``.
     """
     try:
         t = int(entry["t"])
@@ -793,9 +788,6 @@ def _raise_entry_fault(k: int, entry, spec: GameSpec) -> NoReturn:
         raise ValueError(f"policy entry {k} has no field {err}") from err
     except (TypeError, ValueError) as err:
         raise ValueError(f"policy entry {k}: {err}") from err
-    # reached only by documents built in Python whose rows or values
-    # iterate unlike lists (with no len(), say); JSON holds none
-    raise ValueError(f"policy entry {k}: its rows or values do not stack")
 
 
 def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
@@ -810,8 +802,9 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
     ``cache_budget``. The entries are checked against the game in one
     pass (:func:`_read_entries`): rows and values are stacked per player
     and checked at once. An entry that lacks a field, does not fit the
-    game or was not solved fails the load: the lowest such entry k raises
-    ``ValueError`` naming its index and its first failing check.
+    game or was not solved fails the load: the document is read again
+    entry by entry, and the lowest such entry k raises ``ValueError``
+    naming its index and its first failing check (:func:`_check_entry`).
     """
     if type(doc) is not dict or doc.get("format") != POLICY_FORMAT:
         raise ValueError("not a policy document")

@@ -196,14 +196,17 @@ def _cmd_solve(args) -> int:
     return EXIT_RESOURCE if result.status == "refused" else EXIT_NO_FIXED_POINT
 
 
-def _policy_for(spec: GameSpec, args):
-    """Generator backing simulate/verify: a policy file when given (a
-    grid-mode file snaps to its grid, any other solves the beliefs it
-    lacks exactly, within the solver knobs and cache budget), otherwise a
-    fresh solve in the chosen mode."""
+def _policy_for(args, command: str) -> tuple[GameSpec, EquilibriumPolicy | None]:
+    """The game and the policy that ``command`` (simulate or verify) plays:
+    a policy file when given (a grid-mode file snaps to its grid, any other
+    solves the beliefs it lacks exactly, within the solver knobs and cache
+    budget), otherwise a fresh solve in the chosen mode. A solve that finds
+    no fixed point emits its report, says so on stderr, and gives no
+    policy."""
+    spec = _load_game(args)
     if args.policy:
-        return load_policy_file(args.policy, spec, _config(args),
-                                args.cache_budget), None
+        return spec, EquilibriumPolicy(spec, load_policy_file(
+            args.policy, spec, _config(args), args.cache_budget))
     result = solve(
         spec,
         mode=args.mode,
@@ -215,8 +218,11 @@ def _policy_for(spec: GameSpec, args):
         raise ResourceLimitError((result.failure or {}).get("message", "refused"),
                                  (result.failure or {}).get("limit", 0))
     if result.status != "ok":
-        return None, result
-    return result.generator, None
+        _emit(render_report(build_solve_report(result)), args.out)
+        print(f"spbe: cannot {command}, solve found no fixed point",
+              file=sys.stderr)
+        return spec, None
+    return spec, EquilibriumPolicy(spec, result.generator)
 
 
 def _cmd_simulate(args) -> int:
@@ -225,14 +231,9 @@ def _cmd_simulate(args) -> int:
         raise ValueError("episodes must be >= 1")
     if args.trace_limit < 0:
         raise ValueError("trace_limit must be >= 0")
-    spec = _load_game(args)
-    generator, failed = _policy_for(spec, args)
-    if generator is None:
-        _emit(render_report(build_solve_report(failed)), args.out)
-        print("spbe: cannot simulate, solve found no fixed point",
-              file=sys.stderr)
+    spec, policy = _policy_for(args, "simulate")
+    if policy is None:
         return EXIT_NO_FIXED_POINT
-    policy = EquilibriumPolicy(spec, generator)
     sim = simulate(spec, policy, episodes=args.episodes, seed=args.seed,
                    trace_limit=args.trace_limit)
     doc = sim.summary.to_document()
@@ -251,14 +252,9 @@ def _cmd_verify(args) -> int:
         raise ValueError("samples must be >= 0")
     if not args.verify_tol >= 0:   # NaN too
         raise ValueError("tol must be >= 0")
-    spec = _load_game(args)
-    generator, failed = _policy_for(spec, args)
-    if generator is None:
-        _emit(render_report(build_solve_report(failed)), args.out)
-        print("spbe: cannot verify, solve found no fixed point",
-              file=sys.stderr)
+    spec, policy = _policy_for(args, "verify")
+    if policy is None:
         return EXIT_NO_FIXED_POINT
-    policy = EquilibriumPolicy(spec, generator)
     cert = run_certification(spec, policy, tol=args.verify_tol,
                              consistency_samples=args.samples, seed=args.seed)
     _emit(render_report(cert), args.out)

@@ -587,6 +587,51 @@ def test_policy_load_faults_match_entry_by_entry_reader(corpus_solves, mode):
     assert oracles.policy_entries_fault(json.loads(text)["entries"], spec) is None
 
 
+ANY_GAME_FAULTS = {
+    "not_converged": FAULTS["not_converged"],
+    "inf_value": FAULTS["inf_value"],
+    "sum_off": lambda e: e["rows"][0][0].__setitem__(0, e["rows"][0][0][0] + 1e-6),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ANY_GAME_FAULTS))
+def test_policy_load_checks_entries_alone_only_up_to_a_fault(corpus_solves,
+                                                             monkeypatch, fault):
+    """A sound document loads through the stacked pass without the
+    per-entry checker; a document with one bad entry is re-read entry by
+    entry only up to that entry."""
+    calls = []
+    check = spbe.backward._check_entry
+
+    def counted(k, entry, spec):
+        calls.append(k)
+        check(k, entry, spec)
+    monkeypatch.setattr(spbe.backward, "_check_entry", counted)
+    results = [result for _spec, result in corpus_solves.values()]
+    results.append(ROUND_TRIPS["coordination_grid"](corpus_solves))
+    for result in results:
+        text = render_report(policy_document(result))
+        load_policy(json.loads(text), result.spec)
+        assert calls == []
+        doc = json.loads(text)
+        k = len(doc["entries"]) // 2
+        ANY_GAME_FAULTS[fault](doc["entries"][k])
+        assert _load_error(result.spec, doc).startswith(f"policy entry {k}: ")
+        assert calls == list(range(k + 1))
+        calls.clear()
+
+
+def test_policy_load_refuses_entries_that_only_pass_alone(signaling_policy_text):
+    """Rows given as an iterator have no ``len()``: every entry passes the
+    per-entry checker, but the rows do not stack, and the load fails."""
+    spec, text = signaling_policy_text
+    doc = json.loads(text)
+    rows = doc["entries"][3]["rows"]
+    doc["entries"][3]["rows"] = (player for player in rows)
+    assert _load_error(spec, doc) == ("policy entries pass one by one, but "
+                                      "their rows or values do not stack")
+
+
 def test_policy_rejects_wrong_game(reference_solved):
     _, result = reference_solved
     doc = policy_document(result)

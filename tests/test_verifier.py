@@ -241,6 +241,35 @@ def test_strategy_independence_matches_brute_force(corpus_solves, deep_solved,
                                                     samples=samples, seed=0))
 
 
+class NaNBeliefPolicy(RuledOutPolicy):
+    """``RuledOutPolicy`` on a game where player 0's type 0 can hold all
+    the mass: its renormalized beliefs are then NaN."""
+
+    def common_belief(self, history):
+        with np.errstate(invalid="ignore"):
+            return super().common_belief(history)
+
+
+@pytest.mark.parametrize("game", ["dominant_types", "random_7"])
+def test_non_finite_beliefs_are_refused_before_a_solve(corpus_solves, game):
+    """The exact generator refuses a belief with non-finite weights on a
+    store miss, naming its stage and weights, instead of solving it."""
+    if game == "random_7":
+        spec = instances.random_instance(7)
+        result = solve(spec)
+    else:
+        spec, result = corpus_solves[game]
+    with pytest.raises(ValueError, match=r"stage 2 belief has non-finite "
+                                         r"weights \[nan"):
+        run_certification(spec, NaNBeliefPolicy(spec, result.generator))
+    generator = result.generator
+    size = len(generator.cached_points())
+    nan = Belief(np.full(spec.num_joint_types, np.nan), spec.type_counts)
+    with pytest.raises(ValueError, match="stage 1 belief has non-finite"):
+        generator.solution_at(1, nan)
+    assert len(generator.cached_points()) == size
+
+
 class NoUpdatePolicy(EquilibriumPolicy):
     """Plays the solved prescriptions but never updates the common belief."""
 
