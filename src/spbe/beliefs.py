@@ -92,43 +92,18 @@ class Belief:
         return out
 
 
-class RowError(ValueError):
-    """Prescription rows that are not distributions: ``index`` is the
-    lowest such point of a batch and ``player`` the lowest such player at
-    it."""
-
-    def __init__(self, index: int, player: int, problem: str):
-        super().__init__(f"prescription rows[{player}] {problem}")
-        self.index = index
-        self.player = player
-
-
 def _checked_stacks(stacks: Iterable) -> list[np.ndarray]:
-    """Freezes per-player stacks of shape (B, n_x, n_a) and checks that
-    every row is a distribution: entries >= -1e-12 and a sum within 1e-9
-    of 1, written so that NaN and infinite entries fail.
-
-    Stacks are frozen and checked in player order; a stack that is not
-    3-d, or a bad row at point 0, raises :class:`RowError` at once, and
-    any other bad row once every stack is checked, at its lowest point.
-    """
+    """Freezes per-player stacks of shape (B, n_x, n_a) and checks them in
+    player order by the row rule of :meth:`Prescription.batch`: the first
+    stack that is not 3-d or holds a bad row raises."""
     frozen: list[np.ndarray] = []
-    bad: tuple[int, int] | None = None
     for i, stack in enumerate(stacks):
         arr = _frozen(stack)
         if arr.ndim != 3:
-            raise RowError(0, i, "must be 2-d")
-        ok = ((arr >= -1e-12).all(axis=(1, 2))
-              & (np.abs(arr.sum(axis=2) - 1.0) <= 1e-9).all(axis=1))
-        if not ok.all():
-            b = int(ok.argmin())
-            if b == 0:
-                raise RowError(0, i, "is not row-stochastic")
-            if bad is None or b < bad[0]:
-                bad = (b, i)
+            raise ValueError(f"prescription rows[{i}] must be 2-d")
+        if not ((arr >= -1e-12).all() and (np.abs(arr.sum(axis=2) - 1.0) <= 1e-9).all()):
+            raise ValueError(f"prescription rows[{i}] is not row-stochastic")
         frozen.append(arr)
-    if bad is not None:
-        raise RowError(*bad, "is not row-stochastic")
     return frozen
 
 
@@ -153,11 +128,10 @@ class Prescription:
         Checks every row of every stack at once, by the rule
         ``Prescription(...)`` applies to one point: entries >= -1e-12 and
         sums within 1e-9 of 1, so NaN and infinite entries fail. A failure
-        raises :class:`RowError`, a ``ValueError`` whose ``index`` is the
-        lowest failing point and whose message is the one that point's
-        ``Prescription(...)`` raises. The stacks are frozen (copied only
-        where writeable), and each prescription holds read-only views of
-        them, built without checking again.
+        raises ``ValueError`` naming the lowest player with a bad row at
+        any point. The stacks are frozen (copied only where writeable), and
+        each prescription holds read-only views of them, built without
+        checking again.
         """
         out = []
         for rows in zip(*_checked_stacks(stacks)):

@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solver = argparse.ArgumentParser(add_help=False)
     group = solver.add_argument_group("solver options")
-    group.add_argument("--mode", choices=("exact", "grid"), default="exact",
+    group.add_argument("--mode", choices=("exact", "grid"), default=None,
                        help="exact lazy recursion or belief-grid tables")
     group.add_argument("--grid-resolution", type=int, default=10, metavar="G",
                        help="grid denominator for grid mode (default 10)")
@@ -161,6 +161,11 @@ def _load_game(args) -> GameSpec:
     return load_game_spec(args.game)
 
 
+def _solve(args, spec: GameSpec, mode: str):
+    return solve(spec, mode=mode, config=_config(args),
+                 resolution=args.grid_resolution, cache_budget=args.cache_budget)
+
+
 def _cmd_validate(args) -> int:
     spec = _load_game(args)
     doc = {
@@ -179,13 +184,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec = _load_game(args)
-    result = solve(
-        spec,
-        mode=args.mode,
-        config=_config(args),
-        resolution=args.grid_resolution,
-        cache_budget=args.cache_budget,
-    )
+    result = _solve(args, spec, args.mode or "exact")
     _emit(render_report(build_solve_report(result)), args.out)
     if args.policy_out and result.status in ("ok", "partial"):
         save_policy(result, args.policy_out)
@@ -207,13 +206,7 @@ def _policy_for(args, command: str) -> tuple[GameSpec, EquilibriumPolicy | None]
     if args.policy:
         return spec, EquilibriumPolicy(spec, load_policy_file(
             args.policy, spec, _config(args), args.cache_budget))
-    result = solve(
-        spec,
-        mode=args.mode,
-        config=_config(args),
-        resolution=args.grid_resolution,
-        cache_budget=args.cache_budget,
-    )
+    result = _solve(args, spec, args.mode or "exact")
     if result.status == "refused":
         raise ResourceLimitError((result.failure or {}).get("message", "refused"),
                                  (result.failure or {}).get("limit", 0))
@@ -266,9 +259,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    spec = _load_game(args)
-    result = solve(spec, mode="grid", config=_config(args),
-                   resolution=args.grid_resolution, cache_budget=args.cache_budget)
+    if args.mode == "exact":
+        raise ValueError("export builds grid tables only; --mode exact is refused")
+    result = _solve(args, _load_game(args), "grid")
     if result.status == "refused":
         _emit(render_report(build_solve_report(result)), args.out)
         print(f"spbe: export refused: {result.failure['message']}", file=sys.stderr)

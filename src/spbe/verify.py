@@ -50,6 +50,7 @@ import numpy as np
 
 from .backward import ResourceLimitError
 from .beliefs import (
+    EPS_DENOMINATOR,
     condition_on_type,  # noqa: F401  (bound here so profilers can wrap it by name)
     conditional_weights,
     initial_belief,
@@ -412,7 +413,7 @@ def _belief_pairs(spec: GameSpec, policy: EquilibriumPolicy, player: int,
     (history, {own type: (lhs, rhs) belief}, reach mask). A pair is
     skipped where the own prescribed probability of the last action is
     zero, where either belief is the degenerate fallback, and where the
-    lhs belief's mass is at most 1e-12.
+    lhs belief's mass is at most ``EPS_DENOMINATOR``.
 
     The histories' parents are stacked in lexicographic order, so the
     children of the p-th parent are histories p * A .. p * A + A - 1;
@@ -441,7 +442,7 @@ def _belief_pairs(spec: GameSpec, policy: EquilibriumPolicy, player: int,
         mass = lhs.sum(axis=-1)
         keep = ~((own[:, xi].ravel() == 0.0)
                  | np.repeat(degenerate_before[:, xi], len(joint))
-                 | degenerate_after[:, xi] | (mass <= 1e-12))
+                 | degenerate_after[:, xi] | (mass <= EPS_DENOMINATOR))
         lhs = lhs / np.where(keep, mass, 1.0)[:, None]
         sides.append((lhs, cond_after[:, xi]))
         kept.append(keep)

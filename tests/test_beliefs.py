@@ -10,7 +10,6 @@ from spbe import (
     instances,
     update,
 )
-from spbe.beliefs import RowError
 
 import oracles
 
@@ -162,15 +161,20 @@ def _edge_stacks(seed: int, points: int, shapes) -> list[np.ndarray]:
 @pytest.mark.parametrize("shapes", [[(2, 2), (2, 2)], [(2, 3), (3, 2), (1, 4)]],
                          ids=["equal_shapes", "per_player_shapes"])
 def test_prescription_batch_matches_single_points(shapes):
-    """The batch constructor and ``Prescription(...)`` accept and reject the
-    same points with the same message, which is the row rule's
-    (``oracles.rows_stochastic``); a batch that fails names its lowest
-    failing point."""
+    """The batch constructor and ``Prescription(...)`` apply the same row
+    rule (``oracles.rows_stochastic``): a batch of one accepts and rejects
+    a point as ``Prescription(...)`` does, with its message, and a window
+    of points fails if and only if some point in it does, naming the
+    lowest player with a bad row at any of its points."""
     stacks = _edge_stacks(7, 300, shapes)
+    n = len(stacks)
     verdicts = [oracles.rows_stochastic([s[b] for s in stacks])
                 for b in range(300)]
     ok = np.array([good for good, _ in verdicts])
+    bad = np.array([[not oracles.rows_stochastic([s[b]])[0] for s in stacks]
+                    for b in range(300)])
     assert 0.2 < ok.mean() < 0.8
+    np.testing.assert_array_equal(ok, ~bad.any(axis=1))
     for b, (good, why) in enumerate(verdicts):
         rows = tuple(s[b] for s in stacks)
         if good:
@@ -179,20 +183,28 @@ def test_prescription_batch_matches_single_points(shapes):
             continue
         with pytest.raises(ValueError) as single:
             Prescription(rows)
-        with pytest.raises(RowError) as batched:
+        with pytest.raises(ValueError) as batched:
             Prescription.batch([s[b:b + 1] for s in stacks])
         assert str(single.value) == str(batched.value) == why
-        assert batched.value.index == 0
-    for start in range(0, 300, 23):
-        window = [s[start:start + 40] for s in stacks]
-        bad = np.flatnonzero(~ok[start:start + 40])
-        if not bad.size:
-            assert len(Prescription.batch(window)) == len(window[0])
-            continue
-        with pytest.raises(RowError) as batched:
-            Prescription.batch(window)
-        assert batched.value.index == bad[0]
-        assert str(batched.value) == verdicts[start + bad[0]][1]
+    # windows over the points where every player below j is sound, so
+    # that each player is the lowest bad one in some window
+    named, passed = set(), 0
+    for j in range(n + 1):
+        pool = np.flatnonzero(~bad[:, :j].any(axis=1))
+        for start in range(0, pool.size, 7):
+            points = pool[start:start + 1 + start % 40]
+            window = [s[points] for s in stacks]
+            culprits = np.flatnonzero(bad[points].any(axis=0))
+            if not culprits.size:
+                assert len(Prescription.batch(window)) == len(points)
+                passed += 1
+                continue
+            with pytest.raises(ValueError) as batched:
+                Prescription.batch(window)
+            assert str(batched.value) == \
+                f"prescription rows[{culprits[0]}] is not row-stochastic"
+            named.add(int(culprits[0]))
+    assert named == set(range(n)) and passed
     # every accepted point at once: views of read-only stacks, equal rows
     good = [s[ok] for s in stacks]
     for gamma, rows in zip(Prescription.batch(good), zip(*good)):
@@ -203,8 +215,12 @@ def test_prescription_batch_matches_single_points(shapes):
 
 
 def test_prescription_batch_needs_stacks():
-    with pytest.raises(RowError, match=r"rows\[1\] must be 2-d"):
+    """Stacks are checked in player order: the first player whose stack is
+    not 3-d or holds a bad row is named."""
+    with pytest.raises(ValueError, match=r"rows\[1\] must be 2-d"):
         Prescription.batch([np.full((3, 2, 2), 0.5), np.full((2, 2), 0.5)])
+    with pytest.raises(ValueError, match=r"rows\[0\] is not row-stochastic"):
+        Prescription.batch([np.full((3, 2, 2), 0.6), np.full((2, 2), 0.5)])
     with pytest.raises(ValueError, match=r"rows\[0\] must be 2-d"):
         Prescription((np.array([0.5, 0.5]),))
     assert Prescription.batch([np.empty((0, 2, 2)), np.empty((0, 1, 3))]) == []

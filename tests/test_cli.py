@@ -341,6 +341,26 @@ def test_export_grid(games, capsys):
     assert stages == {1, 2}
 
 
+def test_export_refuses_exact_mode(games, capsys, monkeypatch):
+    """``export`` builds grid tables only: ``--mode grid`` gives what no
+    ``--mode`` gives, and ``--mode exact`` exits 2 before any solve."""
+    argv = ["export", games["reference"], "--grid-resolution", "2"]
+    code, plain = _run(capsys, argv)
+    assert code == 0
+    assert _run(capsys, argv + ["--mode", "grid"]) == (0, plain)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("export --mode exact must not solve")
+
+    monkeypatch.setattr("spbe.cli.solve", no_solve)
+    code, out = _run(capsys, argv + ["--mode", "exact"])
+    assert code == 2
+    doc = json.loads(out)
+    assert "entries" not in doc
+    assert doc["error"]["kind"] == "invalid_input"
+    assert "--mode exact" in doc["error"]["message"]
+
+
 def test_export_partial_exits_three(games, capsys):
     code, out = _run(capsys, ["export", games["asymmetric"],
                               "--enum-limit", "0", "--grid-resolution", "2"])
