@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .backward import (
     DEFAULT_CACHE_BUDGET,
+    GridGenerator,
     NoFixedPointError,
     ResourceLimitError,
     build_solve_report,
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = solver.add_argument_group("solver options")
     group.add_argument("--mode", choices=("exact", "grid"), default=None,
                        help="exact lazy recursion or belief-grid tables")
-    group.add_argument("--grid-resolution", type=int, default=10, metavar="G",
+    group.add_argument("--grid-resolution", type=int, default=None, metavar="G",
                        help="grid denominator for grid mode (default 10)")
     group.add_argument("--tol", type=float, default=1e-8,
                        help="fixed-point residual tolerance (default 1e-8)")
@@ -162,8 +163,9 @@ def _load_game(args) -> GameSpec:
 
 
 def _solve(args, spec: GameSpec, mode: str):
+    resolution = 10 if args.grid_resolution is None else args.grid_resolution
     return solve(spec, mode=mode, config=_config(args),
-                 resolution=args.grid_resolution, cache_budget=args.cache_budget)
+                 resolution=resolution, cache_budget=args.cache_budget)
 
 
 def _cmd_validate(args) -> int:
@@ -199,13 +201,25 @@ def _policy_for(args, command: str) -> tuple[GameSpec, EquilibriumPolicy | None]
     """The game and the policy that ``command`` (simulate or verify) plays:
     a policy file when given (a grid-mode file snaps to its grid, any other
     solves the beliefs it lacks exactly, within the solver knobs and cache
-    budget), otherwise a fresh solve in the chosen mode. A solve that finds
-    no fixed point emits its report, says so on stderr, and gives no
-    policy."""
+    budget), otherwise a fresh solve in the chosen mode. The file alone
+    decides its mode and grid, so a ``--mode`` or ``--grid-resolution``
+    that differs from them is refused. A solve that finds no fixed point
+    emits its report, says so on stderr, and gives no policy."""
     spec = _load_game(args)
     if args.policy:
-        return spec, EquilibriumPolicy(spec, load_policy_file(
-            args.policy, spec, _config(args), args.cache_budget))
+        generator = load_policy_file(args.policy, spec, _config(args),
+                                     args.cache_budget)
+        if isinstance(generator, GridGenerator):
+            mode, resolution = "grid", generator.resolution
+            kind = f"grid-mode policy file of resolution {resolution}"
+        else:
+            mode, resolution, kind = "exact", None, "exact-mode policy file"
+        if args.mode not in (None, mode):
+            raise ValueError(f"--mode {args.mode} conflicts with the {kind}")
+        if args.grid_resolution not in (None, resolution):
+            raise ValueError(f"--grid-resolution {args.grid_resolution} "
+                             f"conflicts with the {kind}")
+        return spec, EquilibriumPolicy(spec, generator)
     result = _solve(args, spec, args.mode or "exact")
     if result.status == "refused":
         raise ResourceLimitError((result.failure or {}).get("message", "refused"),

@@ -371,8 +371,14 @@ def expected_rewards(spec: GameSpec, policy: EquilibriumPolicy,
     on | joint type x], discounted relative to that stage. With
     ``deviation=(i, rows)`` player i plays ``rows[t]`` at each stage t.
     Columns where ``reach`` is False are zero, and only joint actions some
-    reached type plays are followed."""
-    total = np.zeros((spec.num_players, spec.num_joint_types))
+    reached type plays are followed.
+
+    A deviation may stack S samples: ``rows[t]`` of shape (S, T_i, A_i)
+    with ``reach`` of shape (S, X) gives entry [s, n, x], each sample's
+    bytes as its own call would give them. A joint action is followed
+    when some sample reaches it; a sample that does not adds zero there.
+    """
+    total = np.zeros(np.shape(reach)[:-1] + (spec.num_players, spec.num_joint_types))
     t = len(history) + 1
     if t > spec.horizon:
         return total
@@ -382,20 +388,20 @@ def expected_rewards(spec: GameSpec, policy: EquilibriumPolicy,
         rows[i] = dev_rows[t]
     xmaps = component_maps(spec.type_counts)
     amaps = component_maps(spec.action_counts)
-    like = np.ones((spec.num_joint_types, spec.num_joint_actions))
+    like = np.ones(total.shape[:-2] + (spec.num_joint_types, spec.num_joint_actions))
     for j, row in enumerate(rows):
-        like = like * row[xmaps[j][:, None], amaps[j][None, :]]
+        like = like * row[..., xmaps[j][:, None], amaps[j][None, :]]
     if reach is not None:
         like[~reach] = 0.0
     reward = spec.reward_tensor(t)
     for a_flat in range(spec.num_joint_actions):
-        p = like[:, a_flat]
+        p = like[..., a_flat]
         if not p.any():
             continue
         child = expected_rewards(
             spec, policy, history + (unflatten_joint(a_flat, spec.action_counts),),
             deviation, p > 0.0)
-        total += p * (reward[:, :, a_flat] + spec.discount * child)
+        total += p[..., None, :] * (reward[:, :, a_flat] + spec.discount * child)
     return total
 
 

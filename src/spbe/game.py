@@ -179,6 +179,10 @@ class GameSpec:
 
     def digest(self) -> str:
         """Stable content hash of the instance, used in reports."""
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
         return hashlib.sha256(
             serialize_game_spec(self).encode("utf-8")
         ).hexdigest()[:16]

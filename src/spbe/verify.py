@@ -25,12 +25,15 @@ every history once, and has the policy make each sibling group's
 beliefs in one batch (:meth:`~spbe.forward.EquilibriumPolicy.expand`),
 as the two-path check does too. The two-path check builds its belief
 pairs once per (player, stage), from the same stacked arrays, and runs
-the forward pass's payoff recursion over a subtree only per sample and
-stage-t history whose pair differs. On the horizon-5 reference game, where no
-pair differs, in process on a 2-core Xeon with the policy's caches warm,
-median of 15 calls, over three runs: level pass 0.005-0.008 s,
-two-path with its default 50 samples 0.003-0.004 s, and the whole
-certificate on a fresh policy 0.015-0.020 s.
+the forward pass's payoff recursion over a subtree once per (player,
+stage) and stage-t history whose pair differs, for all the samples that
+draw that (player, stage) at once. In process on a 2-core Xeon, median
+of 15 calls, over three runs: on the horizon-5 reference game, where no
+pair differs, with the policy's caches warm, level pass 0.005-0.008 s,
+two-path with its default 50 samples 0.0024-0.0026 s, and the whole
+certificate on a fresh policy 0.019-0.020 s; on signaling_pennies, where
+five histories' pairs differ, two-path 0.0026-0.0037 s and the
+certificate on a fresh policy 0.004 s.
 
 All three checks share one stage evaluation, :func:`_agent_weights`: for
 an agent (i, xi) at a stack of histories, per flat joint action, the
@@ -397,10 +400,12 @@ def verify_one_shot(spec: GameSpec, policy: EquilibriumPolicy,
 # Belief-consistency check (two-path continuation identity)
 # ---------------------------------------------------------------------------
 
-def _random_deviation_rows(spec: GameSpec, i: int, stages, rng) -> dict:
-    """One random row-stochastic matrix per stage for player i."""
-    nt, na = spec.type_counts[i], spec.action_counts[i]
-    return {n: rng.dirichlet(np.ones(na), size=nt) for n in stages}
+def _random_deviation_rows(spec: GameSpec, i: int, stages: range, rng) -> dict:
+    """One random row-stochastic matrix per stage for player i, all drawn
+    by one call, which gives the stream of one call per stage."""
+    draws = rng.dirichlet(np.ones(spec.action_counts[i]),
+                          size=(len(stages), spec.type_counts[i]))
+    return dict(zip(stages, draws))
 
 
 def _belief_pairs(spec: GameSpec, policy: EquilibriumPolicy, player: int,
@@ -483,17 +488,17 @@ def check_strategy_independence(spec: GameSpec, policy: EquilibriumPolicy,
     When ``i`` or ``t`` is omitted, samples cycle deterministically over
     players and over stages 1..max(T-1, 1).
 
-    A sample's deviation rows enter only the payoff recursion, so the
-    belief pairs, skips and reach masks are built once per (player,
-    stage), from the stacked beliefs of every stage-t history, and reused
-    by every sample that draws that pair. The recursion
-    runs only at histories where some pair's two beliefs differ in some
-    bit. A bit-identical pair has diff exactly 0 for any continuation:
-    the same bytes dotted with the same vector give the same sum, so
-    both terms of its diff are 0 (or NaN, which the running maximum
-    ignores), and it cannot raise the sample's maximum. Every sample
-    draws its rows whether or not it runs the recursion, so each
-    sample's rows depend only on ``seed`` and its index.
+    Every sample's rows are drawn first, in sample order, so each
+    sample's rows depend only on ``seed`` and its index. The samples are
+    then grouped by (player, stage), in first-seen order. A sample's rows
+    enter only the payoff recursion, so a group's belief pairs, skips and
+    reach masks are built once (:func:`_belief_pairs`), and the recursion
+    runs once per history where some pair's two beliefs differ in some
+    bit, over the stacked rows of all the group's samples. A
+    bit-identical pair has diff exactly 0 for any continuation: the same
+    bytes dotted with the same vector give the same sum, so both terms of
+    its diff are 0 (or NaN, which the running maximum ignores), and it
+    cannot raise the sample's maximum.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
@@ -501,35 +506,43 @@ def check_strategy_independence(spec: GameSpec, policy: EquilibriumPolicy,
     rng = np.random.default_rng(seed)
     n = spec.num_players
     t_range = list(range(1, max(spec.horizon - 1, 1) + 1))
-    pairs = {}
-    max_diff = 0.0
+    plan = [(i if i is not None else s % n,
+             t if t is not None else t_range[s % len(t_range)])
+            for s in range(samples)]
+    draws = [_random_deviation_rows(spec, player, range(stage, spec.horizon + 1), rng)
+             for player, stage in plan]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for s, key in enumerate(plan):
+        groups.setdefault(key, []).append(s)
+    sample_diff = [0.0] * samples
     skipped = 0
     checked = 0
-    sample_reports = []
-    for s in range(samples):
-        player = i if i is not None else s % n
-        stage = t if t is not None else t_range[s % len(t_range)]
-        dev_rows = _random_deviation_rows(
-            spec, player, range(stage, spec.horizon + 1), rng)
-        if (player, stage) not in pairs:
-            pairs[player, stage] = _belief_pairs(spec, policy, player, stage)
-        pair_checked, pair_skipped, differing = pairs[player, stage]
-        checked += pair_checked
-        skipped += pair_skipped
-        sample_diff = 0.0
+    for (player, stage), members in groups.items():
+        pair_checked, pair_skipped, differing = _belief_pairs(spec, policy, player, stage)
+        checked += pair_checked * len(members)
+        skipped += pair_skipped * len(members)
+        if not differing:
+            continue
+        dev_rows = {m: np.array([draws[s][m] for s in members])
+                    for m in range(stage, spec.horizon + 1)}
         for history, paths, reach in differing:
-            phi = expected_rewards(spec, policy, history, (player, dev_rows),
-                                   reach)[player]
+            phi = expected_rewards(
+                spec, policy, history, (player, dev_rows),
+                np.broadcast_to(reach, (len(members), reach.size)))[:, player]
             for xi, (lhs_belief, rhs_belief) in paths.items():
-                phi_xi = phi[embedding_map(spec.type_counts, player, xi)]
-                diff = abs(float(lhs_belief @ phi_xi) - float(rhs_belief @ phi_xi))
+                # unit-stride rows, so each dot takes the BLAS path of one
+                # sample's contiguous slice
+                phi_xi = np.ascontiguousarray(
+                    phi[:, embedding_map(spec.type_counts, player, xi)])
+                lhs = _dot(np.broadcast_to(lhs_belief, phi_xi.shape), phi_xi).tolist()
+                rhs = _dot(np.broadcast_to(rhs_belief, phi_xi.shape), phi_xi).tolist()
                 belief_gap = float(np.abs(lhs_belief - rhs_belief).max())
-                diff = max(diff, belief_gap)
-                sample_diff = max(sample_diff, diff)
-        max_diff = max(max_diff, sample_diff)
-        sample_reports.append({
-            "player": player, "stage": stage, "max_diff": sample_diff,
-        })
+                for s, lhs_s, rhs_s in zip(members, lhs, rhs):
+                    diff = max(abs(lhs_s - rhs_s), belief_gap)
+                    sample_diff[s] = max(sample_diff[s], diff)
+    max_diff = max([0.0, *sample_diff])
+    sample_reports = [{"player": player, "stage": stage, "max_diff": diff}
+                      for (player, stage), diff in zip(plan, sample_diff)]
     return {
         "checked": checked,
         "skipped": skipped,

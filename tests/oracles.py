@@ -6,7 +6,9 @@ value machinery. GameSpec is used only as a data container (shapes,
 reward lookups, discount).
 
 The exceptions are :func:`two_path_brute`, the verifier's two-path check
-as a plain loop over samples and histories, :func:`walk_brute`, the
+as a plain loop over samples and histories, :func:`two_path_per_sample`,
+the same check on the verifier's own belief pairs one sample at a time,
+:func:`walk_brute`, the
 deviation walk and one-shot check node by node in post-order, and
 :func:`nearest_grid_brute`, the grid snap as a scan of every grid point.
 They reuse the library's own
@@ -32,7 +34,7 @@ from spbe.verify import (
     DeviationFinding,
     VerificationReport,
     _agents,
-    _random_deviation_rows,
+    _belief_pairs,
 )
 
 EPS_DEN = 1e-12
@@ -339,7 +341,8 @@ def walk_values_brute(spec, policy, i, xi, history=()):
 def two_path_brute(spec, policy, i=None, t=None, samples=50, seed=0,
                    tol=1e-12):
     """``check_strategy_independence`` rebuilding every belief pair and
-    running the payoff recursion at every history, in every sample."""
+    running the payoff recursion at every history, sample by sample, each
+    drawing its deviation rows one stage at a time."""
     rng = np.random.default_rng(seed)
     n = spec.num_players
     t_range = list(range(1, max(spec.horizon - 1, 1) + 1))
@@ -352,8 +355,9 @@ def two_path_brute(spec, policy, i=None, t=None, samples=50, seed=0,
     for s in range(samples):
         player = i if i is not None else s % n
         stage = t if t is not None else t_range[s % len(t_range)]
-        dev_rows = _random_deviation_rows(
-            spec, player, range(stage, spec.horizon + 1), rng)
+        nt, na = spec.type_counts[player], spec.action_counts[player]
+        dev_rows = {m: rng.dirichlet(np.ones(na), size=nt)
+                    for m in range(stage, spec.horizon + 1)}
         sample_diff = 0.0
         # every stage-`stage` history, lexicographic
         for history in itertools.product(joint_actions, repeat=stage):
@@ -405,6 +409,32 @@ def two_path_brute(spec, policy, i=None, t=None, samples=50, seed=0,
         "tolerance": tol,
         "samples": sample_reports,
     }
+
+
+def two_path_per_sample(spec, policy, samples=50, seed=0):
+    """Per-sample reports of ``check_strategy_independence`` with the
+    verifier's own belief pairs (``_belief_pairs``), running the payoff
+    recursion and both dot products for one sample at a time."""
+    rng = np.random.default_rng(seed)
+    n = spec.num_players
+    t_range = list(range(1, max(spec.horizon - 1, 1) + 1))
+    reports = []
+    for s in range(samples):
+        player, stage = s % n, t_range[s % len(t_range)]
+        nt, na = spec.type_counts[player], spec.action_counts[player]
+        dev_rows = {m: rng.dirichlet(np.ones(na), size=nt)
+                    for m in range(stage, spec.horizon + 1)}
+        sample_diff = 0.0
+        for history, paths, reach in _belief_pairs(spec, policy, player, stage)[2]:
+            phi = expected_rewards(spec, policy, history, (player, dev_rows),
+                                   reach)[player]
+            for xi, (lhs_belief, rhs_belief) in paths.items():
+                phi_xi = phi[embedding_map(spec.type_counts, player, xi)]
+                diff = abs(float(lhs_belief @ phi_xi) - float(rhs_belief @ phi_xi))
+                diff = max(diff, float(np.abs(lhs_belief - rhs_belief).max()))
+                sample_diff = max(sample_diff, diff)
+        reports.append({"player": player, "stage": stage, "max_diff": sample_diff})
+    return reports
 
 
 def nearest_grid_brute(grid, weights):

@@ -361,6 +361,47 @@ def test_export_refuses_exact_mode(games, capsys, monkeypatch):
     assert "--mode exact" in doc["error"]["message"]
 
 
+def test_policy_file_refuses_conflicting_flags(games, reference_policy_file,
+                                               tmp_path, capsys, monkeypatch):
+    """With ``--policy`` the file decides the mode and grid: a ``--mode``
+    or ``--grid-resolution`` that agrees with it changes nothing, and one
+    that differs exits 2 before any certificate or simulation."""
+    grid_file = str(tmp_path / "grid.json")
+    code, _ = _run(capsys, ["solve", games["reference"], "--mode", "grid",
+                            "--grid-resolution", "2", "--policy-out", grid_file])
+    assert code == 0
+    runs = {"verify": [], "simulate": ["--episodes", "10"]}
+    cases = [
+        (reference_policy_file, ["--mode", "exact"],
+         [["--mode", "grid"], ["--grid-resolution", "10"],
+          ["--mode", "exact", "--grid-resolution", "3"]]),
+        (grid_file, ["--mode", "grid", "--grid-resolution", "2"],
+         [["--mode", "exact"], ["--grid-resolution", "3"],
+          ["--mode", "grid", "--grid-resolution", "10"]]),
+    ]
+    for command, extra in runs.items():
+        for path, agreeing, _ in cases:
+            argv = [command, games["reference"], "--policy", path, *extra]
+            plain = _run(capsys, argv)
+            assert plain[0] == 0
+            assert _run(capsys, argv + agreeing) == plain
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a conflicting flag must be refused first")
+
+    monkeypatch.setattr("spbe.cli.run_certification", refuse)
+    monkeypatch.setattr("spbe.cli.simulate", refuse)
+    for command, extra in runs.items():
+        for path, _, conflicting in cases:
+            for flags in conflicting:
+                code, out = _run(capsys, [command, games["reference"],
+                                          "--policy", path, *extra, *flags])
+                assert code == 2
+                error = json.loads(out)["error"]
+                assert error["kind"] == "invalid_input"
+                assert "conflicts with the" in error["message"]
+
+
 def test_export_partial_exits_three(games, capsys):
     code, out = _run(capsys, ["export", games["asymmetric"],
                               "--enum-limit", "0", "--grid-resolution", "2"])

@@ -217,11 +217,14 @@ class RandomRowsPolicy(EquilibriumPolicy):
             for c, a in zip(self.spec.type_counts, self.spec.action_counts)))
 
 
-@pytest.mark.parametrize("spec", [
+RECURSION_GAMES = pytest.mark.parametrize("spec", [
     instances.reference_instance(),
     instances.random_instance(3, discount=0.9),
     instances.random_instance(0, players=3, horizon=2),
 ], ids=["reference", "random_3_discounted", "random_0_three_players"])
+
+
+@RECURSION_GAMES
 def test_expected_rewards_match_path_enumeration(spec):
     policy = RandomRowsPolicy(spec, seed=5)
     rows_at = lambda h: policy.prescription_for_history(h).rows
@@ -241,6 +244,33 @@ def test_expected_rewards_match_path_enumeration(spec):
         np.testing.assert_allclose(
             expected_rewards(spec, policy, history, deviation, reach),
             np.where(reach, want, 0.0), rtol=0, atol=1e-12)
+
+
+@RECURSION_GAMES
+def test_expected_rewards_stack_samples(spec):
+    """Deviation rows stacked over samples give, sample by sample, the
+    bytes of a call with that sample's rows alone, also for a sample that
+    reaches no joint type and one whose rows hold a zero."""
+    policy = RandomRowsPolicy(spec, seed=7)
+    last = spec.num_players - 1
+    samples = [{t: policy.rng.dirichlet(np.ones(spec.action_counts[last]),
+                                        size=spec.type_counts[last])
+                for t in range(1, spec.horizon + 1)} for _ in range(4)]
+    samples[2][1][0, 0] = 0.0
+    samples[2][1][0] /= samples[2][1][0].sum()
+    reach = policy.rng.random((4, spec.num_joint_types)) < 0.6
+    reach[1] = False
+    reach[2, 0] = True
+    stacked = {t: np.array([rows[t] for rows in samples])
+               for t in range(1, spec.horizon + 1)}
+    later = ((1,) * spec.num_players,)
+    for history in [(), later]:
+        got = expected_rewards(spec, policy, history, (last, stacked), reach)
+        assert got.shape == (4, spec.num_players, spec.num_joint_types)
+        for s, rows in enumerate(samples):
+            want = expected_rewards(spec, policy, history, (last, rows), reach[s])
+            assert got[s].tobytes() == want.tobytes()
+        assert not got[1].any()
 
 
 def test_prescription_asked_once_per_history(reference_solved):

@@ -287,11 +287,31 @@ def test_strategy_independence_catches_a_frozen_belief(corpus_solves):
     assert not cert["all_checks_ok"]
 
 
+@pytest.mark.parametrize("case", ["random_1_three_players_grid",
+                                  "signaling_pennies_no_update"])
+def test_strategy_independence_batches_match_single_samples(corpus_solves, case):
+    """Each sample's result is what its own payoff recursion and dot
+    products give on the verifier's belief pairs, though the check runs
+    one recursion for all the samples of a (player, stage). The
+    three-player grid policy's differing pairs span four type profiles of
+    the others."""
+    if case == "signaling_pennies_no_update":
+        spec, result = corpus_solves["signaling_pennies"]
+        policy = NoUpdatePolicy(spec, result.generator)
+    else:
+        spec = instances.random_instance(1, players=3)
+        policy = EquilibriumPolicy(spec, solve(spec, mode="grid",
+                                               resolution=1).generator)
+    out = check_strategy_independence(spec, policy)["samples"]
+    assert any(sample["max_diff"] > 0.0 for sample in out)
+    assert repr(out) == repr(oracles.two_path_per_sample(spec, policy))
+
+
 @pytest.mark.parametrize("case, recursions, conditionings", [
     # the four (player, stage) pairs 50 samples draw on the horizon-5 game
     ("deep_reference", 0, [(0, 1), (0, 4), (1, 4), (1, 16),
                            (0, 16), (0, 64), (1, 64), (1, 256)]),
-    ("signaling_pennies", 125, [(0, 1), (0, 4), (1, 1), (1, 4)]),
+    ("signaling_pennies", 5, [(0, 1), (0, 4), (1, 1), (1, 4)]),
 ], ids=["deep_reference", "signaling_pennies"])
 def test_strategy_independence_builds_pairs_once(corpus_solves, deep_solved,
                                                  monkeypatch, case, recursions,
@@ -315,9 +335,10 @@ def test_strategy_independence_builds_pairs_once(corpus_solves, deep_solved,
     monkeypatch.setattr(spbe.verify, "expected_rewards", counting_rewards)
     monkeypatch.setattr(spbe.verify, "conditional_weights", counting_condition)
     check_strategy_independence(spec, policy)
-    # the recursion runs only where a belief pair differs, and each
-    # (player, stage) pair conditions two stacks once, not per sample or
-    # per history: the stage-(t-1) histories' beliefs and the stage-t ones'
+    # the recursion runs only where a belief pair differs, once per such
+    # history for all the samples of its (player, stage), and each pair
+    # conditions two stacks once, not per sample or per history: the
+    # stage-(t-1) histories' beliefs and the stage-t ones'
     assert recursion_calls == [recursions]
     assert stacks == conditionings
 
