@@ -31,7 +31,9 @@ Both solve with :func:`~spbe.stage.solve_stage`, passing their own
     stage solved as one batch, final stage first. Queries and stage-(t+1)
     lookups snap to the grid point nearest in L1, the lowest index on
     ties: approximate but total. :func:`nearest_grid_index` finds it by
-    rounding the scaled belief, not by scanning the grid.
+    rounding the scaled belief, not by scanning the grid. A queried belief
+    is snapped once: its grid row is stored by the belief's weight bytes,
+    at every stage, since the snap does not depend on the stage.
 
 A policy document holds the store's converged points. A load checks them
 against the game in one pass; a document that fails it is read again entry
@@ -232,19 +234,8 @@ SNAP_TIE_MARGIN = 1e-9   # times r: fractional parts this near the cut may tie
 
 
 def _l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L1 distance over the last axis, broadcasting.
-
-    Fewer than eight terms are added column by column, left to right,
-    which is the order NumPy's ``sum`` adds them in but without its
-    per-row cost; longer rows use ``sum`` itself. Either way the result is
-    bit-identical to ``np.abs(a - b).sum(axis=-1)``.
-    """
-    if a.shape[-1] >= 8:
-        return np.abs(a - b).sum(axis=-1)
-    dist = np.abs(a[..., 0] - b[..., 0])
-    for k in range(1, a.shape[-1]):
-        dist += np.abs(a[..., k] - b[..., k])
-    return dist
+    """L1 distance over the last axis, broadcasting."""
+    return np.abs(a - b).sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -322,8 +313,8 @@ def nearest_grid_index(grid: np.ndarray, weights: np.ndarray):
     scan's summation order, and keeps the lowest index among the minima.
     The composition's row comes from the combinatorial number system, so
     a row costs O(X log X) instead of the O(N X) of comparing it with all
-    N grid points. One row is rounded in Python floats, the same IEEE
-    operations as NumPy's without its per-call cost.
+    N grid points. One belief takes the same batched rule as a stack of
+    one.
     """
     weights = np.asarray(weights, dtype=float)
     num_points, width = grid.shape
@@ -335,12 +326,6 @@ def nearest_grid_index(grid: np.ndarray, weights: np.ndarray):
         raise ValueError(f"weights of shape {weights.shape} are not rows of "
                          f"{width} weights")
     rows = weights.reshape(-1, width)
-    if rows.shape[0] == 1:
-        vals = rows[0].tolist()
-        if not (min(vals) >= 0.0 and abs(sum(vals) - 1.0) <= SNAP_SUM_TOL):
-            raise ValueError(_bad_row(rows))
-        index = _nearest_one(grid, vals, resolution, offsets)
-        return index if weights.ndim == 1 else np.array([index], dtype=np.intp)
     if not ((np.abs(rows.sum(axis=1) - 1.0) <= SNAP_SUM_TOL).all()
             and (rows >= 0.0).all()):
         raise ValueError(_bad_row(rows))
@@ -350,7 +335,7 @@ def nearest_grid_index(grid: np.ndarray, weights: np.ndarray):
     tied = np.flatnonzero(up_min - down_max <= SNAP_TIE_MARGIN * resolution)
     if tied.size:
         out[tied] = _nearest_of_tied(grid, rows[tied], resolution, offsets)
-    return out
+    return int(out[0]) if weights.ndim == 1 else out
 
 
 def _cut(rows: np.ndarray, resolution: int):
@@ -370,26 +355,6 @@ def _cut(rows: np.ndarray, resolution: int):
     up_min[ups == 0] = np.inf
     down_max[ups == width] = -np.inf
     return low, frac, up_min, down_max
-
-
-def _nearest_one(grid: np.ndarray, vals: list[float], resolution: int,
-                 offsets: np.ndarray) -> int:
-    """``nearest_grid_index`` of one row, given as a list of floats."""
-    scaled = [v * resolution for v in vals]
-    low = [math.floor(v) for v in scaled]
-    frac = [v - c for v, c in zip(scaled, low)]
-    ups = resolution - sum(low)
-    ordered = sorted(frac)
-    up_min = ordered[len(frac) - ups] if ups else math.inf
-    down_max = ordered[len(frac) - ups - 1] if ups < len(frac) else -math.inf
-    if up_min - down_max <= SNAP_TIE_MARGIN * resolution:
-        return int(_nearest_of_tied(grid, np.array([vals]), resolution,
-                                    offsets)[0])
-    index, left = grid.shape[0] - 1, resolution
-    for table, c, f in zip(offsets, low, frac):
-        left -= c + (f >= up_min)
-        index += int(table[left])
-    return index
 
 
 def _nearest_of_tied(grid: np.ndarray, rows: np.ndarray, resolution: int,
@@ -461,6 +426,8 @@ class GridGenerator(Generator):
         self._beliefs = [Belief(row, spec.type_counts) for row in self.grid]
         self.tables: dict[int, list[StageSolution]] = {}
         self.snap_stats = {"queries": 0, "max_snap_l1": 0.0}
+        # a queried belief's weight bytes -> its grid row, for every stage
+        self._snapped: dict[bytes, int] = {}
         self._built = False
 
     def build(self) -> None:
@@ -472,8 +439,8 @@ class GridGenerator(Generator):
         self._built = True
 
     def _snap(self, weights: np.ndarray) -> np.ndarray:
-        """Index of the grid point nearest to each row of ``weights``;
-        records the largest L1 distance snapped."""
+        """:func:`nearest_grid_index` of ``weights`` on the grid; records
+        the largest L1 distance snapped."""
         idx = nearest_grid_index(self.grid, weights)
         snap = float(_l1(self.grid[idx], weights).max())
         if snap > self.snap_stats["max_snap_l1"]:
@@ -498,7 +465,10 @@ class GridGenerator(Generator):
         if not 1 <= t <= self.spec.horizon:
             raise ValueError(f"stage {t} outside horizon 1..{self.spec.horizon}")
         self.build()
-        idx = self._snap(pi.weights[None, :])[0]
+        key = pi.weights.tobytes()
+        idx = self._snapped.get(key)
+        if idx is None:
+            idx = self._snapped[key] = self._snap(pi.weights)
         self.snap_stats["queries"] += 1
         solution = self.tables[t][idx]
         if not solution.converged:
@@ -688,14 +658,15 @@ def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
     checked against the game.
 
     One pass decides whether every entry is sound. Python checks, entry by
-    entry, what needs no arrays: fields present, stage range, belief
-    length, number of players, status and residual. The rows and values
-    then become one read-only stack per player, each built by one
+    entry, what needs no arrays: fields present, an integer stage in range,
+    belief length, number of players, status and residual. The rows and
+    values then become one read-only stack per player, each built by one
     ``np.array`` call, whose shapes, finiteness and row rule
-    (:meth:`Prescription.batch`) are checked at once. The solutions hold
-    views of the stacks. If any check fails, the entries are read again
-    one at a time by :func:`_check_entry`, which alone words the error:
-    the first entry it rejects is the lowest bad one.
+    (:meth:`Prescription.batch`) are checked at once, and no two entries
+    may share a stage and belief. The solutions hold views of the stacks.
+    If any check fails, the entries are read again one at a time by
+    :func:`_check_entry`, which alone words the error: the first entry it
+    rejects is the lowest bad one.
     """
     n, size = spec.num_players, spec.num_joint_types
     fields = []
@@ -706,8 +677,8 @@ def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
             rows, values = entry["rows"], entry["values"]
             point = (t, key, rows, values, float(entry["residual"]),
                      entry.get("method"), entry.get("restart_index"))
-            if not (1 <= t <= spec.horizon and len(key) == size
-                    and len(rows) == n and len(values) == n
+            if not (t == entry["t"] and 1 <= t <= spec.horizon
+                    and len(key) == size and len(rows) == n and len(values) == n
                     and entry["status"] == "converged"):
                 break
         except (KeyError, TypeError, ValueError, OverflowError):
@@ -724,13 +695,16 @@ def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
         except (TypeError, ValueError, OverflowError):
             pass    # named below, by the lowest entry that fails alone
         else:
-            return {(t, key): StageSolution(prescription=gamma, values=vals,
+            read = {(t, key): StageSolution(prescription=gamma, values=vals,
                                             residual=residual, status="converged",
                                             method=method, restart_index=restart)
                     for (t, key, _rows, _values, residual, method, restart), gamma, vals
                     in zip(fields, prescriptions, zip(*value_stacks))}
+            if len(read) == len(fields):
+                return read
+    seen: dict[tuple[int, BeliefKey], int] = {}
     for k, entry in enumerate(raw):
-        _check_entry(k, entry, spec)
+        _check_entry(k, entry, spec, seen)
     # reached only by documents built in Python whose rows or values
     # iterate unlike lists (with no len(), say); JSON holds none
     raise ValueError("policy entries pass one by one, but their rows or "
@@ -752,16 +726,19 @@ def _stack(parts: list, shapes: list[tuple]) -> list[np.ndarray]:
     return out
 
 
-def _check_entry(k: int, entry, spec: GameSpec) -> None:
-    """Check policy entry k alone; return if it is sound, else raise the
-    error of its first failing check.
+def _check_entry(k: int, entry, spec: GameSpec,
+                 seen: dict[tuple[int, BeliefKey], int]) -> None:
+    """Check policy entry k against the game and the entries before it;
+    return if it is sound, else raise the error of its first failing check.
 
-    The checks run in this order: the fields ``t`` and ``belief``; rows
-    and values as arrays, so that a part that does not convert raises as
-    NumPy says; stage range; belief length; shapes; finite values; status;
-    the row rule of :class:`Prescription`; the residual. A missing field
-    raises ``ValueError("policy entry k has no field ...")``, any other
-    fault ``ValueError("policy entry k: ...")``.
+    ``seen`` maps the (stage, belief) of each earlier entry to its index,
+    and gains entry k's if it is sound. The checks run in this order: the
+    fields ``t`` and ``belief``; rows and values as arrays, so that a part
+    that does not convert raises as NumPy says; an integer stage; stage
+    range; belief length; shapes; finite values; status; the row rule of
+    :class:`Prescription`; the residual; no earlier entry at its stage and
+    belief. A missing field raises ``ValueError("policy entry k has no
+    field ...")``, any other fault ``ValueError("policy entry k: ...")``.
     """
     try:
         t = int(entry["t"])
@@ -770,6 +747,8 @@ def _check_entry(k: int, entry, spec: GameSpec) -> None:
         values = [np.asarray(arr, dtype=float) for arr in entry["values"]]
         shapes = [r.shape for r in rows], [v.shape for v in values]
         need = _entry_shapes(spec)
+        if t != entry["t"]:
+            raise ValueError(f"stage {entry['t']!r} is not an integer")
         if not 1 <= t <= spec.horizon:
             raise ValueError(f"stage {t} outside 1..{spec.horizon}")
         if len(key) != spec.num_joint_types:
@@ -784,6 +763,10 @@ def _check_entry(k: int, entry, spec: GameSpec) -> None:
             raise ValueError(f"status {entry['status']!r} is not a solved point")
         Prescription(tuple(rows))
         float(entry["residual"])
+        if (t, key) in seen:
+            raise ValueError(f"stage {t} and belief {list(key)} repeat policy "
+                             f"entry {seen[t, key]}")
+        seen[t, key] = k
     except KeyError as err:
         raise ValueError(f"policy entry {k} has no field {err}") from err
     except (TypeError, ValueError) as err:
@@ -802,9 +785,10 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
     ``cache_budget``. The entries are checked against the game in one
     pass (:func:`_read_entries`): rows and values are stacked per player
     and checked at once. An entry that lacks a field, does not fit the
-    game or was not solved fails the load: the document is read again
-    entry by entry, and the lowest such entry k raises ``ValueError``
-    naming its index and its first failing check (:func:`_check_entry`).
+    game, was not solved or repeats an earlier entry's stage and belief
+    fails the load: the document is read again entry by entry, and the
+    lowest such entry k raises ``ValueError`` naming its index and its
+    first failing check (:func:`_check_entry`).
     """
     if type(doc) is not dict or doc.get("format") != POLICY_FORMAT:
         raise ValueError("not a policy document")

@@ -228,11 +228,19 @@ def _agents(spec: GameSpec) -> list[tuple[int, int]]:
             for xi, mass in enumerate(prior.type_marginal(i)) if mass > 0.0]
 
 
+def _first_worst(values) -> int:
+    """Index of the first NaN among ``values``, else of the first largest:
+    the one rule by which every check picks its worst finding."""
+    return int(np.argmax(values))
+
+
 def _gap_document(history: History, agents: list[tuple[int, int]],
                   gaps: list[float]) -> dict:
-    """The :func:`one_shot_gaps` result at one history."""
+    """The :func:`one_shot_gaps` result at one history; ``max_gap`` is NaN
+    if a gap is, else the largest gap or 0."""
+    pool = [0.0, *gaps]
     return {"history": history, "stage": len(history) + 1,
-            "max_gap": max([0.0, *gaps]), "gaps": dict(zip(agents, gaps))}
+            "max_gap": pool[_first_worst(pool)], "gaps": dict(zip(agents, gaps))}
 
 
 def _walk(spec: GameSpec, policy: EquilibriumPolicy, agents: list[tuple[int, int]],
@@ -291,9 +299,11 @@ def verify_pbe(spec: GameSpec, policy: EquilibriumPolicy,
 
     Every (player, type) with positive prior type marginal is checked at
     every public history node of every length up to the horizon. An
-    agent's worst finding is its largest gain, the first in post-order
-    among equal ones, or the first node in post-order if its gain is NaN.
-    The report also keeps every history's one-shot gaps, in pre-order.
+    agent's worst finding is its first NaN gain in post-order, else its
+    first largest; the report's worst is, by the same rule, the first
+    agent's in agent order. The check passes iff that gain is at most tol,
+    so a NaN gain anywhere fails it. The report also keeps every history's
+    one-shot gaps, in pre-order.
     """
     if not tol >= 0:   # NaN too: no gain would ever exceed it
         raise ValueError("tol must be >= 0")
@@ -316,18 +326,16 @@ def verify_pbe(spec: GameSpec, policy: EquilibriumPolicy,
                                 history=histories[node], equilibrium_value=eq,
                                 deviation_value=dev)
 
-    worst = []
-    for k in range(len(agents)):
-        col = gain[in_post, k]
-        worst.append(finding(
-            in_post[0 if np.isnan(col[0]) else int(np.nanargmax(col))], k))
-    worst = max(worst, key=lambda f: f.gain)   # first of the largest
+    post = gain[in_post]
+    node_of = np.argmax(post, axis=0)   # _first_worst of each agent's column
+    k = _first_worst(post[node_of, np.arange(len(agents))])
+    worst = finding(in_post[node_of[k]], k)
     violations = sorted((finding(node, k) for node, k in
                          zip(*np.nonzero(gain > tol))),
                         key=lambda f: (-f.gain, f.player, f.type_index, f.history))
     gaps = np.concatenate(gaps).tolist()
     return VerificationReport(
-        ok=not violations,
+        ok=worst.gain <= tol,
         tolerance=tol,
         max_gain=float(worst.gain),
         worst=worst,
@@ -370,16 +378,14 @@ def one_shot_gaps(spec: GameSpec, policy: EquilibriumPolicy,
 
 
 def _one_shot_summary(gaps: tuple[dict, ...], tol: float) -> dict:
-    """Passes iff no (history, agent) gap exceeds tol. A NaN gap fails:
-    ``max_gap`` is then NaN and ``worst`` the first history holding one;
-    otherwise ``worst`` is the first history with the largest ``max_gap``."""
-    nan_at = [g for g in gaps if np.isnan(list(g["gaps"].values())).any()]
-    worst = nan_at[0] if nan_at else max(gaps, key=lambda g: g["max_gap"])
-    max_gap = math.nan if nan_at else worst["max_gap"]
+    """Passes iff no (history, agent) gap exceeds tol, and none is NaN.
+    ``worst`` is the first history whose ``max_gap`` is NaN, else the first
+    with the largest ``max_gap``."""
+    worst = gaps[_first_worst([g["max_gap"] for g in gaps])]
     return {
-        "ok": max_gap <= tol,
+        "ok": worst["max_gap"] <= tol,
         "tolerance": tol,
-        "max_gap": max_gap,
+        "max_gap": worst["max_gap"],
         "worst": worst,
         "histories_checked": len(gaps),
     }

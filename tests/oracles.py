@@ -274,14 +274,18 @@ def _views(spec, policy, history, agents, gaps=True):
                         i, xi)
             q = _action_values(spec, i, w, stage, cont)
             found[(i, xi)] = float(q.max()) - float(row @ q)
+    nan = any(math.isnan(g) for g in found.values())
     return views, {"history": history, "stage": t,
-                   "max_gap": max([0.0, *found.values()]), "gaps": found}
+                   "max_gap": math.nan if nan else max([0.0, *found.values()]),
+                   "gaps": found}
 
 
 class WalkBrute:
     """The deviation walk one node at a time: a post-order recursion that
     records each node's one-shot gaps before its children (in pre-order)
-    and each agent's on-policy and best deviation values after them."""
+    and each agent's on-policy and best deviation values after them. An
+    agent's worst finding is its first NaN gain in post-order, else its
+    first largest."""
 
     def __init__(self, spec, policy, agents, tol=np.inf, gaps=True):
         self.spec, self.policy, self.agents = spec, policy, agents
@@ -310,7 +314,9 @@ class WalkBrute:
             out[k] = eq, dev
             found = DeviationFinding(player=i, type_index=xi, history=history,
                                      equilibrium_value=eq, deviation_value=dev)
-            if self.worst[k] is None or found.gain > self.worst[k].gain:
+            worst = self.worst[k]
+            if worst is None or not math.isnan(worst.gain) and (
+                    math.isnan(found.gain) or found.gain > worst.gain):
                 self.worst[k] = found
             if found.gain > self.tol:
                 self.violations.append(found)
@@ -321,11 +327,12 @@ def walk_brute(spec, policy, tol=1e-6):
     """``verify_pbe`` as the node-by-node :class:`WalkBrute`."""
     walk = WalkBrute(spec, policy, _agents(spec), tol=tol)
     walk.run()
-    worst = max(walk.worst, key=lambda f: f.gain)
+    nan = [f for f in walk.worst if math.isnan(f.gain)]
+    worst = nan[0] if nan else max(walk.worst, key=lambda f: f.gain)
     violations = sorted(walk.violations,
                         key=lambda f: (-f.gain, f.player, f.type_index, f.history))
     return VerificationReport(
-        ok=not violations, tolerance=tol, max_gain=float(worst.gain),
+        ok=not violations and not nan, tolerance=tol, max_gain=float(worst.gain),
         worst=worst, violations=tuple(violations),
         agents_checked=len(walk.agents), histories_per_agent=walk.nodes,
         one_shot=tuple(walk.one_shot))
@@ -473,11 +480,13 @@ def rows_stochastic(rows) -> tuple[bool, str | None]:
 def policy_entries_fault(entries, spec) -> str | None:
     """The message loading these policy entries for ``spec`` fails with,
     or None if every entry is sound: entries are read one at a time, each
-    checked in order (fields, arrays, stage, belief length, shapes, finite
-    values, status, row rule, residual), and the first failing check of
-    the first failing entry names it."""
+    checked in order (fields, arrays, integer stage, stage range, belief
+    length, shapes, finite values, status, row rule, residual, no earlier
+    entry at its stage and belief), and the first failing check of the
+    first failing entry names it."""
     need = (list(zip(spec.type_counts, spec.action_counts)),
             [(c,) for c in spec.type_counts])
+    earlier = []
     for k, entry in enumerate(entries):
         try:
             t = int(entry["t"])
@@ -485,6 +494,8 @@ def policy_entries_fault(entries, spec) -> str | None:
             rows = [np.asarray(player, dtype=float) for player in entry["rows"]]
             values = [np.asarray(arr, dtype=float) for arr in entry["values"]]
             shapes = [r.shape for r in rows], [v.shape for v in values]
+            if t != entry["t"]:
+                raise ValueError(f"stage {entry['t']!r} is not an integer")
             if not 1 <= t <= spec.horizon:
                 raise ValueError(f"stage {t} outside 1..{spec.horizon}")
             if len(key) != spec.num_joint_types:
@@ -502,6 +513,10 @@ def policy_entries_fault(entries, spec) -> str | None:
             if not ok:
                 raise ValueError(why)
             float(entry["residual"])
+            if (t, key) in earlier:
+                raise ValueError(f"stage {t} and belief {list(key)} repeat "
+                                 f"policy entry {earlier.index((t, key))}")
+            earlier.append((t, key))
         except KeyError as err:
             return f"policy entry {k} has no field {err}"
         except (TypeError, ValueError) as err:

@@ -347,6 +347,37 @@ def test_grid_snaps_of_build_and_certification_match_brute_force(
         assert np.array_equal(got, want)
 
 
+def test_grid_queries_snap_each_belief_once(monkeypatch):
+    """A grid policy reloaded from its document snaps each belief it is
+    asked for once, at whatever stage: certifying coordination at
+    resolution 10 asks 37 times, at 9 (stage, belief) pairs, and snaps at
+    most once per distinct belief. ``snap_stats`` still counts every
+    query."""
+    spec = instances.coordination_instance()
+    result = solve(spec, mode="grid", resolution=10)
+    assert result.generator.snap_stats == {"queries": 1, "max_snap_l1": 0.2}
+    generator = load_policy(json.loads(render_report(policy_document(result))),
+                            spec)
+    queried, snapped = [], []
+    real_query = generator.solution_at
+
+    def query(t, pi):
+        queried.append((t, pi.weights.tobytes()))
+        return real_query(t, pi)
+
+    def recording(grid, weights):
+        snapped.append(np.asarray(weights).tobytes())
+        return nearest_grid_index(grid, weights)
+
+    generator.solution_at = query
+    monkeypatch.setattr(spbe.backward, "nearest_grid_index", recording)
+    assert run_certification(spec, EquilibriumPolicy(spec, generator))["all_checks_ok"]
+    assert len(queried) == 37 and len(set(queried)) == 9
+    assert snapped == list(dict.fromkeys(weights for _t, weights in queried))
+    assert len(snapped) <= 9
+    assert generator.snap_stats == {"queries": 37, "max_snap_l1": 0.2}
+
+
 def test_nearest_grid_index_rejects_rows_outside_its_rule():
     grid = grid_points(4, 5)
     bad = [
@@ -603,9 +634,9 @@ def test_policy_load_checks_entries_alone_only_up_to_a_fault(corpus_solves,
     calls = []
     check = spbe.backward._check_entry
 
-    def counted(k, entry, spec):
+    def counted(k, entry, spec, seen):
         calls.append(k)
-        check(k, entry, spec)
+        check(k, entry, spec, seen)
     monkeypatch.setattr(spbe.backward, "_check_entry", counted)
     results = [result for _spec, result in corpus_solves.values()]
     results.append(ROUND_TRIPS["coordination_grid"](corpus_solves))
@@ -630,6 +661,53 @@ def test_policy_load_refuses_entries_that_only_pass_alone(signaling_policy_text)
     doc["entries"][3]["rows"] = (player for player in rows)
     assert _load_error(spec, doc) == ("policy entries pass one by one, but "
                                       "their rows or values do not stack")
+
+
+@pytest.mark.parametrize("mode", ["exact", "grid"])
+def test_policy_load_refuses_repeated_points_and_fractional_stages(
+        corpus_solves, mode):
+    """A second entry at an earlier entry's stage and belief, with other
+    rows or the same ones, and a stage that is not integer-valued fail the
+    load, naming the lowest such entry as an entry-by-entry reader does; a
+    stage written as an integral float loads."""
+    spec, result = corpus_solves["reference"]
+    if mode == "grid":
+        result = solve(spec, mode="grid", resolution=3)
+    text = render_report(policy_document(result))
+    first = json.loads(text)["entries"][0]
+    assert first["t"] == 1
+    other = {**first, "rows": [[row[::-1] for row in player]
+                               for player in first["rows"]]}
+
+    def error(edit):
+        doc = json.loads(text)
+        edit(doc["entries"])
+        message = _load_error(spec, doc)
+        assert message == oracles.policy_entries_fault(doc["entries"], spec)
+        return message
+
+    size = len(json.loads(text)["entries"])
+    repeat = f"stage 1 and belief {first['belief']} repeat policy entry 0"
+    assert error(lambda e: e.append(other)) == f"policy entry {size}: {repeat}"
+    assert error(lambda e: e.append(dict(first))) == \
+        f"policy entry {size}: {repeat}"
+    assert error(lambda e: e[0].update(t=1.7)) == \
+        "policy entry 0: stage 1.7 is not an integer"
+    assert error(lambda e: e[-1].update(t="1")) == \
+        f"policy entry {size - 1}: stage '1' is not an integer"
+
+    def both(entries):   # the repeat comes first
+        entries.insert(1, dict(first))
+        entries[-1]["t"] += 0.5
+    assert error(both) == f"policy entry 1: {repeat}"
+
+    doc = json.loads(text)
+    for entry in doc["entries"]:
+        entry["t"] = float(entry["t"])
+    loaded = load_policy(doc, spec).cached_points()
+    want = load_policy(json.loads(text), spec).cached_points()
+    assert [_point_bytes(t, pi.key, sol) for t, pi, sol in loaded] == \
+        [_point_bytes(t, pi.key, sol) for t, pi, sol in want]
 
 
 def test_policy_rejects_wrong_game(reference_solved):

@@ -441,6 +441,55 @@ def test_nan_claimed_values_fail_one_shot(reference_solved):
     assert not cert["all_checks_ok"]
 
 
+class NaNNodePolicy(EquilibriumPolicy):
+    """The solved policy's prescriptions and claimed values, but an all-NaN
+    common belief after the joint action (1, 1)."""
+
+    def __init__(self, spec, generator):
+        super().__init__(spec, generator)
+        self.solved = EquilibriumPolicy(spec, generator)
+
+    def common_belief(self, history):
+        if spbe.forward._normalize_history(history) == ((1, 1),):
+            return Belief(np.full(self.spec.num_joint_types, np.nan),
+                          self.spec.type_counts)
+        return self.solved.common_belief(history)
+
+    def prescription_for_history(self, history):
+        return self.solved.prescription_for_history(history)
+
+    def continuation_value(self, history, i, xi):
+        return self.solved.continuation_value(history, i, xi)
+
+
+def test_nan_gains_fail_the_deviation_check(reference_solved):
+    """Gains are NaN after (1, 1) and at the root, for every agent. The
+    worst finding is the first NaN one, agent (0, 0) after (1, 1) in
+    post-order; the check fails with a NaN ``max_gain``, as the node walk
+    says, and so does the one-shot check."""
+    spec, result = reference_solved
+    report = verify_pbe(spec, NaNNodePolicy(spec, result.generator))
+    assert not report.ok
+    assert np.isnan(report.max_gain)
+    assert (report.worst.player, report.worst.type_index,
+            report.worst.history) == (0, 0, ((1, 1),))
+    assert report.violations == ()
+    brute = oracles.walk_brute(spec, NaNNodePolicy(spec, result.generator))
+    assert repr(report.to_document()) == repr(brute.to_document())
+    assert repr(report.one_shot) == repr(brute.one_shot)
+    one_shot = verify_one_shot(spec, NaNNodePolicy(spec, result.generator))
+    assert not one_shot["ok"]
+    assert np.isnan(one_shot["max_gap"])
+    assert one_shot["worst"]["history"] == ((1, 1),)
+    assert np.isnan(one_shot["worst"]["max_gap"])
+    cert = run_certification(spec, NaNNodePolicy(spec, result.generator),
+                             consistency_samples=0)
+    assert not cert["ok"] and not cert["one_shot"]["ok"]
+    assert np.isnan(cert["max_gain"])
+    assert cert["worst"]["history"] == [[1, 1]]
+    assert not cert["all_checks_ok"]
+
+
 def test_certificate_conditions_each_node_once(reference_solved, monkeypatch):
     spec, result = reference_solved
     calls = []

@@ -1,0 +1,160 @@
+"""Digests of the outputs a behaviour-preserving change must keep.
+
+For each game of a fixed guard set, solve it, reload its policy document,
+and record, as one sha256 line per item:
+
+- the solve report without its ``timing`` block, and the policy document;
+- for the solved policy and then for the reloaded one: the certificate
+  (``run_certification``), the summary and traces of
+  ``simulate(spec, policy, 300, seed=3)``, the generator's
+  ``cached_points()`` and, in grid mode, its ``snap_stats``.
+
+An item that raises records its exception's type and message instead.
+The guard set is 55 exact-mode games (the 12 corpus games,
+``random_instance(0..39)``, two horizon-1 shapes and the reference game
+lengthened to horizon 5) and 14 grid builds.
+
+Usage, from the repository root::
+
+    python tools/compare_outputs.py SRC            # digest lines of one tree
+    python tools/compare_outputs.py OLD_SRC NEW_SRC
+
+SRC is a ``src`` directory holding the ``spbe`` package. Given two, each
+tree is dumped in its own process and the items whose digests differ are
+listed; the exit status is 1 if any differ, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+
+def _games(instances):
+    """(name, spec, mode, resolution) of every game of the guard set."""
+    ref = instances.reference_instance()
+    exact = dict(instances.corpus())
+    exact.update({f"random_{s}": instances.random_instance(s) for s in range(40)})
+    exact["random_0_players3_h1"] = instances.random_instance(0, players=3, horizon=1)
+    exact["random_2_types3_h1"] = instances.random_instance(2, types=3, horizon=1)
+    exact["reference_h5"] = dataclasses.replace(
+        ref, horizon=5, rewards=ref.rewards[:1] * 4 + ref.rewards[1:])
+    for name, spec in exact.items():
+        yield f"exact/{name}", spec, "exact", None
+    grid = [
+        ("coordination", instances.coordination_instance(), (10, 3)),
+        ("single_player", instances.single_player_instance(), (4,)),
+        ("random_1_players3", instances.random_instance(1, players=3), (1,)),
+        ("random_1_types3_actions2",
+         instances.random_instance(1, types=3, actions=2), (1,)),
+        ("asymmetric_pennies", instances.asymmetric_pennies_instance(), (4,)),
+        ("signaling_pennies", instances.signaling_pennies_instance(), (5, 2)),
+        ("reference", ref, (6, 3)),
+        *((f"random_{s}", instances.random_instance(s), (2,))
+          for s in (9, 13, 18, 22)),
+    ]
+    for name, spec, resolutions in grid:
+        for r in resolutions:
+            yield f"grid/{name}_r{r}", spec, "grid", r
+
+
+def _items(spbe, spec, mode, resolution):
+    """(item name, a function giving its text) for one game, in the order
+    they must run: reading a lazy generator may grow its store."""
+    state = {}
+
+    def solved():
+        result = spbe.solve(spec, mode=mode, resolution=resolution or 10)
+        state["result"] = result
+        report = spbe.build_solve_report(result)
+        report.pop("timing")
+        return spbe.render_report(report)
+
+    def policy():
+        doc = spbe.policy_document(state["result"])
+        state["loaded"] = spbe.load_policy(doc, spec)
+        return spbe.render_report(doc)
+
+    def generator(which):
+        return (state["result"].generator if which == "solved"
+                else state["loaded"])
+
+    def certificate(which):
+        policy = spbe.EquilibriumPolicy(spec, generator(which))
+        return spbe.render_report(spbe.run_certification(spec, policy))
+
+    def simulation(which):
+        policy = spbe.EquilibriumPolicy(spec, generator(which))
+        sim = spbe.simulate(spec, policy, 300, seed=3)
+        return (spbe.render_report(sim.summary.to_document()) + "\n"
+                + spbe.forward.traces_to_delimited(sim.traces))
+
+    def points(which):
+        return repr([(t, pi.weights.tobytes(),
+                      [r.tobytes() for r in sol.prescription.rows],
+                      [v.tobytes() for v in sol.values], sol.residual,
+                      sol.status, sol.method, sol.restart_index)
+                     for t, pi, sol in generator(which).cached_points()])
+
+    def snap_stats(which):
+        return repr(generator(which).snap_stats)
+
+    yield "report", solved
+    yield "policy", policy
+    for which in ("solved", "loaded"):
+        yield f"{which}.certificate", lambda w=which: certificate(w)
+        yield f"{which}.simulate", lambda w=which: simulation(w)
+        yield f"{which}.cached_points", lambda w=which: points(w)
+        if mode == "grid":
+            yield f"{which}.snap_stats", lambda w=which: snap_stats(w)
+
+
+def dump(src: str) -> None:
+    """Print ``<game> <item> <sha256>`` for every item of the guard set."""
+    sys.path.insert(0, src)
+    import spbe
+    import spbe.forward
+
+    for name, spec, mode, resolution in _games(spbe.instances):
+        for item, make in _items(spbe, spec, mode, resolution):
+            try:
+                text = make()
+            except Exception as err:   # recorded: a change may not alter it
+                text = f"error {type(err).__name__}: {err}"
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            print(f"{name} {item} {digest}", flush=True)
+
+
+def _dump_lines(src: str) -> list[str]:
+    out = subprocess.run([sys.executable, __file__, src],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="+", help="one or two src directories")
+    args = parser.parse_args(argv)
+    if len(args.src) == 1:
+        dump(args.src[0])
+        return 0
+    if len(args.src) != 2:
+        parser.error("give one or two src directories")
+    with ThreadPoolExecutor(2) as pool:
+        old, new = pool.map(_dump_lines, args.src)
+    old_items = {line.rsplit(" ", 1)[0]: line for line in old}
+    new_items = {line.rsplit(" ", 1)[0]: line for line in new}
+    differ = [item for item in dict.fromkeys([*old_items, *new_items])
+              if old_items.get(item) != new_items.get(item)]
+    for item in differ:
+        print(f"differs: {item}")
+    print(f"{len(old_items)} items, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
