@@ -35,12 +35,15 @@ Both solve with :func:`~spbe.stage.solve_stage`, passing their own
     is snapped once: its grid row is stored by the belief's weight bytes,
     at every stage, since the snap does not depend on the stage.
 
-A policy document holds the store's converged points. A load checks them
-against the game in one pass; a document that fails it is read again entry
-by entry, and the per-entry checker alone words the error. An exact-mode
-document reloads as an ``ExactGenerator`` whose store holds the document's
-entries and solves, through the same store, any belief the document lacks;
-a grid-mode one reloads as a built ``GridGenerator``.
+A policy document holds the store's converged points. A load refuses a
+header whose mode is not ``exact``, or ``grid`` with an integer resolution
+of at least 1. It checks the entries against the game in one pass, each
+belief by the snap's rule (finite, non-negative weights summing to 1,
+allowing for the key's rounding); a document that fails it is read again
+entry by entry, and the per-entry checker alone words the error. An
+exact-mode document reloads as an ``ExactGenerator`` whose store holds the
+document's entries and solves, through the same store, any belief the
+document lacks; a grid-mode one reloads as a built ``GridGenerator``.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .beliefs import Belief, BeliefKey, Prescription, initial_belief
+from .beliefs import KEY_DIGITS, Belief, BeliefKey, Prescription, initial_belief
 from .game import GameSpec
 from .stage import (Lookup, SolverConfig, StageSolution, solve_stage,
                     solve_stage_fixed_point)
@@ -278,17 +281,20 @@ def _rank(counts: np.ndarray, resolution: int, offsets: np.ndarray) -> np.ndarra
     return index
 
 
-def _bad_row(rows: np.ndarray) -> str:
-    """Names the first row outside the snap's input contract, and why."""
+def _bad_row(rows: np.ndarray, sum_tol: float = SNAP_SUM_TOL
+             ) -> tuple[int, str] | None:
+    """The first row that is no belief, and why; ``None`` if every row has
+    finite, non-negative weights that sum to 1 within ``sum_tol``."""
     finite = np.isfinite(rows).all(axis=1)
     negative = (rows < 0.0).any(axis=1)
     sums = rows.sum(axis=1)
-    bad = ~finite | negative | ~(np.abs(sums - 1.0) <= SNAP_SUM_TOL)
+    bad = ~finite | negative | ~(np.abs(sums - 1.0) <= sum_tol)
+    if not bad.any():
+        return None
     k = int(np.argmax(bad))
-    why = ("has a non-finite weight" if not finite[k] else
-           "has a negative weight" if negative[k] else
-           f"sums to {float(sums[k])!r}")
-    return f"row {k} of the weights {why}: {rows[k].tolist()}"
+    return k, ("has a non-finite weight" if not finite[k] else
+               "has a negative weight" if negative[k] else
+               f"sums to {float(sums[k])!r}")
 
 
 def nearest_grid_index(grid: np.ndarray, weights: np.ndarray):
@@ -328,7 +334,8 @@ def nearest_grid_index(grid: np.ndarray, weights: np.ndarray):
     rows = weights.reshape(-1, width)
     if not ((np.abs(rows.sum(axis=1) - 1.0) <= SNAP_SUM_TOL).all()
             and (rows >= 0.0).all()):
-        raise ValueError(_bad_row(rows))
+        k, why = _bad_row(rows)
+        raise ValueError(f"row {k} of the weights {why}: {rows[k].tolist()}")
     low, frac, up_min, down_max = _cut(rows, resolution)
     low += frac >= up_min
     out = _rank(low.astype(np.intp), resolution, offsets)
@@ -494,7 +501,8 @@ class SolveResult:
     generator: object
     status: str
     root: StageSolution | None = None
-    failure: dict | None = None
+    # the solve's one failure record: the error that stopped it
+    error: NoFixedPointError | ResourceLimitError | None = None
     resolution: int | None = None
     timing_seconds: float = 0.0
 
@@ -502,9 +510,21 @@ class SolveResult:
     def ok(self) -> bool:
         return self.status == "ok"
 
-
-def _refusal(err: ResourceLimitError) -> dict:
-    return {"kind": "resource_limit", "limit": err.limit, "message": str(err)}
+    @property
+    def failure(self) -> dict | None:
+        """The report's ``failure`` document, read off ``error``; a partial
+        grid adds how many points failed."""
+        err = self.error
+        if err is None:
+            return None
+        if isinstance(err, ResourceLimitError):
+            return {"kind": "resource_limit", "limit": err.limit,
+                    "message": str(err)}
+        doc = {"kind": "no_fixed_point", "stage": err.t, "belief": list(err.key),
+               "solver_status": err.status}
+        if self.status == "partial":
+            doc["failed_points"] = len(self.generator.failed_points)
+        return doc
 
 
 def solve(
@@ -516,55 +536,35 @@ def solve(
 ) -> SolveResult:
     """Solve a game end to end in the requested mode.
 
-    Exact mode solves the initial belief at stage 1, which recursively
-    solves every stage point its evaluation touches. Grid mode builds the
-    full per-stage tables. Solver failures and resource refusals are
-    reported in the result, not raised; a refused grid solve has no
-    generator.
+    Both modes build the generator, grid mode also its full per-stage
+    tables, then solve the initial belief at stage 1; in exact mode that
+    recursively solves every stage point its evaluation touches. A grid
+    whose tables hold failed points is ``partial`` and has no root.
+    Solver failures and resource refusals are reported in the result, not
+    raised; a refused grid solve has no generator.
     """
+    if mode not in ("exact", "grid"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'grid'")
     config = config or SolverConfig()
     started = time.perf_counter()
-    if mode == "exact":
-        generator = ExactGenerator(spec, config, cache_budget=cache_budget)
-        result = SolveResult(spec, mode, config, generator, "ok")
-        try:
-            result.root = generator.solution_at(1, initial_belief(spec))
-        except NoFixedPointError as err:
-            result.status = "failed"
-            result.failure = {
-                "kind": "no_fixed_point",
-                "stage": err.t,
-                "belief": list(err.key),
-                "solver_status": err.status,
-            }
-        except ResourceLimitError as err:
-            result.status, result.failure = "refused", _refusal(err)
-    elif mode == "grid":
-        try:
-            generator = GridGenerator(spec, config, resolution=resolution,
-                                      cache_budget=cache_budget)
-        except ResourceLimitError as err:
-            return SolveResult(spec, mode, config, None, "refused",
-                               failure=_refusal(err), resolution=resolution,
-                               timing_seconds=time.perf_counter() - started)
-        result = SolveResult(spec, mode, config, generator, "ok",
-                             resolution=resolution)
-        generator.build()
-        failed = generator.failed_points
-        if failed:
-            result.status = "partial"
-            t0, key0, status0 = failed[0]
-            result.failure = {
-                "kind": "no_fixed_point",
-                "stage": t0,
-                "belief": list(key0),
-                "solver_status": status0,
-                "failed_points": len(failed),
-            }
+    result = SolveResult(spec, mode, config, None, "ok",
+                         resolution=resolution if mode == "grid" else None)
+    failed = []
+    try:
+        if mode == "exact":
+            result.generator = ExactGenerator(spec, config, cache_budget)
         else:
-            result.root = generator.solution_at(1, initial_belief(spec))
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'exact' or 'grid'")
+            result.generator = GridGenerator(spec, config, resolution,
+                                             cache_budget)
+            result.generator.build()
+        failed = result.generator.failed_points
+        if failed:
+            raise NoFixedPointError(*failed[0])
+        result.root = result.generator.solution_at(1, initial_belief(spec))
+    except NoFixedPointError as err:
+        result.status, result.error = "partial" if failed else "failed", err
+    except ResourceLimitError as err:
+        result.status, result.error = "refused", err
     result.timing_seconds = time.perf_counter() - started
     return result
 
@@ -652,6 +652,19 @@ def _entry_shapes(spec: GameSpec) -> tuple[list[tuple], list[tuple]]:
             [(c,) for c in spec.type_counts])
 
 
+def _bad_key(keys: np.ndarray) -> tuple[int, str] | None:
+    """:func:`_bad_row` of a stack of policy belief keys, the snap's rule
+    with the key's rounding allowed for. A key is a belief rounded to
+    ``KEY_DIGITS``: a belief's weights are finite and non-negative, and
+    they sum to 1 within ``SNAP_SUM_TOL`` (the prior within the game's
+    tighter ``PRIOR_TOL``, a posterior within float rounding). Rounding
+    keeps a weight finite and non-negative and moves it by at most half a
+    unit of the last digit, so the key's X weights sum to 1 within
+    ``SNAP_SUM_TOL`` plus X such half units, and every sound key passes."""
+    return _bad_row(keys, SNAP_SUM_TOL
+                    + keys.shape[1] * 0.5 * 10.0 ** -KEY_DIGITS)
+
+
 def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
                                                     StageSolution]:
     """A policy document's entries as (stage, belief key) -> solution,
@@ -662,11 +675,12 @@ def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
     belief length, number of players, status and residual. The rows and
     values then become one read-only stack per player, each built by one
     ``np.array`` call, whose shapes, finiteness and row rule
-    (:meth:`Prescription.batch`) are checked at once, and no two entries
-    may share a stage and belief. The solutions hold views of the stacks.
-    If any check fails, the entries are read again one at a time by
-    :func:`_check_entry`, which alone words the error: the first entry it
-    rejects is the lowest bad one.
+    (:meth:`Prescription.batch`) are checked at once, as are the beliefs
+    (:func:`_bad_key`), and no two entries may share a stage and belief.
+    The solutions hold views of the stacks. If any check fails, the
+    entries are read again one at a time by :func:`_check_entry`, which
+    alone words the error: the first entry it rejects is the lowest bad
+    one.
     """
     n, size = spec.num_players, spec.num_joint_types
     fields = []
@@ -687,6 +701,8 @@ def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
     if len(fields) == len(raw):
         rows_need, values_need = _entry_shapes(spec)
         try:
+            if _bad_key(np.array([f[1] for f in fields]).reshape(-1, size)):
+                raise ValueError("a belief is no belief")
             row_stacks = _stack([f[2] for f in fields], rows_need)
             value_stacks = _stack([f[3] for f in fields], values_need)
             if not all(np.isfinite(v).all() for v in value_stacks):
@@ -735,10 +751,11 @@ def _check_entry(k: int, entry, spec: GameSpec,
     and gains entry k's if it is sound. The checks run in this order: the
     fields ``t`` and ``belief``; rows and values as arrays, so that a part
     that does not convert raises as NumPy says; an integer stage; stage
-    range; belief length; shapes; finite values; status; the row rule of
-    :class:`Prescription`; the residual; no earlier entry at its stage and
-    belief. A missing field raises ``ValueError("policy entry k has no
-    field ...")``, any other fault ``ValueError("policy entry k: ...")``.
+    range; belief length; a belief (:func:`_bad_key`); shapes; finite
+    values; status; the row rule of :class:`Prescription`; the residual;
+    no earlier entry at its stage and belief. A missing field raises
+    ``ValueError("policy entry k has no field ...")``, any other fault
+    ``ValueError("policy entry k: ...")``.
     """
     try:
         t = int(entry["t"])
@@ -754,6 +771,9 @@ def _check_entry(k: int, entry, spec: GameSpec,
         if len(key) != spec.num_joint_types:
             raise ValueError(f"belief has {len(key)} weights for "
                              f"{spec.num_joint_types} joint types")
+        fault = _bad_key(np.array([key]))
+        if fault:
+            raise ValueError(f"belief {list(key)} {fault[1]}")
         if shapes != need:
             raise ValueError(f"rows and values have shapes {shapes}, the game "
                              f"needs {need}")
@@ -778,17 +798,20 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
                 ) -> ExactGenerator | GridGenerator:
     """Rebuild a generator from a policy document for this game.
 
-    A grid-mode document gives a built :class:`GridGenerator` that snaps
-    queries to its grid, as the generator that wrote it did. Any other
-    gives an :class:`ExactGenerator` whose store holds the entries and
-    solves, with ``config``, the beliefs they lack. Entries count against
+    The header must name the game, hold a list of entries, and give the
+    mode ``"exact"``, or ``"grid"`` with an integer ``resolution`` of at
+    least 1; any other header raises ``ValueError``. A grid-mode document
+    gives a built :class:`GridGenerator` that snaps queries to its grid,
+    as the generator that wrote it did. An exact-mode one gives an
+    :class:`ExactGenerator` whose store holds the entries and solves, with
+    ``config``, the beliefs they lack. Entries count against
     ``cache_budget``. The entries are checked against the game in one
-    pass (:func:`_read_entries`): rows and values are stacked per player
-    and checked at once. An entry that lacks a field, does not fit the
-    game, was not solved or repeats an earlier entry's stage and belief
-    fails the load: the document is read again entry by entry, and the
-    lowest such entry k raises ``ValueError`` naming its index and its
-    first failing check (:func:`_check_entry`).
+    pass (:func:`_read_entries`): rows, values and beliefs are stacked and
+    checked at once. An entry that lacks a field, does not fit the game,
+    has a belief that is no belief, was not solved or repeats an earlier
+    entry's stage and belief fails the load: the document is read again
+    entry by entry, and the lowest such entry k raises ``ValueError``
+    naming its index and its first failing check (:func:`_check_entry`).
     """
     if type(doc) is not dict or doc.get("format") != POLICY_FORMAT:
         raise ValueError("not a policy document")
@@ -796,10 +819,17 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
         raise ValueError("policy document was produced for a different game")
     if type(doc.get("entries")) is not list:
         raise ValueError("policy document has no list of entries")
+    mode, resolution = doc.get("mode"), doc.get("resolution")
+    if mode not in ("exact", "grid"):
+        raise ValueError(f"policy document mode {mode!r} is not 'exact' or "
+                         "'grid'")
+    if mode == "grid" and not (type(resolution) is int and resolution >= 1):
+        raise ValueError(f"grid-mode policy document resolution {resolution!r} "
+                         "is not an integer >= 1")
     entries = _read_entries(doc["entries"], spec)
-    if doc.get("mode") == "grid" and "resolution" in doc:
-        return _grid_from_entries(spec, int(doc["resolution"]), entries,
-                                  config, cache_budget)
+    if mode == "grid":
+        return _grid_from_entries(spec, resolution, entries, config,
+                                  cache_budget)
     generator = ExactGenerator(spec, config, cache_budget)
     generator._cache = {point: (None, solution)
                         for point, solution in entries.items()}

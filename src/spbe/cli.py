@@ -222,8 +222,7 @@ def _policy_for(args, command: str) -> tuple[GameSpec, EquilibriumPolicy | None]
         return spec, EquilibriumPolicy(spec, generator)
     result = _solve(args, spec, args.mode or "exact")
     if result.status == "refused":
-        raise ResourceLimitError((result.failure or {}).get("message", "refused"),
-                                 (result.failure or {}).get("limit", 0))
+        raise result.error
     if result.status != "ok":
         _emit(render_report(build_solve_report(result)), args.out)
         print(f"spbe: cannot {command}, solve found no fixed point",

@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from spbe.backward import _l1
-from spbe.beliefs import condition_on_type
+from spbe.backward import SNAP_SUM_TOL, _l1
+from spbe.beliefs import KEY_DIGITS, condition_on_type
 from spbe.forward import expected_rewards
 from spbe.game import component_maps, embedding_map, unflatten_joint
 from spbe.verify import (
@@ -481,9 +481,11 @@ def policy_entries_fault(entries, spec) -> str | None:
     """The message loading these policy entries for ``spec`` fails with,
     or None if every entry is sound: entries are read one at a time, each
     checked in order (fields, arrays, integer stage, stage range, belief
-    length, shapes, finite values, status, row rule, residual, no earlier
-    entry at its stage and belief), and the first failing check of the
-    first failing entry names it."""
+    length, a belief, shapes, finite values, status, row rule, residual,
+    no earlier entry at its stage and belief), and the first failing check
+    of the first failing entry names it. A belief has finite, non-negative
+    weights summing to 1 within the snap's tolerance plus half a unit of
+    the key's last digit per weight."""
     need = (list(zip(spec.type_counts, spec.action_counts)),
             [(c,) for c in spec.type_counts])
     earlier = []
@@ -501,6 +503,14 @@ def policy_entries_fault(entries, spec) -> str | None:
             if len(key) != spec.num_joint_types:
                 raise ValueError(f"belief has {len(key)} weights for "
                                  f"{spec.num_joint_types} joint types")
+            total = float(np.sum(key))
+            sum_tol = SNAP_SUM_TOL + len(key) * 0.5 * 10.0 ** -KEY_DIGITS
+            if not all(math.isfinite(v) for v in key):
+                raise ValueError(f"belief {list(key)} has a non-finite weight")
+            if any(v < 0.0 for v in key):
+                raise ValueError(f"belief {list(key)} has a negative weight")
+            if abs(total - 1.0) > sum_tol:
+                raise ValueError(f"belief {list(key)} sums to {total!r}")
             if shapes != need:
                 raise ValueError(f"rows and values have shapes {shapes}, the "
                                  f"game needs {need}")

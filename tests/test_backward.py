@@ -28,6 +28,8 @@ from spbe import (
     solve,
     solve_stage_fixed_point,
 )
+from spbe.backward import SNAP_SUM_TOL
+from spbe.beliefs import KEY_DIGITS
 from spbe.game import PRIOR_TOL, GameSpec
 
 import oracles
@@ -132,6 +134,60 @@ def test_exact_solve_counts():
         {1: 1, 2: 891}
     assert solve(instances.dominant_types_instance()).generator.solve_counts == \
         {1: 1, 2: 109}
+
+
+SOLVE_CASES = {
+    "exact_ok": (lambda: solve(instances.reference_instance()), "ok", True,
+                 None),
+    "exact_failed": (
+        lambda: solve(instances.asymmetric_pennies_instance(),
+                      config=SolverConfig(support_enumeration_limit=0,
+                                          max_iterations=300)),
+        "failed", True,
+        {"kind": "no_fixed_point", "stage": 1, "belief": [1.0],
+         "solver_status": "max_iterations"}),
+    "exact_refused": (
+        lambda: solve(instances.dominant_types_instance(), cache_budget=2),
+        "refused", True,
+        {"kind": "resource_limit", "limit": 2,
+         "message": "stage-point cache exceeded 2 entries; raise cache_budget "
+                    "or use grid mode"}),
+    "grid_ok": (
+        lambda: solve(instances.coordination_instance(), mode="grid",
+                      resolution=3),
+        "ok", True, None),
+    "grid_partial": (
+        lambda: solve(instances.asymmetric_pennies_instance(), mode="grid",
+                      resolution=2,
+                      config=SolverConfig(support_enumeration_limit=0)),
+        "partial", True,
+        {"kind": "no_fixed_point", "stage": 1, "belief": [1.0],
+         "solver_status": "max_iterations", "failed_points": 1}),
+    "grid_refused": (
+        lambda: solve(instances.coordination_instance(), mode="grid",
+                      resolution=30, cache_budget=10),
+        "refused", False,
+        {"kind": "resource_limit", "limit": 10,
+         "message": "grid tables would hold 16368 stage points, over the "
+                    "budget of 10; raise cache_budget or lower the resolution"}),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVE_CASES))
+def test_solve_statuses_in_both_modes(case):
+    """Each (mode, status) pair of a solve: the report's ``failure``
+    document, read off the one error the solve keeps, and whether the
+    result has a generator and a root."""
+    run, status, has_generator, failure = SOLVE_CASES[case]
+    result = run()
+    assert result.status == status
+    assert result.failure == failure
+    assert (result.generator is not None) == has_generator
+    assert (result.root is not None) == (status == "ok")
+    assert (result.error is None) == (status == "ok")
+    report = build_solve_report(result)
+    assert report["status"] == status
+    assert report.get("failure") == failure
 
 
 def test_no_fixed_point_routing():
@@ -708,6 +764,72 @@ def test_policy_load_refuses_repeated_points_and_fractional_stages(
     want = load_policy(json.loads(text), spec).cached_points()
     assert [_point_bytes(t, pi.key, sol) for t, pi, sol in loaded] == \
         [_point_bytes(t, pi.key, sol) for t, pi, sol in want]
+
+
+NOT_BELIEFS = {
+    "nan": ([float("nan")] * 4, "has a non-finite weight"),
+    "negative": ([2.0, -1.0, 0.0, 0.0], "has a negative weight"),
+    "sum_two": ([0.5] * 4, "sums to 2.0"),
+    "sum_off": ([0.25, 0.25, 0.25, 0.25 + 2 ** -25], "sums to 1.0000000298023224"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NOT_BELIEFS))
+def test_policy_load_refuses_beliefs_that_are_no_belief(reference_solved, fault):
+    """An exact-mode entry whose belief is not finite, non-negative and
+    summing to 1 fails the load, naming the lowest such entry as the
+    entry-by-entry reader does."""
+    spec, result = reference_solved
+    text = render_report(policy_document(result))
+    belief, why = NOT_BELIEFS[fault]
+    doc = json.loads(text)
+    last = len(doc["entries"]) - 1
+    for k in (last, 0):
+        doc["entries"][k]["belief"] = list(belief)
+        message = _load_error(spec, doc)
+        assert message == f"policy entry {k}: belief {belief} {why}"
+        assert message == oracles.policy_entries_fault(doc["entries"], spec)
+
+
+def test_policy_keys_allow_for_their_rounding():
+    """A key whose weights were each rounded up by half a unit of the
+    last digit still passes, where the snap's own rule refuses it; a key
+    off by more fails."""
+    size = 40
+    rounded = np.full((1, size), 1 / size + 0.5 * 10.0 ** -KEY_DIGITS)
+    assert abs(rounded.sum() - 1.0) > SNAP_SUM_TOL
+    assert spbe.backward._bad_row(rounded) is not None
+    assert spbe.backward._bad_key(rounded) is None
+    worse = rounded + 2e-8 / size
+    assert spbe.backward._bad_key(worse)[1].startswith("sums to 1.00000004")
+
+
+@pytest.mark.parametrize("header, message", [
+    (lambda d: d.pop("resolution"),
+     "grid-mode policy document resolution None is not an integer >= 1"),
+    (lambda d: d.update(resolution=3.7),
+     "grid-mode policy document resolution 3.7 is not an integer >= 1"),
+    (lambda d: d.update(resolution="3"),
+     "grid-mode policy document resolution '3' is not an integer >= 1"),
+    (lambda d: d.update(resolution=0),
+     "grid-mode policy document resolution 0 is not an integer >= 1"),
+    (lambda d: d.update(mode="banana"),
+     "policy document mode 'banana' is not 'exact' or 'grid'"),
+    (lambda d: d.pop("mode"),
+     "policy document mode None is not 'exact' or 'grid'"),
+], ids=["no_resolution", "fractional", "string", "zero", "banana", "no_mode"])
+def test_policy_load_refuses_malformed_headers(reference_solved, header,
+                                               message):
+    """A grid-mode document needs an integer resolution of at least 1, and
+    the mode must be exact or grid; the sound document loads as its grid."""
+    spec, _ = reference_solved
+    text = render_report(policy_document(solve(spec, mode="grid",
+                                               resolution=3)))
+    doc = json.loads(text)
+    header(doc)
+    assert _load_error(spec, doc) == message
+    loaded = load_policy(json.loads(text), spec)
+    assert isinstance(loaded, GridGenerator) and loaded.resolution == 3
 
 
 def test_policy_rejects_wrong_game(reference_solved):

@@ -303,9 +303,14 @@ def _last_entry(edit):
     (_last_entry(lambda e: e["rows"][1].pop()), True),
     (_last_entry(lambda e: e["rows"][0].__setitem__(0, [float("nan")] * 2)), True),
     (_last_entry(lambda e: e["values"][0].__setitem__(0, float("nan"))), True),
+    (_last_entry(lambda e: e.update(belief=[float("nan")] * 4)), True),
+    (_last_entry(lambda e: e.update(belief=[2.0, -1.0, 0.0, 0.0])), True),
+    (_last_entry(lambda e: e.update(belief=[0.5] * 4)), True),
+    (lambda doc: {**doc, "mode": "banana"}, False),
 ], ids=["not_an_object", "no_entries", "entries_object", "no_values",
         "stage_past_horizon", "short_belief", "short_values", "missing_type_row",
-        "nan_row", "nan_value"])
+        "nan_row", "nan_value", "nan_belief", "negative_belief",
+        "belief_sums_to_two", "unknown_mode"])
 def test_malformed_policy_is_invalid_input(games, reference_policy_file, tmp_path,
                                            capsys, command, tamper, names_entry):
     doc = json.loads(Path(reference_policy_file).read_text())
@@ -317,6 +322,29 @@ def test_malformed_policy_is_invalid_input(games, reference_policy_file, tmp_pat
     error = json.loads(out)["error"]
     assert error["kind"] == "invalid_input"
     assert (f"policy entry {last}" in error["message"]) == names_entry
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "resolution"},
+     "grid-mode policy document resolution None is not an integer >= 1"),
+    (lambda doc: {**doc, "resolution": 3.7},
+     "grid-mode policy document resolution 3.7 is not an integer >= 1"),
+    (lambda doc: {**doc, "resolution": "3"},
+     "grid-mode policy document resolution '3' is not an integer >= 1"),
+], ids=["no_resolution", "fractional_resolution", "string_resolution"])
+def test_verify_refuses_grid_policy_without_integer_resolution(
+        games, tmp_path, capsys, tamper, message):
+    path = tmp_path / "policy.json"
+    assert main(["solve", games["reference"], "--mode", "grid",
+                 "--grid-resolution", "3", "--policy-out", str(path),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+    code, out = _run(capsys, ["verify", games["reference"], "--policy", str(bad)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "invalid_input"
+    assert error["message"] == message
 
 
 def test_verify_wrong_game_exits_two(games, reference_policy_file, capsys):

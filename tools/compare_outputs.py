@@ -12,7 +12,10 @@ and record, as one sha256 line per item:
 An item that raises records its exception's type and message instead.
 The guard set is 55 exact-mode games (the 12 corpus games,
 ``random_instance(0..39)``, two horizon-1 shapes and the reference game
-lengthened to horizon 5) and 14 grid builds.
+lengthened to horizon 5), 14 grid builds, and four solves that are not
+ok, so that every status of a solve is checked: an exact solve that finds
+no fixed point, an exact and a grid solve refused by their cache budget,
+and a partial grid.
 
 Usage, from the repository root::
 
@@ -34,8 +37,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 
-def _games(instances):
-    """(name, spec, mode, resolution) of every game of the guard set."""
+def _games(spbe):
+    """(name, spec, mode, resolution, other ``solve`` arguments) of every
+    game of the guard set."""
+    instances = spbe.instances
     ref = instances.reference_instance()
     exact = dict(instances.corpus())
     exact.update({f"random_{s}": instances.random_instance(s) for s in range(40)})
@@ -44,7 +49,7 @@ def _games(instances):
     exact["reference_h5"] = dataclasses.replace(
         ref, horizon=5, rewards=ref.rewards[:1] * 4 + ref.rewards[1:])
     for name, spec in exact.items():
-        yield f"exact/{name}", spec, "exact", None
+        yield f"exact/{name}", spec, "exact", None, {}
     grid = [
         ("coordination", instances.coordination_instance(), (10, 3)),
         ("single_player", instances.single_player_instance(), (4,)),
@@ -59,16 +64,27 @@ def _games(instances):
     ]
     for name, spec, resolutions in grid:
         for r in resolutions:
-            yield f"grid/{name}_r{r}", spec, "grid", r
+            yield f"grid/{name}_r{r}", spec, "grid", r, {}
+    pennies = instances.asymmetric_pennies_instance()
+    no_enum = spbe.SolverConfig(support_enumeration_limit=0)
+    yield ("exact/failed_asymmetric_pennies", pennies, "exact", None,
+           {"config": dataclasses.replace(no_enum, max_iterations=300)})
+    yield ("exact/refused_dominant_types", instances.dominant_types_instance(),
+           "exact", None, {"cache_budget": 2})
+    yield ("grid/partial_asymmetric_pennies_r2", pennies, "grid", 2,
+           {"config": no_enum})
+    yield ("grid/refused_coordination_r30", instances.coordination_instance(),
+           "grid", 30, {"cache_budget": 10})
 
 
-def _items(spbe, spec, mode, resolution):
+def _items(spbe, spec, mode, resolution, options):
     """(item name, a function giving its text) for one game, in the order
     they must run: reading a lazy generator may grow its store."""
     state = {}
 
     def solved():
-        result = spbe.solve(spec, mode=mode, resolution=resolution or 10)
+        result = spbe.solve(spec, mode=mode, resolution=resolution or 10,
+                            **options)
         state["result"] = result
         report = spbe.build_solve_report(result)
         report.pop("timing")
@@ -119,8 +135,8 @@ def dump(src: str) -> None:
     import spbe
     import spbe.forward
 
-    for name, spec, mode, resolution in _games(spbe.instances):
-        for item, make in _items(spbe, spec, mode, resolution):
+    for name, spec, mode, resolution, options in _games(spbe):
+        for item, make in _items(spbe, spec, mode, resolution, options):
             try:
                 text = make()
             except Exception as err:   # recorded: a change may not alter it
