@@ -7,24 +7,24 @@ own evaluation pulls stage-(t+1) values at the updated beliefs.
 
 Every generator follows one protocol, :class:`Generator`: it defines
 ``solution_at(t, pi)``, the solved stage point for stages 1..T, and
-inherits two readers of it: ``value(t, pi, i, xi)``, one agent's value,
-zero at stage T+1, and ``lookup(t)``, the batched
-:data:`~spbe.stage.Lookup` of every player's stage-t values at a stack of
-posteriors, ``None`` past the horizon. The two generators that solve keep
-one store of solved points, read through ``cached_points()`` as (stage,
-belief, solution) triples ordered by stage, then belief key; reports'
-``solve_counts``, ``failed_points`` and policy documents read only that.
-Both solve with :func:`~spbe.stage.solve_stage`, passing their own
-``lookup(t + 1)``:
+``lookup(t)``, the batched :data:`~spbe.stage.Lookup` of every player's
+stage-t values at a stack of posteriors, ``None`` past the horizon; it
+inherits ``value(t, pi, i, xi)``, one agent's value, zero at stage T+1.
+The two generators that solve keep one store of solved points, read
+through ``cached_points()`` as (stage, belief, solution) triples ordered
+by stage, then belief key; reports' ``solve_counts``, ``failed_points``
+and policy documents read only that. Both solve with
+:func:`~spbe.stage.solve_stage`, passing their own ``lookup(t + 1)``:
 
 ``ExactGenerator``
-    solves each belief it is asked for, as a batch of one, and stores it
-    by (stage, quantized belief), the belief's
-    :attr:`~spbe.beliefs.Belief.key`, which :func:`~spbe.beliefs.belief_key`
-    rounds once per belief. Solving the initial belief at stage 1 solves
-    every belief it touches; later queries (forward play, verification)
-    hit the store or solve more. A cache budget bounds
-    runaway recursion on large games.
+    solves each belief it is asked for and stores it by (stage, quantized
+    belief), the belief's :attr:`~spbe.beliefs.Belief.key`, which
+    :func:`~spbe.beliefs.belief_key` rounds once per belief. Solving the
+    initial belief at stage 1 solves every belief it touches; later
+    queries (forward play, verification) hit the store or solve more. A
+    cache budget bounds runaway recursion on large games. At the last
+    stage, where nothing is looked up, a lookup solves its missing
+    beliefs as one batch; below it, one at a time in row order.
 
 ``GridGenerator``
     stores one table per stage over a simplex grid's fixed beliefs, each
@@ -36,8 +36,8 @@ Both solve with :func:`~spbe.stage.solve_stage`, passing their own
     at every stage, since the snap does not depend on the stage.
 
 A policy document holds the store's converged points. A load refuses a
-header whose mode is not ``exact``, or ``grid`` with an integer resolution
-of at least 1. It checks the entries against the game in one pass, each
+header whose mode is not ``exact`` with no resolution, or ``grid`` with
+an integer resolution of at least 1. It checks the entries against the game in one pass, each
 belief by the snap's rule (finite, non-negative weights summing to 1,
 allowing for the key's rounding); a document that fails it is read again
 entry by entry, and the per-entry checker alone words the error. An
@@ -61,7 +61,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .beliefs import KEY_DIGITS, Belief, BeliefKey, Prescription, initial_belief
+from .beliefs import (KEY_DIGITS, Belief, BeliefKey, Prescription,
+                      checked_stacks, initial_belief)
 from .game import GameSpec
 from .stage import (Lookup, SolverConfig, StageSolution, solve_stage,
                     solve_stage_fixed_point)
@@ -93,9 +94,10 @@ class ResourceLimitError(RuntimeError):
 class Generator:
     """Stage prescriptions at common beliefs, and the values read off them.
 
-    A generator defines ``spec`` and ``solution_at(t, pi)``, the solved
+    A generator defines ``spec``, ``solution_at(t, pi)``, the solved
     :class:`StageSolution` at stage t in 1..T and common belief pi, raising
-    when it has none there.
+    when it has none there, and ``lookup(t)``, the same stage-t values for
+    a stack of beliefs at once.
     """
 
     spec: GameSpec
@@ -131,18 +133,8 @@ class Generator:
 
     def lookup(self, t: int) -> Lookup | None:
         """Every player's stage-t values at each row of a posterior array,
-        one ``solution_at`` call per row in row order; ``None`` past the
-        horizon."""
-        if t > self.spec.horizon:
-            return None
-        type_counts = self.spec.type_counts
-
-        def lookup(weights: np.ndarray) -> list[np.ndarray]:
-            solutions = [self.solution_at(t, Belief(row, type_counts))
-                         for row in weights]
-            return [np.array([sol.values[i] for sol in solutions])
-                    for i in range(len(type_counts))]
-        return lookup
+        as ``solution_at`` gives them; ``None`` past the horizon."""
+        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +151,14 @@ class ExactGenerator(Generator):
     that the store lacks raises ``ValueError`` before any solve. A store
     loaded from a policy file (:func:`load_policy`) starts with the file's
     points, and counts in ``completions`` every point it solves after that.
+
+    The store keeps a point as one read-only float record, by stage and
+    the bytes of its belief key: every player's rows, then every player's
+    values, the belief it was solved at, the residual, and the index of
+    its (status, method, restart index, support profile, degenerate
+    types) in a list the points share. ``lookup`` reads values off the
+    records; ``solution_at`` builds a point's :class:`StageSolution` on
+    its first query and keeps it.
     """
 
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
@@ -166,43 +166,204 @@ class ExactGenerator(Generator):
         self.spec = spec
         self.config = config or SolverConfig()
         self.cache_budget = cache_budget
-        # (stage, key) -> (the belief first solved at that key, None if
-        # loaded from a policy file; its solution)
-        self._cache: dict[tuple[int, BeliefKey],
-                          tuple[Belief | None, StageSolution]] = {}
+        # stage -> belief key bytes -> record
+        self._records: dict[int, dict[bytes, bytes]] = {
+            t: {} for t in range(1, spec.horizon + 1)}
+        self._metas: list[tuple] = []
+        self._meta_ids: dict[tuple, int] = {}
+        # (stage, belief key) -> the solution built on its first query
+        self._solutions: dict[tuple[int, BeliefKey], StageSolution] = {}
+        # where each field of a record starts, and the record's width
+        self._cuts = list(itertools.accumulate(
+            [nt * na for nt, na in zip(spec.type_counts, spec.action_counts)]
+            + [*spec.type_counts, spec.num_joint_types, 1, 1], initial=0))
 
     def solution_at(self, t: int, pi: Belief) -> StageSolution:
         if not 1 <= t <= self.spec.horizon:
             raise ValueError(f"stage {t} outside horizon 1..{self.spec.horizon}")
-        key = (t, pi.key)
-        got = self._cache.get(key)
-        if got is None:
-            if not np.isfinite(pi.weights).all():
-                raise ValueError(f"stage {t} belief has non-finite weights "
-                                 f"{pi.weights.tolist()}")
-            if len(self._cache) >= self.cache_budget:
-                raise ResourceLimitError(
-                    f"stage-point cache exceeded {self.cache_budget} entries; "
-                    "raise cache_budget or use grid mode",
-                    self.cache_budget,
-                )
-            got = (pi, solve_stage_fixed_point(self.spec, t, pi,
-                                               self.lookup(t + 1), self.config))
-            self._cache[key] = got
-            if self.completions is not None:
-                self.completions += 1
-        solution = got[1]
-        if not solution.converged:
-            raise NoFixedPointError(t, key[1], solution.status)
+        solution = self._solutions.get((t, pi.key))
+        if solution is None:
+            record = self._point(t, pi.weights, _key_bytes(pi.weights[None])[0])
+            solution = self._solutions[t, pi.key] = self._solutions_of([record])[0][0]
         return solution
+
+    def lookup(self, t: int) -> Lookup | None:
+        """Every player's stage-t values at each row of a posterior array,
+        read off the records; ``None`` past the horizon. Below the last
+        stage the rows are read one at a time, since a solve's own lookups
+        fill the next stage's store in order; at the last stage the store's
+        missing beliefs are solved as one batch (:meth:`_last_stage`)."""
+        if t > self.spec.horizon:
+            return None
+
+        def lookup(weights: np.ndarray) -> list[np.ndarray]:
+            keys = _key_bytes(weights)
+            if t == self.spec.horizon:
+                records = self._last_stage(weights, keys)
+            else:
+                records = [self._point(t, w, key) for w, key in zip(weights, keys)]
+            return self._fields(records)[1]
+        return lookup
 
     def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
         """Solved points, each with the unrounded belief it was solved at;
-        a loaded point's belief is its key."""
-        type_counts = self.spec.type_counts
-        return [(t, Belief(np.array(key), type_counts) if pi is None else pi,
-                 solution)
-                for (t, key), (pi, solution) in sorted(self._cache.items())]
+        a loaded point's belief is its key. A point never queried gets a
+        new solution on every call."""
+        points = sorted((t, _key_of(key), record)
+                        for t, store in self._records.items()
+                        for key, record in store.items())
+        solutions, beliefs = self._solutions_of([p[2] for p in points])
+        return [(t, Belief(belief, self.spec.type_counts),
+                 self._solutions.get((t, key), solution))
+                for (t, key, _), belief, solution in zip(points, beliefs, solutions)]
+
+    def _point(self, t: int, weights: np.ndarray, key: bytes) -> bytes:
+        """The converged record at stage t of the belief ``weights``, whose
+        key bytes are ``key``; solved alone if the store lacks it."""
+        record = self._records[t].get(key)
+        if record is None:
+            self._admit(t, weights, 0)
+            solution = solve_stage_fixed_point(
+                self.spec, t, Belief(weights, self.spec.type_counts),
+                self.lookup(t + 1), self.config)
+            return self._store(t, [key], [solution], weights[None])[0]
+        status = self._metas[int(np.frombuffer(record)[-1])][0]
+        if status != "converged":
+            raise NoFixedPointError(t, _key_of(key), status)
+        return record
+
+    def _last_stage(self, weights: np.ndarray, keys: list[bytes]) -> list[bytes]:
+        """The records of every row at stage T. The distinct beliefs the
+        store lacks, up to the first row that would stop a row-by-row walk
+        (a failed point, a non-finite belief, a full store), are solved as
+        one batch in first-occurrence order: a last-stage point has no
+        lookup, so solving it has no side effects. Then they are stored,
+        and the walk's error raised, as that walk would."""
+        t = self.spec.horizon
+        store, fresh, stop = self._records[t], {}, None
+        for k, key in enumerate(keys):
+            try:
+                if key in store:
+                    self._point(t, weights[k], key)
+                elif key not in fresh:
+                    self._admit(t, weights[k], len(fresh))
+                    fresh[key] = k
+            except (NoFixedPointError, ResourceLimitError, ValueError) as err:
+                stop = err
+                break
+        if fresh:
+            rows = list(fresh.values())
+            beliefs = [Belief(weights[k], self.spec.type_counts) for k in rows]
+            self._store(t, list(fresh), solve_stage(self.spec, t, beliefs, None,
+                                                     self.config), weights[rows])
+        if stop is not None:
+            raise stop
+        return [store[key] for key in keys]
+
+    def _admit(self, t: int, weights: np.ndarray, pending: int) -> None:
+        """Raise if a belief the store lacks may not be solved, with
+        ``pending`` points already on their way into the store."""
+        if not np.isfinite(weights).all():
+            raise ValueError(f"stage {t} belief has non-finite weights "
+                             f"{weights.tolist()}")
+        if sum(map(len, self._records.values())) + pending >= self.cache_budget:
+            raise ResourceLimitError(
+                f"stage-point cache exceeded {self.cache_budget} entries; "
+                "raise cache_budget or use grid mode",
+                self.cache_budget,
+            )
+
+    def _store(self, t: int, keys: list[bytes], solutions: list[StageSolution],
+               weights: np.ndarray) -> list[bytes]:
+        """Store solved points in order, counting completions; the first
+        failed one is stored and raised on, and the points after it are
+        dropped."""
+        players = range(self.spec.num_players)
+        records = self._pack(
+            [np.array([s.prescription.rows[i] for s in solutions]) for i in players],
+            [np.array([s.values[i] for s in solutions]) for i in players], weights,
+            [[s.residual, self._meta_id((s.status, s.method, s.restart_index,
+                                         s.support_profile, s.degenerate_types))]
+             for s in solutions])
+        for key, solution, record in zip(keys, solutions, records):
+            self._records[t][key] = record
+            if self.completions is not None:
+                self.completions += 1
+            if not solution.converged:
+                raise NoFixedPointError(t, _key_of(key), solution.status)
+        return records
+
+    def _load(self, fields: list, row_stacks: list[np.ndarray],
+              value_stacks: list[np.ndarray]) -> None:
+        """Store a policy document's checked entries (:func:`_read_entries`)
+        as records, built from its stacks at once."""
+        if not fields:
+            return
+        keys = np.array([f[1] for f in fields]).reshape(len(fields), -1)
+        records = self._pack(row_stacks, value_stacks, keys, [
+            [f[4], self._meta_id(("converged", f[5], f[6], None, ()))]
+            for f in fields])
+        for f, key, record in zip(fields, _split(keys + 0.0), records):
+            self._records[f[0]][key] = record
+
+    def _pack(self, rows: list[np.ndarray], values: list[np.ndarray],
+              beliefs: np.ndarray, tail: list) -> list[bytes]:
+        """The records of Q points from their fields, stacked as
+        :meth:`_fields` gives them back; ``tail`` holds each point's
+        residual and metadata index."""
+        return _split(np.hstack([r.reshape(len(beliefs), -1) for r in rows]
+                                + values + [beliefs, np.array(tail)]))
+
+    def _meta_id(self, meta: tuple) -> int:
+        """Index of ``meta`` in the shared list, appended if new. Equal
+        values of different types (a document's 1 and 1.0) stay apart."""
+        try:
+            index = self._meta_ids.setdefault((meta, tuple(map(type, meta))),
+                                              len(self._metas))
+        except TypeError:   # a document's unhashable method, never shared
+            index = len(self._metas)
+        if index == len(self._metas):
+            self._metas.append(meta)
+        return index
+
+    def _fields(self, records: list[bytes]) -> tuple:
+        """(rows, values, beliefs, residuals, metadata) of a list of
+        records, stacked: per player, rows (Q, T_i, A_i) and values
+        (Q, T_i), then beliefs (Q, X), residuals (Q,) and metadata (Q,), as
+        read-only views."""
+        cuts = self._cuts
+        block = np.frombuffer(b"".join(records)).reshape(-1, cuts[-1])
+        parts = [block[:, a:b] for a, b in zip(cuts, cuts[1:])]
+        n, tc, ac = self.spec.num_players, self.spec.type_counts, self.spec.action_counts
+        rows = [p.reshape(-1, nt, na) for p, nt, na in zip(parts, tc, ac)]
+        return rows, parts[n:2 * n], parts[2 * n], parts[-2][:, 0], parts[-1][:, 0]
+
+    def _solutions_of(self, records: list[bytes]) -> tuple[list[StageSolution],
+                                                           np.ndarray]:
+        """A new solution for each record, their rows checked as one batch,
+        and the beliefs (Q, X) the records hold."""
+        rows, values, beliefs, residuals, metas = self._fields(records)
+        return ([StageSolution(gamma, tuple(v[k] for v in values),
+                               float(residuals[k]), *self._metas[int(metas[k])])
+                 for k, gamma in enumerate(Prescription.batch(rows))], beliefs)
+
+
+def _key_bytes(weights: np.ndarray) -> list[bytes]:
+    """The bytes of :func:`~spbe.beliefs.belief_key` of each row: rounded,
+    with negative zeros made positive."""
+    return _split(np.round(weights, KEY_DIGITS) + 0.0)
+
+
+def _key_of(key: bytes) -> BeliefKey:
+    """The belief key whose bytes are ``key``."""
+    return tuple(np.frombuffer(key).tolist())
+
+
+def _split(block: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-d float array."""
+    blob = np.ascontiguousarray(block, dtype=float).tobytes()
+    width = 8 * block.shape[1]
+    return [blob[k:k + width] for k in range(0, len(blob), width)]
 
 
 # ---------------------------------------------------------------------------
@@ -665,22 +826,21 @@ def _bad_key(keys: np.ndarray) -> tuple[int, str] | None:
                     + keys.shape[1] * 0.5 * 10.0 ** -KEY_DIGITS)
 
 
-def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
-                                                    StageSolution]:
-    """A policy document's entries as (stage, belief key) -> solution,
-    checked against the game.
+def _read_entries(raw: list, spec: GameSpec) -> tuple[list, list, list]:
+    """A policy document's entries, checked against the game: per entry
+    (stage, belief key, rows, values, residual, method, restart index),
+    and each player's rows and values stacked over the entries.
 
     One pass decides whether every entry is sound. Python checks, entry by
-    entry, what needs no arrays: fields present, an integer stage in range,
-    belief length, number of players, status and residual. The rows and
-    values then become one read-only stack per player, each built by one
-    ``np.array`` call, whose shapes, finiteness and row rule
+    entry, what needs no arrays: fields present, an integer stage (not a
+    bool) in range, belief length, number of players, status and residual.
+    The rows and values then become one read-only stack per player, each
+    built by one ``np.array`` call, whose shapes, finiteness and row rule
     (:meth:`Prescription.batch`) are checked at once, as are the beliefs
     (:func:`_bad_key`), and no two entries may share a stage and belief.
-    The solutions hold views of the stacks. If any check fails, the
-    entries are read again one at a time by :func:`_check_entry`, which
-    alone words the error: the first entry it rejects is the lowest bad
-    one.
+    If any check fails, the entries are read again one at a time by
+    :func:`_check_entry`, which alone words the error: the first entry it
+    rejects is the lowest bad one.
     """
     n, size = spec.num_players, spec.num_joint_types
     fields = []
@@ -691,7 +851,8 @@ def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
             rows, values = entry["rows"], entry["values"]
             point = (t, key, rows, values, float(entry["residual"]),
                      entry.get("method"), entry.get("restart_index"))
-            if not (t == entry["t"] and 1 <= t <= spec.horizon
+            if not (t == entry["t"] and type(entry["t"]) is not bool
+                    and 1 <= t <= spec.horizon
                     and len(key) == size and len(rows) == n and len(values) == n
                     and entry["status"] == "converged"):
                 break
@@ -703,21 +864,15 @@ def _read_entries(raw: list, spec: GameSpec) -> dict[tuple[int, BeliefKey],
         try:
             if _bad_key(np.array([f[1] for f in fields]).reshape(-1, size)):
                 raise ValueError("a belief is no belief")
-            row_stacks = _stack([f[2] for f in fields], rows_need)
+            row_stacks = checked_stacks(_stack([f[2] for f in fields], rows_need))
             value_stacks = _stack([f[3] for f in fields], values_need)
             if not all(np.isfinite(v).all() for v in value_stacks):
                 raise ValueError("values are not all finite")
-            prescriptions = Prescription.batch(row_stacks)
         except (TypeError, ValueError, OverflowError):
             pass    # named below, by the lowest entry that fails alone
         else:
-            read = {(t, key): StageSolution(prescription=gamma, values=vals,
-                                            residual=residual, status="converged",
-                                            method=method, restart_index=restart)
-                    for (t, key, _rows, _values, residual, method, restart), gamma, vals
-                    in zip(fields, prescriptions, zip(*value_stacks))}
-            if len(read) == len(fields):
-                return read
+            if len({f[:2] for f in fields}) == len(fields):
+                return fields, row_stacks, value_stacks
     seen: dict[tuple[int, BeliefKey], int] = {}
     for k, entry in enumerate(raw):
         _check_entry(k, entry, spec, seen)
@@ -764,7 +919,7 @@ def _check_entry(k: int, entry, spec: GameSpec,
         values = [np.asarray(arr, dtype=float) for arr in entry["values"]]
         shapes = [r.shape for r in rows], [v.shape for v in values]
         need = _entry_shapes(spec)
-        if t != entry["t"]:
+        if t != entry["t"] or type(entry["t"]) is bool:
             raise ValueError(f"stage {entry['t']!r} is not an integer")
         if not 1 <= t <= spec.horizon:
             raise ValueError(f"stage {t} outside 1..{spec.horizon}")
@@ -799,13 +954,14 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
     """Rebuild a generator from a policy document for this game.
 
     The header must name the game, hold a list of entries, and give the
-    mode ``"exact"``, or ``"grid"`` with an integer ``resolution`` of at
-    least 1; any other header raises ``ValueError``. A grid-mode document
+    mode ``"exact"`` with no ``resolution``, or ``"grid"`` with an integer
+    ``resolution`` of at least 1; any other header raises ``ValueError``. A grid-mode document
     gives a built :class:`GridGenerator` that snaps queries to its grid,
     as the generator that wrote it did. An exact-mode one gives an
     :class:`ExactGenerator` whose store holds the entries and solves, with
     ``config``, the beliefs they lack. Entries count against
-    ``cache_budget``. The entries are checked against the game in one
+    ``cache_budget``, and become its records with no per-entry arrays.
+    The entries are checked against the game in one
     pass (:func:`_read_entries`): rows, values and beliefs are stacked and
     checked at once. An entry that lacks a field, does not fit the game,
     has a belief that is no belief, was not solved or repeats an earlier
@@ -826,22 +982,26 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
     if mode == "grid" and not (type(resolution) is int and resolution >= 1):
         raise ValueError(f"grid-mode policy document resolution {resolution!r} "
                          "is not an integer >= 1")
+    if mode == "exact" and "resolution" in doc:
+        raise ValueError(f"exact-mode policy document has a resolution "
+                         f"({resolution!r}); only grid-mode documents have one")
     entries = _read_entries(doc["entries"], spec)
     if mode == "grid":
-        return _grid_from_entries(spec, resolution, entries, config,
+        return _grid_from_entries(spec, resolution, *entries, config,
                                   cache_budget)
     generator = ExactGenerator(spec, config, cache_budget)
-    generator._cache = {point: (None, solution)
-                        for point, solution in entries.items()}
+    generator._load(*entries)
     generator.completions = 0
     return generator
 
 
-def _grid_from_entries(spec: GameSpec, resolution: int, entries: dict,
+def _grid_from_entries(spec: GameSpec, resolution: int, fields: list,
+                       row_stacks: list, value_stacks: list,
                        config: SolverConfig | None,
                        cache_budget: int) -> GridGenerator:
-    """A built grid generator holding a document's entries; grid points the
-    document lacks (they failed to solve) keep a failed placeholder."""
+    """A built grid generator holding a document's checked entries
+    (:func:`_read_entries`); grid points the document lacks (they failed to
+    solve) keep a failed placeholder."""
     generator = GridGenerator(spec, config, resolution, cache_budget)
     missing = StageSolution(
         prescription=Prescription.uniform(spec.type_counts, spec.action_counts),
@@ -851,7 +1011,11 @@ def _grid_from_entries(spec: GameSpec, resolution: int, entries: dict,
     )
     index = {pi.key: idx for idx, pi in enumerate(generator._beliefs)}
     generator.tables = {t: [missing] * len(index) for t in range(1, spec.horizon + 1)}
-    for (t, key), solution in entries.items():
+    for (t, key, _rows, _values, residual, method, restart), gamma, vals in zip(
+            fields, Prescription.batch(row_stacks), zip(*value_stacks)):
+        solution = StageSolution(prescription=gamma, values=vals,
+                                 residual=residual, status="converged",
+                                 method=method, restart_index=restart)
         if key not in index:
             raise ValueError(f"policy entry at stage {t}, belief {list(key)} is "
                              f"not a point of the resolution-{resolution} grid")

@@ -92,7 +92,7 @@ class Belief:
         return out
 
 
-def _checked_stacks(stacks: Iterable) -> list[np.ndarray]:
+def checked_stacks(stacks: Iterable) -> list[np.ndarray]:
     """Freezes per-player stacks of shape (B, n_x, n_a) and checks them in
     player order by the row rule of :meth:`Prescription.batch`: the first
     stack that is not 3-d or holds a bad row raises."""
@@ -118,7 +118,7 @@ class Prescription:
     rows: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        stacks = _checked_stacks(_frozen(row)[None] for row in self.rows)
+        stacks = checked_stacks(_frozen(row)[None] for row in self.rows)
         object.__setattr__(self, "rows", tuple(s[0] for s in stacks))
 
     @classmethod
@@ -134,7 +134,7 @@ class Prescription:
         checking again.
         """
         out = []
-        for rows in zip(*_checked_stacks(stacks)):
+        for rows in zip(*checked_stacks(stacks)):
             gamma = object.__new__(cls)
             object.__setattr__(gamma, "rows", rows)
             out.append(gamma)

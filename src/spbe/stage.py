@@ -35,7 +35,9 @@ player's stage-(t+1) values out, or ``None`` past the horizon. Both
 modes pass their generator's stage-(t+1) lookup: a belief grid snaps to
 its table, exact mode solves each posterior it is asked for.
 :func:`solve_stage` runs phases 1-3 in rounds over the points of a batch
-that are still open, and phase 4 point by point;
+that are still open, and phase 4 point by point. With no lookup (the
+last stage) a point's solve has no side effects, so all its restarts run
+at once and are kept in restart order, as a serial loop would keep them;
 :func:`solve_stage_fixed_point` is its batch of one.
 """
 
@@ -214,8 +216,10 @@ class StageEvaluator:
         return out
 
     def take(self, idx) -> "StageEvaluator":
-        """The evaluator restricted to the batch points ``idx`` (ascending)."""
-        if len(idx) == self.size:
+        """The evaluator at the batch points ``idx``, in that order; a point
+        may repeat."""
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size == self.size and (idx == np.arange(self.size)).all():
             return self
         out = copy.copy(self)
         out.beliefs = [self.beliefs[k] for k in idx]
@@ -710,7 +714,8 @@ def solve_stage(
 
     Runs the phases of the module docstring in rounds over the points
     still open: phase 1 once, round k of the pure scan on each open
-    point's k-th pure profile, restart r as one iteration, and support
+    point's k-th pure profile, restart r as one iteration (with no
+    ``lookup``, every restart as one, kept in restart order), and support
     enumeration point by point. In every phase a candidate whose residual
     over positive-marginal agents is at most ``config.fp_tol`` closes its
     point; a failing one becomes the point's fallback only if its residual
@@ -751,14 +756,26 @@ def solve_stage(
              ("converged", "pure_scan", None, None))
 
     rngs = {b: _point_rng(config, t, ev.beliefs[b]) for b in still_open()}
-    for restart in range(1, config.restarts):
+    # with no lookup a solve has no side effects, so every restart of the
+    # open points runs in one iteration, kept restart by restart as if run
+    # in turn; a lookup's solves must come in restart order
+    step = max(config.restarts - 1, 1) if lookup is None else 1
+    for first in range(1, config.restarts, step):
         points = still_open()
         if not points.size:
             break
-        starts = [np.array([rngs[b].dirichlet(np.ones(na), size=nt) for b in points])
-                  for nt, na in zip(ev.type_counts, ev.action_counts)]
-        rows, res, _ = _iterate_batch(ev.take(points), starts, config)
-        keep(points, rows, res, ("converged", "iteration", restart, None))
+        tried = range(first, min(first + step, config.restarts))
+        starts = [[] for _ in ev.type_counts]
+        for _ in tried:
+            for start, nt, na in zip(starts, ev.type_counts, ev.action_counts):
+                start.extend(rngs[b].dirichlet(np.ones(na), size=nt) for b in points)
+        rows, res, _ = _iterate_batch(ev.take(np.tile(points, len(tried))),
+                                      [np.array(s) for s in starts], config)
+        for r, restart in enumerate(tried):
+            live = np.array([outcome[b] is None for b in points])
+            block = np.flatnonzero(live) + r * points.size
+            keep(points[live], [x[block] for x in rows], res[block],
+                 ("converged", "iteration", restart, None))
 
     enumeration_ran = config.support_enumeration_limit >= sum(
         nt * na for nt, na in zip(spec.type_counts, spec.action_counts))

@@ -16,7 +16,9 @@ pieces on purpose: they pin its results, including which work it may
 leave out and how it breaks float ties, rather than re-deriving its
 arithmetic. :func:`policy_entries_fault` pins the policy loader's error
 messages the same way: it checks one entry at a time, in the loader's
-documented order, with NumPy's own conversions.
+documented order, with NumPy's own conversions. :func:`solve_stage_serial`
+pins the stage solver's search order: it solves one point with the
+solver's own phases, every restart in turn.
 """
 
 from __future__ import annotations
@@ -496,7 +498,7 @@ def policy_entries_fault(entries, spec) -> str | None:
             rows = [np.asarray(player, dtype=float) for player in entry["rows"]]
             values = [np.asarray(arr, dtype=float) for arr in entry["values"]]
             shapes = [r.shape for r in rows], [v.shape for v in values]
-            if t != entry["t"]:
+            if t != entry["t"] or isinstance(entry["t"], bool):
                 raise ValueError(f"stage {entry['t']!r} is not an integer")
             if not 1 <= t <= spec.horizon:
                 raise ValueError(f"stage {t} outside 1..{spec.horizon}")
@@ -532,3 +534,57 @@ def policy_entries_fault(entries, spec) -> str | None:
         except (TypeError, ValueError) as err:
             return f"policy entry {k}: {err}"
     return None
+
+
+def solve_stage_serial(spec, t, pi, config):
+    """The stage solver's search at one belief with no lookup, every phase
+    and every restart run in turn: phase 1, the pure scan in lexicographic
+    order, restart r from the point's own generator's r-th draws, then
+    support enumeration; the first candidate that clears ``fp_tol``
+    closes the point, and a failing one is kept if strictly better.
+    Returns (status, method, restart index, support profile, rows,
+    values, residual) of the finalized point."""
+    from spbe import stage
+
+    ev = stage.StageEvaluator(spec, t, [pi], None)
+    best, res, ok = stage._iterate_batch(ev, stage._placeholder_rows(ev, 1),
+                                         config)
+    best_res = float(res[0])
+    found = ("iteration", 0, None) if ok[0] else None
+
+    enumerated = config.support_enumeration_limit >= sum(
+        nt * na for nt, na in zip(spec.type_counts, spec.action_counts))
+
+    def candidates():
+        agents = ev.agents()[0]
+        for k in range(math.prod(spec.action_counts[i] for i, _ in agents)):
+            rows = stage._pure_rows(ev, [agents], k)
+            yield rows, stage._check(ev, rows)[0], ("pure_scan", None, None)
+        rng = stage._point_rng(config, t, pi)
+        for restart in range(1, config.restarts):
+            starts = [rng.dirichlet(np.ones(na), size=nt)[None]
+                      for nt, na in zip(spec.type_counts, spec.action_counts)]
+            rows, res, _ = stage._iterate_batch(ev, starts, config)
+            yield rows, res[0], ("iteration", restart, None)
+        if enumerated:
+            for profile in stage._support_profiles(ev):
+                gamma = stage._solve_support(ev, profile, config)
+                if gamma is not None:
+                    rows = stage._batch_rows(gamma)
+                    yield (rows, stage._check(ev, rows)[0],
+                           ("support_enumeration", None, profile))
+
+    for rows, res, how in ([] if found else candidates()):
+        if res <= config.fp_tol or res < best_res:
+            best, best_res = rows, float(res)
+        if res <= config.fp_tol:
+            found = how
+            break
+    prescriptions, values, residual = stage._finalize_rows(ev, best)
+    if found is None:
+        status = "no_fixed_point" if enumerated else "max_iterations"
+        found = (None, None, None)
+    else:
+        status = "converged" if residual[0] <= config.fp_tol else "max_iterations"
+    return (status, *found, prescriptions[0].rows, tuple(v[0] for v in values),
+            float(residual[0]))

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 from collections import Counter
@@ -214,6 +215,63 @@ def test_cache_budget_refusal():
     gen = ExactGenerator(spec, cache_budget=2)
     with pytest.raises(ResourceLimitError):
         gen.solution_at(1, initial_belief(spec))
+
+
+def _store_bytes(gen):
+    return [_point_bytes(t, pi.weights.tobytes(), sol)
+            for t, pi, sol in gen.cached_points()]
+
+
+@pytest.mark.parametrize("stack, stored, budget, error", [
+    ("A A S B", "S", None, None),
+    ("A S A F B", "S", None, NoFixedPointError),
+    ("A F B", "F", None, NoFixedPointError),
+    ("A S N B", "S", None, ValueError),
+    ("A A S B C", "S", 3, ResourceLimitError),
+], ids=["ok", "fresh_failure", "stored_failure", "non_finite", "budget"])
+def test_last_stage_lookup_is_the_row_walk(stack, stored, budget, error):
+    """``lookup(T)`` solves a stack's missing beliefs as one batch, yet
+    leaves the store, ``solve_counts`` and ``completions`` a walk of
+    ``solution_at`` row by row leaves, and raises the walk's error: at a
+    fresh or a stored failed point (A, B, C converge; F fails with
+    enumeration off), a non-finite row (N), or a full store, with the
+    points before it stored and none after."""
+    spec = instances.random_instance(5)
+    config = SolverConfig(support_enumeration_limit=0)
+    failed = solve(spec, config=config).generator
+    (bad,) = [pi.weights for t, pi, sol in failed.cached_points()
+              if not sol.converged]
+    good = np.random.default_rng(5).dirichlet(np.ones(4), size=4)
+    rows = {"A": good[0], "B": good[1], "C": good[2], "S": good[3], "F": bad,
+            "N": np.array([np.nan, 0.5, 0.25, 0.25])}
+    weights = np.array([rows[name] for name in stack.split()])
+    weights.setflags(write=False)
+    T = spec.horizon
+    walk, batch = (ExactGenerator(spec, config, budget or 100) for _ in range(2))
+    for gen in (walk, batch):
+        with pytest.raises(NoFixedPointError) if stored == "F" else \
+                contextlib.nullcontext():
+            gen.solution_at(T, Belief(rows[stored], spec.type_counts))
+        gen.completions = 0
+    walked, want = [], None
+    try:
+        for row in weights:
+            walked.append(walk.solution_at(T, Belief(row, spec.type_counts)))
+    except Exception as err:    # the walk's error, compared below
+        want = err
+    assert type(want) is (error or type(None))
+    if error is None:
+        got = batch.lookup(T)(weights)
+        for i in range(spec.num_players):
+            assert got[i].tobytes() == np.array(
+                [sol.values[i] for sol in walked]).tobytes()
+    else:
+        with pytest.raises(error) as caught:
+            batch.lookup(T)(weights)
+        assert str(caught.value) == str(want)
+    assert _store_bytes(batch) == _store_bytes(walk)
+    assert batch.solve_counts == walk.solve_counts
+    assert batch.completions == walk.completions > 0
 
 
 def test_grid_points_shape_and_order():
@@ -804,6 +862,36 @@ def test_policy_keys_allow_for_their_rounding():
     assert spbe.backward._bad_key(worse)[1].startswith("sums to 1.00000004")
 
 
+@pytest.mark.parametrize("mode", ["exact", "grid"])
+def test_policy_load_refuses_bool_stages(reference_solved, mode):
+    """A JSON ``true`` is no stage, although ``int(True) == 1``: the load
+    names the lowest such entry, as an entry-by-entry reader does."""
+    spec, result = reference_solved
+    if mode == "grid":
+        result = solve(spec, mode="grid", resolution=3)
+    text = render_report(policy_document(result))
+    for k in (0, -1):
+        doc = json.loads(text)
+        doc["entries"][k]["t"] = True
+        message = _load_error(spec, doc)
+        assert message == oracles.policy_entries_fault(doc["entries"], spec)
+        assert message == \
+            f"policy entry {k % len(doc['entries'])}: stage True is not an integer"
+
+
+@pytest.mark.parametrize("resolution", ["junk", 3, None])
+def test_exact_policy_refuses_a_resolution(reference_solved, resolution):
+    """An exact-mode document has no resolution, so a load refuses one
+    rather than ignore it."""
+    spec, result = reference_solved
+    doc = policy_document(result)
+    assert "resolution" not in doc
+    doc["resolution"] = resolution
+    assert _load_error(spec, doc) == (
+        f"exact-mode policy document has a resolution ({resolution!r}); "
+        "only grid-mode documents have one")
+
+
 @pytest.mark.parametrize("header, message", [
     (lambda d: d.pop("resolution"),
      "grid-mode policy document resolution None is not an integer >= 1"),
@@ -860,27 +948,37 @@ def horizon_3_reference():
 
 @pytest.mark.parametrize("dropped, completions", [((1,), 1), ((1, 2), 2)],
                          ids=["stage_1", "stages_1_2"])
-def test_loaded_store_completes_on_its_own_entries(dropped, completions):
+def test_loaded_store_completes_on_its_own_entries(dropped, completions,
+                                                   monkeypatch):
     """A loaded exact file solves the beliefs it lacks in the same store,
-    reading the entries it kept as they were loaded; ``completions``
-    counts every point solved after loading, recursive ones included."""
+    reading the entries it kept as they were loaded: none is solved again
+    or replaced. ``completions`` counts every point solved after loading,
+    recursive ones included."""
     spec = horizon_3_reference()
     result = solve(spec)
     assert result.generator.solve_counts == {1: 1, 2: 1, 3: 1}
     doc = policy_document(result)
     doc["entries"] = [e for e in doc["entries"] if e["t"] not in dropped]
     gen = load_policy(doc, spec)
-    loaded = {t: sol for t, _pi, sol in gen.cached_points()}
+    loaded = {t: _point_bytes(t, pi.weights.tobytes(), sol)
+              for t, pi, sol in gen.cached_points()}
     assert gen.completions == 0
+    solved = []
+    for name in ("solve_stage", "solve_stage_fixed_point"):
+        def counted(spec, t, beliefs, *args, real=getattr(spbe.backward, name)):
+            solved.extend([t] * (len(beliefs) if isinstance(beliefs, list) else 1))
+            return real(spec, t, beliefs, *args)
+        monkeypatch.setattr(spbe.backward, name, counted)
     pi = initial_belief(spec)
     assert gen.value(1, pi, 0, 0) == pytest.approx(0.24, abs=1e-12)
     gen.value(1, pi, 1, 1)
     assert gen.completions == completions
+    assert sorted(solved) == list(dropped)
     assert gen.solve_counts == result.generator.solve_counts
-    for (t, _, got), (_, _, want) in zip(gen.cached_points(),
-                                         result.generator.cached_points()):
+    for (t, pi, got), (_, _, want) in zip(gen.cached_points(),
+                                          result.generator.cached_points()):
         if t in loaded:
-            assert got is loaded[t]
+            assert _point_bytes(t, pi.weights.tobytes(), got) == loaded[t]
         for i in range(spec.num_players):
             np.testing.assert_array_equal(got.prescription.rows[i],
                                           want.prescription.rows[i])

@@ -325,3 +325,53 @@ def test_evaluator_posteriors_equal_update():
         assert ev.posteriors(sparse)[1].any()
         assert not ev.posteriors(pooling)[1].any()
         assert not ev.posteriors(off_path)[1][:, first == 0].any()
+
+
+@pytest.mark.parametrize("seed, beliefs, config", [
+    (23, 12, SolverConfig()),
+    (18, 20, SolverConfig(fp_tol=0.03, damping=0.2, support_enumeration_limit=0)),
+], ids=["enumeration", "restarts"])
+def test_batched_restarts_keep_the_serial_order(seed, beliefs, config):
+    """With no lookup every restart of the open points runs as one batch,
+    and each point keeps what a loop over its restarts in turn keeps.
+    ``random_instance(23)``'s last stage: points that fail every restart
+    and close in support enumeration, beside phase-1 points. Seed 18 with
+    a loose tolerance and heavy damping: points that close at restarts 2,
+    6 and 7, and one that fails all of them."""
+    spec = instances.random_instance(seed)
+    rng = np.random.default_rng(seed)
+    points = [Belief(w, spec.type_counts)
+              for w in rng.dirichlet(np.ones(spec.num_joint_types), size=beliefs)]
+    batched = stage.solve_stage(spec, spec.horizon, points, None, config)
+    for pi, sol in zip(points, batched):
+        status, method, restart, profile, rows, values, residual = \
+            oracles.solve_stage_serial(spec, spec.horizon, pi, config)
+        assert (sol.status, sol.method, sol.restart_index, sol.support_profile,
+                sol.residual) == (status, method, restart, profile, residual)
+        assert [r.tobytes() for r in sol.prescription.rows] == \
+            [r.tobytes() for r in rows]
+        assert [v.tobytes() for v in sol.values] == [v.tobytes() for v in values]
+    outcomes = {(sol.method, sol.restart_index) for sol in batched}
+    assert outcomes >= ({("iteration", 0), ("support_enumeration", None)}
+                        if seed == 23 else
+                        {("iteration", r) for r in (0, 2, 6, 7)} | {(None, None)})
+
+
+def test_evaluator_take_repeats_points():
+    """``take`` gives the points asked for in that order, repeats
+    included, even when as many are asked for as the batch holds; only
+    the batch's own order gives the evaluator itself."""
+    spec = instances.random_instance(3)
+    rng = np.random.default_rng(0)
+    ev = stage.StageEvaluator(
+        spec, 1, [Belief(w, spec.type_counts) for w in rng.dirichlet(np.ones(4), size=3)])
+    assert ev.take([0, 1, 2]) is ev
+    idx = [2, 2, 0]
+    sub = ev.take(idx)
+    assert sub.size == 3
+    assert all(a is ev.beliefs[k] for a, k in zip(sub.beliefs, idx))
+    np.testing.assert_array_equal(sub.weights, ev.weights[idx])
+    for got, want in ((sub.cond, ev.cond), (sub.active, ev.active),
+                      (sub.corner, ev.corner)):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w[idx])
