@@ -22,9 +22,13 @@ and policy documents read only that. Both solve with
     :func:`~spbe.beliefs.belief_key` rounds once per belief. Solving the
     initial belief at stage 1 solves every belief it touches; later
     queries (forward play, verification) hit the store or solve more. A
-    cache budget bounds runaway recursion on large games. At the last
-    stage, where nothing is looked up, a lookup solves its missing
-    beliefs as one batch; below it, one at a time in row order.
+    cache budget bounds runaway recursion on large games. A query and a
+    lookup, at every stage, are one walk of a belief stack in row order;
+    only when a missing belief is solved depends on the stage: below the
+    last, as soon as the walk meets it; at the last, where nothing is
+    looked up, with the stack's other missing beliefs as one batch.
+    Solved points and a policy document's entries enter the store
+    through one record writer.
 
 ``GridGenerator``
     stores one table per stage over a simplex grid's fixed beliefs, each
@@ -64,8 +68,9 @@ import numpy as np
 from .beliefs import (KEY_DIGITS, Belief, BeliefKey, Prescription,
                       checked_stacks, initial_belief)
 from .game import GameSpec
-from .stage import (Lookup, SolverConfig, StageSolution, solve_stage,
-                    solve_stage_fixed_point)
+from .stage import Lookup, SolverConfig, StageSolution, solve_stage
+# bound here so profilers can wrap it by name
+from .stage import solve_stage_fixed_point  # noqa: F401
 
 DEFAULT_CACHE_BUDGET = 1_000_000
 
@@ -152,13 +157,15 @@ class ExactGenerator(Generator):
     loaded from a policy file (:func:`load_policy`) starts with the file's
     points, and counts in ``completions`` every point it solves after that.
 
-    The store keeps a point as one read-only float record, by stage and
-    the bytes of its belief key: every player's rows, then every player's
+    ``solution_at`` and ``lookup`` both reach the store through
+    :meth:`_walk`, and every point enters it through :meth:`_write`,
+    which keeps a point as one read-only float record, by stage and the
+    bytes of its belief key: every player's rows, then every player's
     values, the belief it was solved at, the residual, and the index of
     its (status, method, restart index, support profile, degenerate
     types) in a list the points share. ``lookup`` reads values off the
     records; ``solution_at`` builds a point's :class:`StageSolution` on
-    its first query and keeps it.
+    its first query and keeps it; ``solve_counts`` counts the records.
     """
 
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
@@ -183,27 +190,20 @@ class ExactGenerator(Generator):
             raise ValueError(f"stage {t} outside horizon 1..{self.spec.horizon}")
         solution = self._solutions.get((t, pi.key))
         if solution is None:
-            record = self._point(t, pi.weights, _key_bytes(pi.weights[None])[0])
+            record = self._walk(t, pi.weights[None])[0]
             solution = self._solutions[t, pi.key] = self._solutions_of([record])[0][0]
         return solution
 
     def lookup(self, t: int) -> Lookup | None:
         """Every player's stage-t values at each row of a posterior array,
-        read off the records; ``None`` past the horizon. Below the last
-        stage the rows are read one at a time, since a solve's own lookups
-        fill the next stage's store in order; at the last stage the store's
-        missing beliefs are solved as one batch (:meth:`_last_stage`)."""
+        read off the records of :meth:`_walk`; ``None`` past the horizon."""
         if t > self.spec.horizon:
             return None
+        return lambda weights: self._fields(self._walk(t, weights))[1]
 
-        def lookup(weights: np.ndarray) -> list[np.ndarray]:
-            keys = _key_bytes(weights)
-            if t == self.spec.horizon:
-                records = self._last_stage(weights, keys)
-            else:
-                records = [self._point(t, w, key) for w, key in zip(weights, keys)]
-            return self._fields(records)[1]
-        return lookup
+    @property
+    def solve_counts(self) -> dict[int, int]:
+        return {t: len(store) for t, store in self._records.items() if store}
 
     def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
         """Solved points, each with the unrounded belief it was solved at;
@@ -217,45 +217,34 @@ class ExactGenerator(Generator):
                  self._solutions.get((t, key), solution))
                 for (t, key, _), belief, solution in zip(points, beliefs, solutions)]
 
-    def _point(self, t: int, weights: np.ndarray, key: bytes) -> bytes:
-        """The converged record at stage t of the belief ``weights``, whose
-        key bytes are ``key``; solved alone if the store lacks it."""
-        record = self._records[t].get(key)
-        if record is None:
-            self._admit(t, weights, 0)
-            solution = solve_stage_fixed_point(
-                self.spec, t, Belief(weights, self.spec.type_counts),
-                self.lookup(t + 1), self.config)
-            return self._store(t, [key], [solution], weights[None])[0]
-        status = self._metas[int(np.frombuffer(record)[-1])][0]
-        if status != "converged":
-            raise NoFixedPointError(t, _key_of(key), status)
-        return record
-
-    def _last_stage(self, weights: np.ndarray, keys: list[bytes]) -> list[bytes]:
-        """The records of every row at stage T. The distinct beliefs the
-        store lacks, up to the first row that would stop a row-by-row walk
-        (a failed point, a non-finite belief, a full store), are solved as
-        one batch in first-occurrence order: a last-stage point has no
-        lookup, so solving it has no side effects. Then they are stored,
-        and the walk's error raised, as that walk would."""
-        t = self.spec.horizon
+    def _walk(self, t: int, weights: np.ndarray) -> list[bytes]:
+        """The records at stage t of every row of ``weights``, read in row
+        order: a stored failure raises, and a belief the store lacks is
+        admitted (:meth:`_admit`) and solved. Below the last stage it is
+        solved as soon as the walk meets it, since its own lookups fill the
+        next stage's store in order. At the last stage, where nothing is
+        looked up, the stack's missing beliefs up to the row that stops the
+        walk are solved as one batch in first-occurrence order, then stored
+        before the walk's error is raised, as solving them in turn would."""
+        keys = _key_bytes(weights)
         store, fresh, stop = self._records[t], {}, None
-        for k, key in enumerate(keys):
-            try:
-                if key in store:
-                    self._point(t, weights[k], key)
+        try:
+            for k, key in enumerate(keys):
+                record = store.get(key)
+                if record is not None:
+                    status = self._metas[int(np.frombuffer(record)[-1])][0]
+                    if status != "converged":
+                        raise NoFixedPointError(t, _key_of(key), status)
                 elif key not in fresh:
                     self._admit(t, weights[k], len(fresh))
-                    fresh[key] = k
-            except (NoFixedPointError, ResourceLimitError, ValueError) as err:
-                stop = err
-                break
+                    if t < self.spec.horizon:
+                        self._solve(t, weights, {key: k})
+                    else:
+                        fresh[key] = k
+        except (NoFixedPointError, ResourceLimitError, ValueError) as err:
+            stop = err
         if fresh:
-            rows = list(fresh.values())
-            beliefs = [Belief(weights[k], self.spec.type_counts) for k in rows]
-            self._store(t, list(fresh), solve_stage(self.spec, t, beliefs, None,
-                                                     self.config), weights[rows])
+            self._solve(t, weights, fresh)
         if stop is not None:
             raise stop
         return [store[key] for key in keys]
@@ -273,46 +262,41 @@ class ExactGenerator(Generator):
                 self.cache_budget,
             )
 
-    def _store(self, t: int, keys: list[bytes], solutions: list[StageSolution],
-               weights: np.ndarray) -> list[bytes]:
-        """Store solved points in order, counting completions; the first
-        failed one is stored and raised on, and the points after it are
-        dropped."""
+    def _solve(self, t: int, weights: np.ndarray, rows: dict[bytes, int]) -> None:
+        """Solve the rows of ``weights`` that ``rows`` maps key bytes to, as
+        one batch, and store them (:meth:`_write`)."""
+        at = list(rows.values())
+        solutions = solve_stage(
+            self.spec, t, [Belief(weights[k], self.spec.type_counts) for k in at],
+            self.lookup(t + 1), self.config)
         players = range(self.spec.num_players)
-        records = self._pack(
+        self._write(
+            [t] * len(at), list(rows),
             [np.array([s.prescription.rows[i] for s in solutions]) for i in players],
-            [np.array([s.values[i] for s in solutions]) for i in players], weights,
-            [[s.residual, self._meta_id((s.status, s.method, s.restart_index,
-                                         s.support_profile, s.degenerate_types))]
-             for s in solutions])
-        for key, solution, record in zip(keys, solutions, records):
+            [np.array([s.values[i] for s in solutions]) for i in players],
+            weights[at], [(s.residual, (s.status, s.method, s.restart_index,
+                                        s.support_profile, s.degenerate_types))
+                          for s in solutions])
+
+    def _write(self, stages: list[int], keys: list[bytes], rows: list[np.ndarray],
+               values: list[np.ndarray], beliefs: np.ndarray, tails: list) -> None:
+        """Store Q points as records, in order, counting completions: per
+        point its stage and key bytes; per player the rows (Q, T_i, A_i)
+        and values (Q, T_i); the beliefs (Q, X); and per point its
+        (residual, (status, method, restart index, support profile,
+        degenerate types)). The first failed point is stored and raised
+        on, and the points after it are dropped."""
+        if not keys:
+            return
+        ids = [[residual, self._meta_id(meta)] for residual, meta in tails]
+        records = _split(np.hstack([r.reshape(len(keys), -1) for r in rows]
+                                   + list(values) + [beliefs, np.array(ids)]))
+        for t, key, record, (_, meta) in zip(stages, keys, records, tails):
             self._records[t][key] = record
             if self.completions is not None:
                 self.completions += 1
-            if not solution.converged:
-                raise NoFixedPointError(t, _key_of(key), solution.status)
-        return records
-
-    def _load(self, fields: list, row_stacks: list[np.ndarray],
-              value_stacks: list[np.ndarray]) -> None:
-        """Store a policy document's checked entries (:func:`_read_entries`)
-        as records, built from its stacks at once."""
-        if not fields:
-            return
-        keys = np.array([f[1] for f in fields]).reshape(len(fields), -1)
-        records = self._pack(row_stacks, value_stacks, keys, [
-            [f[4], self._meta_id(("converged", f[5], f[6], None, ()))]
-            for f in fields])
-        for f, key, record in zip(fields, _split(keys + 0.0), records):
-            self._records[f[0]][key] = record
-
-    def _pack(self, rows: list[np.ndarray], values: list[np.ndarray],
-              beliefs: np.ndarray, tail: list) -> list[bytes]:
-        """The records of Q points from their fields, stacked as
-        :meth:`_fields` gives them back; ``tail`` holds each point's
-        residual and metadata index."""
-        return _split(np.hstack([r.reshape(len(beliefs), -1) for r in rows]
-                                + values + [beliefs, np.array(tail)]))
+            if meta[0] != "converged":
+                raise NoFixedPointError(t, _key_of(key), meta[0])
 
     def _meta_id(self, meta: tuple) -> int:
         """Index of ``meta`` in the shared list, appended if new. Equal
@@ -989,8 +973,12 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
     if mode == "grid":
         return _grid_from_entries(spec, resolution, *entries, config,
                                   cache_budget)
+    fields, row_stacks, value_stacks = entries
+    keys = np.array([f[1] for f in fields]).reshape(-1, spec.num_joint_types)
     generator = ExactGenerator(spec, config, cache_budget)
-    generator._load(*entries)
+    generator._write([f[0] for f in fields], _split(keys + 0.0), row_stacks,
+                     value_stacks, keys,
+                     [(f[4], ("converged", f[5], f[6], None, ())) for f in fields])
     generator.completions = 0
     return generator
 

@@ -53,7 +53,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .beliefs import (
-    KEY_DIGITS,
     Belief,
     Prescription,
     condition_on_type,  # noqa: F401  (bound here so profilers can wrap it by name)
@@ -691,9 +690,10 @@ def _solution(b: int, finalized, degenerate: list[tuple[int, int]],
 
 
 def _point_rng(config: SolverConfig, t: int, pi: Belief) -> np.random.Generator:
-    """Seeded independently per (stage, belief) so that cache order cannot
+    """Seeded by the stage and the bytes of the belief's key alone, so that
+    beliefs sharing a store key draw alike, and cache order cannot
     influence the draws of any other point."""
-    key_bytes = np.round(pi.weights, KEY_DIGITS).tobytes()
+    key_bytes = np.array(pi.key).tobytes()
     return np.random.default_rng(
         np.random.SeedSequence([config.rng_seed, t, zlib.crc32(key_bytes)])
     )

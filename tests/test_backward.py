@@ -222,52 +222,70 @@ def _store_bytes(gen):
             for t, pi, sol in gen.cached_points()]
 
 
-@pytest.mark.parametrize("stack, stored, budget, error", [
-    ("A A S B", "S", None, None),
-    ("A S A F B", "S", None, NoFixedPointError),
-    ("A F B", "F", None, NoFixedPointError),
-    ("A S N B", "S", None, ValueError),
-    ("A A S B C", "S", 3, ResourceLimitError),
-], ids=["ok", "fresh_failure", "stored_failure", "non_finite", "budget"])
-def test_last_stage_lookup_is_the_row_walk(stack, stored, budget, error):
-    """``lookup(T)`` solves a stack's missing beliefs as one batch, yet
-    leaves the store, ``solve_counts`` and ``completions`` a walk of
-    ``solution_at`` row by row leaves, and raises the walk's error: at a
-    fresh or a stored failed point (A, B, C converge; F fails with
-    enumeration off), a non-finite row (N), or a full store, with the
-    points before it stored and none after."""
-    spec = instances.random_instance(5)
+# the stage-2 belief at which solve(random_instance(6, horizon=3)) stops,
+# with support enumeration off; it fails with two restarts too
+BELOW_LAST_FAILURE = [0.008398825426560242, 0.0028657480756146855,
+                      0.46134635991854783, 0.5273890665792773]
+WALKS = [("A A S B", "S", False, None, "ok"),
+         ("A S A F B", "S", False, NoFixedPointError, "fresh_failure"),
+         ("A F B", "F", False, NoFixedPointError, "stored_failure"),
+         ("A S N B", "S", False, ValueError, "non_finite"),
+         ("A A S B C", "S", True, ResourceLimitError, "budget")]
+
+
+@pytest.mark.parametrize("last, stack, stored, budget, error", [
+    pytest.param(last, *walk, id=name if last else f"{name}_below_last")
+    for last in (True, False) for *walk, name in WALKS])
+def test_last_stage_lookup_is_the_row_walk(last, stack, stored, budget, error):
+    """``lookup(t)`` leaves the store, ``solve_counts`` and ``completions``
+    a walk of ``solution_at`` row by row leaves, and raises the walk's
+    error: at a fresh or a stored failed point (A, B, C converge; F fails
+    with enumeration off), a non-finite row (N), or a store that fills up
+    at the last row, with the points before it stored and none after. At
+    the last stage (of ``random_instance(5)``) a lookup solves the stack's
+    missing beliefs as one batch; below it (stage 2 of
+    ``random_instance(6, horizon=3)``) one at a time, each with its own
+    lookups of stage 3."""
     config = SolverConfig(support_enumeration_limit=0)
-    failed = solve(spec, config=config).generator
-    (bad,) = [pi.weights for t, pi, sol in failed.cached_points()
-              if not sol.converged]
+    if last:
+        spec = instances.random_instance(5)
+        failed = solve(spec, config=config).generator
+        (bad,) = [pi.weights for t, pi, sol in failed.cached_points()
+                  if not sol.converged]
+        t = spec.horizon
+    else:   # two restarts keep F's thousand stage-3 points to a few hundred
+        spec, bad, t = (instances.random_instance(6, horizon=3),
+                        np.array(BELOW_LAST_FAILURE), 2)
+        config = dataclasses.replace(config, restarts=2)
     good = np.random.default_rng(5).dirichlet(np.ones(4), size=4)
     rows = {"A": good[0], "B": good[1], "C": good[2], "S": good[3], "F": bad,
             "N": np.array([np.nan, 0.5, 0.25, 0.25])}
     weights = np.array([rows[name] for name in stack.split()])
     weights.setflags(write=False)
-    T = spec.horizon
-    walk, batch = (ExactGenerator(spec, config, budget or 100) for _ in range(2))
+    walk, batch = (ExactGenerator(spec, config) for _ in range(2))
     for gen in (walk, batch):
         with pytest.raises(NoFixedPointError) if stored == "F" else \
                 contextlib.nullcontext():
-            gen.solution_at(T, Belief(rows[stored], spec.type_counts))
+            gen.solution_at(t, Belief(rows[stored], spec.type_counts))
         gen.completions = 0
     walked, want = [], None
     try:
-        for row in weights:
-            walked.append(walk.solution_at(T, Belief(row, spec.type_counts)))
+        for k, row in enumerate(weights):
+            if budget and k == len(weights) - 1:
+                walk.cache_budget = batch.cache_budget = sum(
+                    walk.solve_counts.values())
+            walked.append(walk.solution_at(t, Belief(row, spec.type_counts)))
     except Exception as err:    # the walk's error, compared below
         want = err
     assert type(want) is (error or type(None))
     if error is None:
-        got = batch.lookup(T)(weights)
+        got = batch.lookup(t)(weights)
         for i in range(spec.num_players):
             assert got[i].tobytes() == np.array(
                 [sol.values[i] for sol in walked]).tobytes()
     else:
         with pytest.raises(error) as caught:
-            batch.lookup(T)(weights)
+            batch.lookup(t)(weights)
         assert str(caught.value) == str(want)
     assert _store_bytes(batch) == _store_bytes(walk)
     assert batch.solve_counts == walk.solve_counts
@@ -983,6 +1001,19 @@ def test_loaded_store_completes_on_its_own_entries(dropped, completions,
             np.testing.assert_array_equal(got.prescription.rows[i],
                                           want.prescription.rows[i])
             np.testing.assert_array_equal(got.values[i], want.values[i])
+
+
+def test_exact_report_counts_records(corpus_solves, monkeypatch):
+    """A report of a solved exact store counts its records per stage, and
+    builds no point's solution to do so."""
+    result = corpus_solves["signaling_pennies"][1]
+    want = Counter(t for t, _pi, _sol in result.generator.cached_points())
+
+    def refuse(self, records):
+        raise AssertionError("the report built stage solutions")
+    monkeypatch.setattr(ExactGenerator, "_solutions_of", refuse)
+    report = build_solve_report(result)
+    assert report["solve_counts"] == {str(t): n for t, n in sorted(want.items())}
 
 
 def test_report_bytes_deterministic():

@@ -375,3 +375,16 @@ def test_evaluator_take_repeats_points():
                       (sub.corner, ev.corner)):
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w[idx])
+
+
+def test_restart_draws_depend_on_the_store_key_alone():
+    """Beliefs that share a store key draw the same restarts, whichever
+    of them is solved first: a weight that rounds to -0.0 seeds as 0.0."""
+    config = SolverConfig()
+    beliefs = [Belief(np.array(w), (2, 2)) for w in
+               ([-0.0, 0.5, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0],
+                [-1e-13, 0.5, 0.5, 1e-13])]
+    assert len({pi.key for pi in beliefs}) == 1
+    draws = {stage._point_rng(config, 2, pi).random(4).tobytes()
+             for pi in beliefs}
+    assert len(draws) == 1

@@ -12,12 +12,14 @@ and record, as one sha256 line per item:
 An item that raises records its exception's type and message instead.
 The guard set is 55 exact-mode games (the 12 corpus games,
 ``random_instance(0..39)``, two horizon-1 shapes and the reference game
-lengthened to horizon 5), 14 grid builds, and six solves that are not
+lengthened to horizon 5), 14 grid builds, and seven solves that are not
 ok, so that every status of a solve is checked: an exact solve that finds
 no fixed point, two exact solves that fail inside a last-stage batch after
 storing some of its points (``random_instance(5)`` and ``(9)`` with
-support enumeration off), an exact and a grid solve refused by their
-cache budget, and a partial grid.
+support enumeration off), one that fails below the last stage after
+storing points at both later stages (``random_instance(6, horizon=3)``
+with support enumeration off, which stops at stage 2), an exact and a
+grid solve refused by their cache budget, and a partial grid.
 
 Usage, from the repository root::
 
@@ -74,6 +76,9 @@ def _games(spbe):
     for seed in (5, 9):
         yield (f"exact/failed_random_{seed}_no_enumeration",
                instances.random_instance(seed), "exact", None, {"config": no_enum})
+    yield ("exact/failed_random_6_h3_no_enumeration",
+           instances.random_instance(6, horizon=3), "exact", None,
+           {"config": no_enum})
     yield ("exact/refused_dominant_types", instances.dominant_types_instance(),
            "exact", None, {"cache_budget": 2})
     yield ("grid/partial_asymmetric_pennies_r2", pennies, "grid", 2,
