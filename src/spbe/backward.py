@@ -12,8 +12,11 @@ stage-t values at a stack of posteriors, ``None`` past the horizon; it
 inherits ``value(t, pi, i, xi)``, one agent's value, zero at stage T+1.
 The two generators that solve keep one store of solved points, read
 through ``cached_points()`` as (stage, belief, solution) triples ordered
-by stage, then belief key; reports' ``solve_counts``, ``failed_points``
-and policy documents read only that. Both solve with
+by stage, then belief key, which policy documents read; reports'
+``solve_counts`` and ``failed_points`` read the store's metadata alone.
+Points are kept as stacked arrays, not solution objects (a grid's
+:class:`StageTable` per stage, an exact store's records), and a point's
+:class:`~spbe.stage.StageSolution` is built when it is read. Both solve with
 :func:`~spbe.stage.solve_stage`, passing their own ``lookup(t + 1)``:
 
 ``ExactGenerator``
@@ -46,8 +49,9 @@ belief by the snap's rule (finite, non-negative weights summing to 1,
 allowing for the key's rounding); a document that fails it is read again
 entry by entry, and the per-entry checker alone words the error. An
 exact-mode document reloads as an ``ExactGenerator`` whose store holds the
-document's entries and solves, through the same store, any belief the
-document lacks; a grid-mode one reloads as a built ``GridGenerator``.
+document's entries, each under its belief's key as a query rounds it, and
+solves, through the same store, any belief the document lacks; a
+grid-mode one reloads as a built ``GridGenerator``.
 """
 
 from __future__ import annotations
@@ -59,14 +63,14 @@ import itertools
 import json
 import math
 import time
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .beliefs import (KEY_DIGITS, Belief, BeliefKey, Prescription,
-                      checked_stacks, initial_belief)
+                      belief_key, checked_stacks, initial_belief)
 from .game import GameSpec
 from .stage import Lookup, SolverConfig, StageSolution, solve_stage
 # bound here so profilers can wrap it by name
@@ -101,8 +105,11 @@ class Generator:
 
     A generator defines ``spec``, ``solution_at(t, pi)``, the solved
     :class:`StageSolution` at stage t in 1..T and common belief pi, raising
-    when it has none there, and ``lookup(t)``, the same stage-t values for
-    a stack of beliefs at once.
+    when it has none there, ``lookup(t)``, the same stage-t values for
+    a stack of beliefs at once, ``cached_points()``, and the properties
+    ``solve_counts`` (stored points per stage, stages ascending) and
+    ``failed_points`` ((stage, belief key, status) of each stored point
+    that failed, in ``cached_points()`` order).
     """
 
     spec: GameSpec
@@ -117,16 +124,6 @@ class Generator:
         ordered by stage, then belief key."""
         raise NotImplementedError
 
-    @property
-    def solve_counts(self) -> dict[int, int]:
-        return dict(Counter(t for t, _pi, _solution in self.cached_points()))
-
-    @property
-    def failed_points(self) -> list[tuple[int, BeliefKey, str]]:
-        return [(t, pi.key, solution.status)
-                for t, pi, solution in self.cached_points()
-                if not solution.converged]
-
     def value(self, t: int, pi: Belief, i: int, xi: int) -> float:
         """Value of (i, xi) at stage t and belief pi; stage T+1 is zero."""
         horizon = self.spec.horizon
@@ -140,6 +137,78 @@ class Generator:
         """Every player's stage-t values at each row of a posterior array,
         as ``solution_at`` gives them; ``None`` past the horizon."""
         raise NotImplementedError
+
+
+class _Metas(list):
+    """The (status, method, restart index, support profile, degenerate
+    types) tuples of a generator's stored points, each distinct one kept
+    once; a point holds the index of its tuple."""
+
+    def __init__(self):
+        super().__init__()
+        self._ids: dict[tuple, int] = {}
+
+    def id_of(self, meta: tuple) -> int:
+        """Index of ``meta``, appended if new. Equal values of different
+        types (a document's 1 and 1.0) stay apart."""
+        try:
+            index = self._ids.setdefault((meta, tuple(map(type, meta))), len(self))
+        except TypeError:   # a document's unhashable method, never shared
+            index = len(self)
+        if index == len(self):
+            self.append(meta)
+        return index
+
+
+class StageTable(Sequence):
+    """Solved stage points as stacked read-only arrays: per player the rows
+    (P, T_i, A_i) and values (P, T_i), the residuals (P,), and per point
+    the index (P,) of its metadata in a :class:`_Metas` that tables share.
+
+    Point k reads as a :class:`StageSolution` built anew on each access,
+    and iteration builds every point's at once, their rows checked as one
+    batch; ``statuses`` reads the metadata alone.
+    """
+
+    def __init__(self, rows: list[np.ndarray], values: list[np.ndarray],
+                 residuals: np.ndarray, meta_ids: np.ndarray, metas: _Metas):
+        for arr in (*rows, *values, residuals, meta_ids):
+            arr.setflags(write=False)
+        self.rows, self.values, self.metas = rows, values, metas
+        self.residuals, self.meta_ids = residuals, meta_ids
+
+    @classmethod
+    def of(cls, solutions: list[StageSolution], metas: _Metas) -> StageTable:
+        """The table of a list of solutions, in order."""
+        players = range(len(solutions[0].values))
+        return cls([np.array([s.prescription.rows[i] for s in solutions])
+                    for i in players],
+                   [np.array([s.values[i] for s in solutions]) for i in players],
+                   np.array([s.residual for s in solutions], dtype=float),
+                   np.array([metas.id_of((s.status, s.method, s.restart_index,
+                                          s.support_profile, s.degenerate_types))
+                             for s in solutions]), metas)
+
+    def __len__(self) -> int:
+        return len(self.residuals)
+
+    def __getitem__(self, k: int) -> StageSolution:
+        k = range(len(self))[k]
+        one = slice(k, k + 1)
+        return next(iter(StageTable([r[one] for r in self.rows],
+                                    [v[one] for v in self.values],
+                                    self.residuals[one], self.meta_ids[one],
+                                    self.metas)))
+
+    def __iter__(self):
+        return (StageSolution(gamma, tuple(v[k] for v in self.values),
+                              float(self.residuals[k]),
+                              *self.metas[int(self.meta_ids[k])])
+                for k, gamma in enumerate(Prescription.batch(self.rows)))
+
+    @property
+    def statuses(self) -> list[str]:
+        return [self.metas[k][0] for k in self.meta_ids.astype(int).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +234,8 @@ class ExactGenerator(Generator):
     its (status, method, restart index, support profile, degenerate
     types) in a list the points share. ``lookup`` reads values off the
     records; ``solution_at`` builds a point's :class:`StageSolution` on
-    its first query and keeps it; ``solve_counts`` counts the records.
+    its first query and keeps it; ``solve_counts`` counts the records,
+    and ``failed_points`` reads their metadata.
     """
 
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
@@ -176,8 +246,7 @@ class ExactGenerator(Generator):
         # stage -> belief key bytes -> record
         self._records: dict[int, dict[bytes, bytes]] = {
             t: {} for t in range(1, spec.horizon + 1)}
-        self._metas: list[tuple] = []
-        self._meta_ids: dict[tuple, int] = {}
+        self._metas = _Metas()
         # (stage, belief key) -> the solution built on its first query
         self._solutions: dict[tuple[int, BeliefKey], StageSolution] = {}
         # where each field of a record starts, and the record's width
@@ -204,6 +273,14 @@ class ExactGenerator(Generator):
     @property
     def solve_counts(self) -> dict[int, int]:
         return {t: len(store) for t, store in self._records.items() if store}
+
+    @property
+    def failed_points(self) -> list[tuple[int, BeliefKey, str]]:
+        """Read off the records' metadata, building no solution."""
+        return sorted((t, _key_of(key), status)
+                      for t, store in self._records.items()
+                      for key, record in store.items()
+                      if (status := self._status(record)) != "converged")
 
     def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
         """Solved points, each with the unrounded belief it was solved at;
@@ -232,7 +309,7 @@ class ExactGenerator(Generator):
             for k, key in enumerate(keys):
                 record = store.get(key)
                 if record is not None:
-                    status = self._metas[int(np.frombuffer(record)[-1])][0]
+                    status = self._status(record)
                     if status != "converged":
                         raise NoFixedPointError(t, _key_of(key), status)
                 elif key not in fresh:
@@ -269,46 +346,30 @@ class ExactGenerator(Generator):
         solutions = solve_stage(
             self.spec, t, [Belief(weights[k], self.spec.type_counts) for k in at],
             self.lookup(t + 1), self.config)
-        players = range(self.spec.num_players)
-        self._write(
-            [t] * len(at), list(rows),
-            [np.array([s.prescription.rows[i] for s in solutions]) for i in players],
-            [np.array([s.values[i] for s in solutions]) for i in players],
-            weights[at], [(s.residual, (s.status, s.method, s.restart_index,
-                                        s.support_profile, s.degenerate_types))
-                          for s in solutions])
+        self._write([t] * len(at), list(rows), weights[at],
+                    StageTable.of(solutions, self._metas))
 
-    def _write(self, stages: list[int], keys: list[bytes], rows: list[np.ndarray],
-               values: list[np.ndarray], beliefs: np.ndarray, tails: list) -> None:
+    def _write(self, stages: list[int], keys: list[bytes], beliefs: np.ndarray,
+               points: StageTable) -> None:
         """Store Q points as records, in order, counting completions: per
-        point its stage and key bytes; per player the rows (Q, T_i, A_i)
-        and values (Q, T_i); the beliefs (Q, X); and per point its
-        (residual, (status, method, restart index, support profile,
-        degenerate types)). The first failed point is stored and raised
-        on, and the points after it are dropped."""
+        point its stage and key bytes, the beliefs (Q, X), and the points'
+        rows, values, residuals and metadata. The first failed point is
+        stored and raised on, and the points after it are dropped."""
         if not keys:
             return
-        ids = [[residual, self._meta_id(meta)] for residual, meta in tails]
-        records = _split(np.hstack([r.reshape(len(keys), -1) for r in rows]
-                                   + list(values) + [beliefs, np.array(ids)]))
-        for t, key, record, (_, meta) in zip(stages, keys, records, tails):
+        records = _split(np.hstack(
+            [r.reshape(len(keys), -1) for r in points.rows] + list(points.values)
+            + [beliefs, np.column_stack([points.residuals, points.meta_ids])]))
+        for t, key, record, status in zip(stages, keys, records, points.statuses):
             self._records[t][key] = record
             if self.completions is not None:
                 self.completions += 1
-            if meta[0] != "converged":
-                raise NoFixedPointError(t, _key_of(key), meta[0])
+            if status != "converged":
+                raise NoFixedPointError(t, _key_of(key), status)
 
-    def _meta_id(self, meta: tuple) -> int:
-        """Index of ``meta`` in the shared list, appended if new. Equal
-        values of different types (a document's 1 and 1.0) stay apart."""
-        try:
-            index = self._meta_ids.setdefault((meta, tuple(map(type, meta))),
-                                              len(self._metas))
-        except TypeError:   # a document's unhashable method, never shared
-            index = len(self._metas)
-        if index == len(self._metas):
-            self._metas.append(meta)
-        return index
+    def _status(self, record: bytes) -> str:
+        """The status of a stored point, read off its record."""
+        return self._metas[int(np.frombuffer(record)[-1])][0]
 
     def _fields(self, records: list[bytes]) -> tuple:
         """(rows, values, beliefs, residuals, metadata) of a list of
@@ -326,10 +387,9 @@ class ExactGenerator(Generator):
                                                            np.ndarray]:
         """A new solution for each record, their rows checked as one batch,
         and the beliefs (Q, X) the records hold."""
-        rows, values, beliefs, residuals, metas = self._fields(records)
-        return ([StageSolution(gamma, tuple(v[k] for v in values),
-                               float(residuals[k]), *self._metas[int(metas[k])])
-                 for k, gamma in enumerate(Prescription.batch(rows))], beliefs)
+        rows, values, beliefs, residuals, meta_ids = self._fields(records)
+        table = StageTable(rows, values, residuals, meta_ids, self._metas)
+        return list(table), beliefs
 
 
 def _key_bytes(weights: np.ndarray) -> list[bytes]:
@@ -557,6 +617,11 @@ class GridGenerator(Generator):
     can finish, but querying one raises. Tables of more than
     ``cache_budget`` points over all stages are refused before the grid
     is built.
+
+    ``tables[t]`` is stage t's :class:`StageTable`, one point per grid
+    row. ``lookup`` reads its value stacks, and ``solve_counts`` and
+    ``failed_points`` its metadata; ``solution_at`` builds a point's
+    :class:`StageSolution` on its first query and keeps it.
     """
 
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
@@ -575,8 +640,10 @@ class GridGenerator(Generator):
         self.config = config or SolverConfig()
         self.resolution = resolution
         self.grid = grid_points(spec.num_joint_types, resolution)
-        self._beliefs = [Belief(row, spec.type_counts) for row in self.grid]
-        self.tables: dict[int, list[StageSolution]] = {}
+        self._metas = _Metas()
+        self.tables: dict[int, StageTable] = {}
+        # (stage, grid row) -> the solution built on its first query
+        self._solutions: dict[tuple[int, int], StageSolution] = {}
         self.snap_stats = {"queries": 0, "max_snap_l1": 0.0}
         # a queried belief's weight bytes -> its grid row, for every stage
         self._snapped: dict[bytes, int] = {}
@@ -585,10 +652,16 @@ class GridGenerator(Generator):
     def build(self) -> None:
         if self._built:
             return
+        beliefs = self._beliefs()
         for t in range(self.spec.horizon, 0, -1):
-            self.tables[t] = solve_stage(self.spec, t, self._beliefs,
-                                         self.lookup(t + 1), self.config)
+            self.tables[t] = StageTable.of(
+                solve_stage(self.spec, t, beliefs, self.lookup(t + 1),
+                            self.config), self._metas)
         self._built = True
+
+    def _beliefs(self) -> list[Belief]:
+        """The grid's beliefs, made anew: the generator keeps none."""
+        return [Belief(row, self.spec.type_counts) for row in self.grid]
 
     def _snap(self, weights: np.ndarray) -> np.ndarray:
         """:func:`nearest_grid_index` of ``weights`` on the grid; records
@@ -604,9 +677,7 @@ class GridGenerator(Generator):
         each row of a posterior array; ``None`` beyond the horizon."""
         if t_next > self.spec.horizon:
             return None
-        table = self.tables[t_next]
-        values = [np.array([sol.values[i] for sol in table])
-                  for i in range(self.spec.num_players)]
+        values = self.tables[t_next].values
 
         def lookup(weights: np.ndarray) -> list[np.ndarray]:
             idx = self._snap(weights)
@@ -622,14 +693,27 @@ class GridGenerator(Generator):
         if idx is None:
             idx = self._snapped[key] = self._snap(pi.weights)
         self.snap_stats["queries"] += 1
-        solution = self.tables[t][idx]
+        solution = self._solutions.get((t, idx))
+        if solution is None:
+            solution = self._solutions[t, idx] = self.tables[t][idx]
         if not solution.converged:
-            raise NoFixedPointError(t, self._beliefs[idx].key, solution.status)
+            raise NoFixedPointError(t, belief_key(self.grid[idx]), solution.status)
         return solution
 
+    @property
+    def solve_counts(self) -> dict[int, int]:
+        return {t: len(self.tables[t]) for t in sorted(self.tables)}
+
+    @property
+    def failed_points(self) -> list[tuple[int, BeliefKey, str]]:
+        return [(t, belief_key(self.grid[k]), status) for t in sorted(self.tables)
+                for k, status in enumerate(self.tables[t].statuses)
+                if status != "converged"]
+
     def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
+        beliefs = self._beliefs()
         return [(t, pi, solution) for t in sorted(self.tables)
-                for pi, solution in zip(self._beliefs, self.tables[t])]
+                for pi, solution in zip(beliefs, self.tables[t])]
 
 
 # ---------------------------------------------------------------------------
@@ -810,10 +894,12 @@ def _bad_key(keys: np.ndarray) -> tuple[int, str] | None:
                     + keys.shape[1] * 0.5 * 10.0 ** -KEY_DIGITS)
 
 
-def _read_entries(raw: list, spec: GameSpec) -> tuple[list, list, list]:
+def _read_entries(raw: list, spec: GameSpec) -> tuple[list, np.ndarray, list,
+                                                     list]:
     """A policy document's entries, checked against the game: per entry
     (stage, belief key, rows, values, residual, method, restart index),
-    and each player's rows and values stacked over the entries.
+    the belief keys stacked (E, X), and each player's rows and values
+    stacked over the entries.
 
     One pass decides whether every entry is sound. Python checks, entry by
     entry, what needs no arrays: fields present, an integer stage (not a
@@ -821,7 +907,8 @@ def _read_entries(raw: list, spec: GameSpec) -> tuple[list, list, list]:
     The rows and values then become one read-only stack per player, each
     built by one ``np.array`` call, whose shapes, finiteness and row rule
     (:meth:`Prescription.batch`) are checked at once, as are the beliefs
-    (:func:`_bad_key`), and no two entries may share a stage and belief.
+    (:func:`_bad_key`), and no two entries may share a stage and a belief
+    that round to one key (:func:`~spbe.beliefs.belief_key`).
     If any check fails, the entries are read again one at a time by
     :func:`_check_entry`, which alone words the error: the first entry it
     rejects is the lowest bad one.
@@ -845,8 +932,9 @@ def _read_entries(raw: list, spec: GameSpec) -> tuple[list, list, list]:
         fields.append(point)
     if len(fields) == len(raw):
         rows_need, values_need = _entry_shapes(spec)
+        keys = np.array([f[1] for f in fields]).reshape(-1, size)
         try:
-            if _bad_key(np.array([f[1] for f in fields]).reshape(-1, size)):
+            if _bad_key(keys):
                 raise ValueError("a belief is no belief")
             row_stacks = checked_stacks(_stack([f[2] for f in fields], rows_need))
             value_stacks = _stack([f[3] for f in fields], values_need)
@@ -855,8 +943,9 @@ def _read_entries(raw: list, spec: GameSpec) -> tuple[list, list, list]:
         except (TypeError, ValueError, OverflowError):
             pass    # named below, by the lowest entry that fails alone
         else:
-            if len({f[:2] for f in fields}) == len(fields):
-                return fields, row_stacks, value_stacks
+            points = set(zip((f[0] for f in fields), _key_bytes(keys)))
+            if len(points) == len(fields):
+                return fields, keys, row_stacks, value_stacks
     seen: dict[tuple[int, BeliefKey], int] = {}
     for k, entry in enumerate(raw):
         _check_entry(k, entry, spec, seen)
@@ -886,15 +975,15 @@ def _check_entry(k: int, entry, spec: GameSpec,
     """Check policy entry k against the game and the entries before it;
     return if it is sound, else raise the error of its first failing check.
 
-    ``seen`` maps the (stage, belief) of each earlier entry to its index,
-    and gains entry k's if it is sound. The checks run in this order: the
-    fields ``t`` and ``belief``; rows and values as arrays, so that a part
-    that does not convert raises as NumPy says; an integer stage; stage
-    range; belief length; a belief (:func:`_bad_key`); shapes; finite
-    values; status; the row rule of :class:`Prescription`; the residual;
-    no earlier entry at its stage and belief. A missing field raises
-    ``ValueError("policy entry k has no field ...")``, any other fault
-    ``ValueError("policy entry k: ...")``.
+    ``seen`` maps the (stage, belief key) of each earlier entry to its
+    index, and gains entry k's if it is sound. The checks run in this
+    order: the fields ``t`` and ``belief``; rows and values as arrays, so
+    that a part that does not convert raises as NumPy says; an integer
+    stage; stage range; belief length; a belief (:func:`_bad_key`);
+    shapes; finite values; status; the row rule of :class:`Prescription`;
+    the residual; no earlier entry at its stage with a belief of the same
+    key. A missing field raises ``ValueError("policy entry k has no field
+    ...")``, any other fault ``ValueError("policy entry k: ...")``.
     """
     try:
         t = int(entry["t"])
@@ -922,10 +1011,11 @@ def _check_entry(k: int, entry, spec: GameSpec,
             raise ValueError(f"status {entry['status']!r} is not a solved point")
         Prescription(tuple(rows))
         float(entry["residual"])
-        if (t, key) in seen:
+        point = (t, belief_key(key))
+        if point in seen:
             raise ValueError(f"stage {t} and belief {list(key)} repeat policy "
-                             f"entry {seen[t, key]}")
-        seen[t, key] = k
+                             f"entry {seen[point]}")
+        seen[point] = k
     except KeyError as err:
         raise ValueError(f"policy entry {k} has no field {err}") from err
     except (TypeError, ValueError) as err:
@@ -944,7 +1034,9 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
     as the generator that wrote it did. An exact-mode one gives an
     :class:`ExactGenerator` whose store holds the entries and solves, with
     ``config``, the beliefs they lack. Entries count against
-    ``cache_budget``, and become its records with no per-entry arrays.
+    ``cache_budget``, and become its records with no per-entry arrays,
+    each stored under its belief's :func:`~spbe.beliefs.belief_key`, so
+    two entries at one stage whose beliefs round to one key repeat.
     The entries are checked against the game in one
     pass (:func:`_read_entries`): rows, values and beliefs are stacked and
     checked at once. An entry that lacks a field, does not fit the game,
@@ -969,18 +1061,25 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
     if mode == "exact" and "resolution" in doc:
         raise ValueError(f"exact-mode policy document has a resolution "
                          f"({resolution!r}); only grid-mode documents have one")
-    entries = _read_entries(doc["entries"], spec)
+    fields, keys, row_stacks, value_stacks = _read_entries(doc["entries"], spec)
     if mode == "grid":
-        return _grid_from_entries(spec, resolution, *entries, config,
-                                  cache_budget)
-    fields, row_stacks, value_stacks = entries
-    keys = np.array([f[1] for f in fields]).reshape(-1, spec.num_joint_types)
+        return _grid_from_entries(spec, resolution, fields, row_stacks,
+                                  value_stacks, config, cache_budget)
     generator = ExactGenerator(spec, config, cache_budget)
-    generator._write([f[0] for f in fields], _split(keys + 0.0), row_stacks,
-                     value_stacks, keys,
-                     [(f[4], ("converged", f[5], f[6], None, ())) for f in fields])
+    generator._write([f[0] for f in fields], _key_bytes(keys), keys, _entry_table(
+        fields, row_stacks, value_stacks, generator._metas))
     generator.completions = 0
     return generator
+
+
+def _entry_table(fields: list, row_stacks: list, value_stacks: list,
+                 metas: _Metas) -> StageTable:
+    """The checked entries of a document (:func:`_read_entries`) as one
+    table of converged points, in order."""
+    return StageTable(
+        row_stacks, value_stacks, np.array([f[4] for f in fields], dtype=float),
+        np.array([metas.id_of(("converged", f[5], f[6], None, ()))
+                  for f in fields], dtype=np.intp), metas)
 
 
 def _grid_from_entries(spec: GameSpec, resolution: int, fields: list,
@@ -989,31 +1088,42 @@ def _grid_from_entries(spec: GameSpec, resolution: int, fields: list,
                        cache_budget: int) -> GridGenerator:
     """A built grid generator holding a document's checked entries
     (:func:`_read_entries`); grid points the document lacks (they failed to
-    solve) keep a failed placeholder."""
+    solve) keep a failed placeholder: uniform rows, zero values, an
+    infinite residual and the status ``not_in_policy``."""
     generator = GridGenerator(spec, config, resolution, cache_budget)
-    missing = StageSolution(
-        prescription=Prescription.uniform(spec.type_counts, spec.action_counts),
-        values=tuple(np.zeros(c) for c in spec.type_counts),
-        residual=float("inf"),
-        status="not_in_policy",
-    )
-    index = {pi.key: idx for idx, pi in enumerate(generator._beliefs)}
-    generator.tables = {t: [missing] * len(index) for t in range(1, spec.horizon + 1)}
-    for (t, key, _rows, _values, residual, method, restart), gamma, vals in zip(
-            fields, Prescription.batch(row_stacks), zip(*value_stacks)):
-        solution = StageSolution(prescription=gamma, values=vals,
-                                 residual=residual, status="converged",
-                                 method=method, restart_index=restart)
+    index = {belief_key(row): idx for idx, row in enumerate(generator.grid)}
+    for t, key, *_ in fields:
         if key not in index:
             raise ValueError(f"policy entry at stage {t}, belief {list(key)} is "
                              f"not a point of the resolution-{resolution} grid")
-        generator.tables[t][index[key]] = solution
+    points = np.array([index[f[1]] for f in fields], dtype=np.intp)
+    stages = np.array([f[0] for f in fields], dtype=np.intp)
+    entries = _entry_table(fields, row_stacks, value_stacks, generator._metas)
+    missing = generator._metas.id_of(("not_in_policy", None, None, None, ()))
+    size = len(index)
+    for t in range(1, spec.horizon + 1):
+        rows = [np.full((size, nt, na), 1.0 / na)
+                for nt, na in zip(spec.type_counts, spec.action_counts)]
+        values = [np.zeros((size, nt)) for nt in spec.type_counts]
+        residuals = np.full(size, np.inf)
+        meta_ids = np.full(size, missing, dtype=np.intp)
+        at = stages == t
+        for stack, got in zip([*rows, *values, residuals, meta_ids],
+                              [*entries.rows, *entries.values, entries.residuals,
+                               entries.meta_ids]):
+            stack[points[at]] = got[at]
+        generator.tables[t] = StageTable(rows, values, residuals, meta_ids,
+                                         generator._metas)
     generator._built = True
     return generator
 
 
 def save_policy(result: SolveResult, path) -> None:
-    Path(path).write_text(render_report(policy_document(result)) + "\n")
+    """Write :func:`render_report` of the policy document and a newline,
+    streamed: the text is never held whole."""
+    with open(path, "w") as out:
+        json.dump(policy_document(result), out, indent=2, sort_keys=True)
+        out.write("\n")
 
 
 def load_policy_file(path, spec: GameSpec, config: SolverConfig | None = None,

@@ -258,11 +258,24 @@ def traces_to_delimited(traces) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _draw(rng: np.random.Generator, weights: np.ndarray) -> int:
-    """Inverse-CDF draw; one uniform per draw keeps the stream auditable."""
-    cum = np.cumsum(weights)
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right").clip(0, weights.shape[0] - 1))
+SIM_BLOCK = 1024   # episodes played together; bounds a block's arrays
+
+
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cum[k], u[k], side="right")`` of each row k, clipped
+    to the row's last index. It is numpy's binary search over the whole row
+    for one key, step for step, so a row that is not monotone (entries may
+    be as low as -1e-12) gives the index a scalar call gives."""
+    m, width = cum.shape
+    lo = np.zeros(m, dtype=np.intp)
+    hi = np.full(m, width, dtype=np.intp)
+    every = np.arange(m)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) >> 1
+        right = cum[every, np.minimum(mid, width - 1)] <= u
+        lo = np.where(open_ & right, mid + 1, lo)
+        hi = np.where(open_ & ~right, mid, hi)
+    return np.minimum(lo, width - 1)
 
 
 def simulate(spec: GameSpec, policy: EquilibriumPolicy, episodes: int,
@@ -270,62 +283,91 @@ def simulate(spec: GameSpec, policy: EquilibriumPolicy, episodes: int,
     """Play the profile for a number of episodes.
 
     The random stream is consumed in a fixed order per episode: first the
-    joint type, then each stage's actions in player order. Payoffs are
-    discounted stage sums. The summary covers every episode; at most
-    ``trace_limit`` full traces are retained.
+    joint type, then each stage's actions in player order, one uniform per
+    inverse-CDF draw. Episodes are played in blocks of ``SIM_BLOCK``: a
+    block draws its episodes' uniforms at once, which is the same stream,
+    and advances them stage by stage, asking the policy for the belief and
+    prescription of each public history the block reaches there, in the
+    order episodes first reach them. Payoffs are discounted stage sums.
+    The summary covers every episode, its sums added episode by episode;
+    the first ``trace_limit`` episodes are kept as full traces.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     if trace_limit < 0:
         raise ValueError("trace_limit must be >= 0")
     rng = np.random.default_rng(seed)
-    n = spec.num_players
-    totals = np.zeros(n)
-    totals_sq = np.zeros(n)
-    type_sum = [np.zeros(c) for c in spec.type_counts]
+    n, horizon, joint = spec.num_players, spec.horizon, spec.num_joint_actions
+    xmaps = component_maps(spec.type_counts)
+    prior = np.cumsum(initial_belief(spec).weights)
+    # running sums, one column each: totals, their squares, each player's
+    # per-type sums, then the belief entropy of each stage
+    sums = np.zeros(2 * n + sum(spec.type_counts) + horizon)
     type_count = [np.zeros(c, dtype=np.int64) for c in spec.type_counts]
-    entropy_sum = np.zeros(spec.horizon)
-    prior = initial_belief(spec).weights
     traces: list[Trace] = []
 
-    for _ in range(episodes):
-        x_flat = _draw(rng, prior)
-        x = spec.unflatten_types(x_flat)
-        history: History = ()
+    for start in range(0, episodes, SIM_BLOCK):
+        m = min(SIM_BLOCK, episodes - start)
+        kept = min(m, trace_limit - len(traces))   # episodes traced
+        uniforms = rng.random((m, 1 + horizon * n))
+        x = _inverse_cdf(np.broadcast_to(prior, (m, prior.size)),
+                         uniforms[:, 0] * prior[-1])
+        types = [xmap[x] for xmap in xmaps]
+        rewards = np.empty((m, horizon, n))
+        episode = np.zeros((m, n))
+        entropy = np.empty((m, horizon))
+        histories: list[History] = [()]
+        at = np.zeros(m, dtype=np.intp)   # each episode's index in histories
+        path = []                         # per stage: (its beliefs, at)
         weight = 1.0
-        episode = np.zeros(n)
-        stage_rewards = np.zeros((spec.horizon, n))
-        beliefs = []
-        for t in range(1, spec.horizon + 1):
-            belief = policy.common_belief(history)
-            beliefs.append(belief)
-            entropy_sum[t - 1] += belief_entropy(belief)
-            gamma = policy.prescription_for_history(history)
-            a = tuple(
-                _draw(rng, np.asarray(gamma.rows[i][x[i]], dtype=float))
-                for i in range(n)
-            )
-            a_flat = spec.flatten_actions(a)
-            reward = spec.reward_tensor(t)
-            for i in range(n):
-                stage_rewards[t - 1, i] = float(reward[i, x_flat, a_flat])
-                episode[i] += weight * stage_rewards[t - 1, i]
+        for t in range(1, horizon + 1):
+            beliefs, gammas = [], []
+            for history in histories:
+                beliefs.append(policy.common_belief(history))
+                gammas.append(policy.prescription_for_history(history))
+            path.append((beliefs, at))
+            entropy[:, t - 1] = np.array([belief_entropy(b) for b in beliefs])[at]
+            a_flat = np.zeros(m, dtype=np.intp)
+            for i, (xi, count) in enumerate(zip(types, spec.action_counts)):
+                rows = np.array([g.rows[i] for g in gammas])[at, xi]
+                cum = np.cumsum(rows, axis=1)
+                u = uniforms[:, 1 + (t - 1) * n + i] * cum[:, -1]
+                a_flat = a_flat * count + _inverse_cdf(cum, u)
+            rewards[:, t - 1] = spec.reward_tensor(t)[:, x, a_flat].T
+            episode += weight * rewards[:, t - 1]
             weight *= spec.discount
-            history = history + (a,)
-        totals += episode
-        totals_sq += episode ** 2
-        for i in range(n):
-            type_sum[i][x[i]] += episode[i]
-            type_count[i][x[i]] += 1
-        if len(traces) < trace_limit:
-            stage_rewards.setflags(write=False)
-            ep = episode.copy()
-            ep.setflags(write=False)
+            if t == horizon:   # full histories are read by traces alone
+                at, a_flat = at[:kept], a_flat[:kept]
+            reached: dict[int, int] = {}
+            at = np.array([reached.setdefault(code, len(reached))
+                           for code in (at * joint + a_flat).tolist()],
+                          dtype=np.intp)
+            histories = [histories[code // joint]
+                         + (unflatten_joint(code % joint, spec.action_counts),)
+                         for code in reached]
+
+        per_type = [np.where(xi[:, None] == np.arange(c), episode[:, [i]], 0.0)
+                    for i, (xi, c) in enumerate(zip(types, spec.type_counts))]
+        added = np.empty((m + 1, sums.size))
+        added[0] = sums
+        np.concatenate([episode, episode ** 2, *per_type, entropy], axis=1,
+                       out=added[1:])
+        sums = np.cumsum(added, axis=0, out=added)[-1]
+        for counts, xi in zip(type_count, types):
+            counts += np.bincount(xi, minlength=counts.size)
+        rewards.setflags(write=False)
+        episode.setflags(write=False)
+        for e in range(kept):
             traces.append(Trace(
-                joint_type=x, actions=history, beliefs=tuple(beliefs),
-                stage_rewards=stage_rewards, totals=ep,
+                joint_type=spec.unflatten_types(int(x[e])),
+                actions=histories[at[e]],
+                beliefs=tuple(stage[k[e]] for stage, k in path),
+                stage_rewards=rewards[e], totals=episode[e],
             ))
 
+    totals, totals_sq, *type_sum = np.split(
+        sums, np.cumsum([n, n, *spec.type_counts]))
+    entropy_sum = type_sum.pop()
     per_type_mean = []
     for i in range(n):
         with np.errstate(invalid="ignore", divide="ignore"):

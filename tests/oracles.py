@@ -18,7 +18,9 @@ arithmetic. :func:`policy_entries_fault` pins the policy loader's error
 messages the same way: it checks one entry at a time, in the loader's
 documented order, with NumPy's own conversions. :func:`solve_stage_serial`
 pins the stage solver's search order: it solves one point with the
-solver's own phases, every restart in turn.
+solver's own phases, every restart in turn. :func:`simulate_brute` pins
+``simulate``'s random stream and summation order: it plays one episode
+after another, one uniform per draw, through the policy's own queries.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ import math
 import numpy as np
 
 from spbe.backward import SNAP_SUM_TOL, _l1
-from spbe.beliefs import KEY_DIGITS, condition_on_type
-from spbe.forward import expected_rewards
+from spbe.beliefs import (KEY_DIGITS, belief_entropy, condition_on_type,
+                          initial_belief)
+from spbe.forward import (SimulationResult, SimulationSummary, Trace,
+                          expected_rewards)
 from spbe.game import component_maps, embedding_map, unflatten_joint
 from spbe.verify import (
     DeviationFinding,
@@ -484,10 +488,11 @@ def policy_entries_fault(entries, spec) -> str | None:
     or None if every entry is sound: entries are read one at a time, each
     checked in order (fields, arrays, integer stage, stage range, belief
     length, a belief, shapes, finite values, status, row rule, residual,
-    no earlier entry at its stage and belief), and the first failing check
-    of the first failing entry names it. A belief has finite, non-negative
-    weights summing to 1 within the snap's tolerance plus half a unit of
-    the key's last digit per weight."""
+    no earlier entry at its stage and a belief with the same key), and the
+    first failing check of the first failing entry names it. A belief has
+    finite, non-negative weights summing to 1 within the snap's tolerance
+    plus half a unit of the key's last digit per weight; its key rounds
+    each weight to ``KEY_DIGITS`` digits, a negative zero made positive."""
     need = (list(zip(spec.type_counts, spec.action_counts)),
             [(c,) for c in spec.type_counts])
     earlier = []
@@ -525,10 +530,11 @@ def policy_entries_fault(entries, spec) -> str | None:
             if not ok:
                 raise ValueError(why)
             float(entry["residual"])
-            if (t, key) in earlier:
+            point = (t, tuple((np.round(key, KEY_DIGITS) + 0.0).tolist()))
+            if point in earlier:
                 raise ValueError(f"stage {t} and belief {list(key)} repeat "
-                                 f"policy entry {earlier.index((t, key))}")
-            earlier.append((t, key))
+                                 f"policy entry {earlier.index(point)}")
+            earlier.append(point)
         except KeyError as err:
             return f"policy entry {k} has no field {err}"
         except (TypeError, ValueError) as err:
@@ -588,3 +594,67 @@ def solve_stage_serial(spec, t, pi, config):
         status = "converged" if residual[0] <= config.fp_tol else "max_iterations"
     return (status, *found, prescriptions[0].rows, tuple(v[0] for v in values),
             float(residual[0]))
+
+
+def _draw(rng, weights) -> int:
+    """Inverse-CDF draw of one index, one uniform per draw."""
+    cum = np.cumsum(weights)
+    u = rng.random() * cum[-1]
+    return int(np.searchsorted(cum, u, side="right").clip(0, weights.shape[0] - 1))
+
+
+def simulate_brute(spec, policy, episodes, seed=0, trace_limit=1000):
+    """``simulate`` one episode after another: the joint type, then each
+    stage's actions in player order, each drawn from its own uniform, with
+    every sum added episode by episode."""
+    rng = np.random.default_rng(seed)
+    n = spec.num_players
+    totals = np.zeros(n)
+    totals_sq = np.zeros(n)
+    type_sum = [np.zeros(c) for c in spec.type_counts]
+    type_count = [np.zeros(c, dtype=np.int64) for c in spec.type_counts]
+    entropy_sum = np.zeros(spec.horizon)
+    prior = initial_belief(spec).weights
+    traces = []
+    for _ in range(episodes):
+        x_flat = _draw(rng, prior)
+        x = spec.unflatten_types(x_flat)
+        history = ()
+        weight = 1.0
+        episode = np.zeros(n)
+        stage_rewards = np.zeros((spec.horizon, n))
+        beliefs = []
+        for t in range(1, spec.horizon + 1):
+            belief = policy.common_belief(history)
+            beliefs.append(belief)
+            entropy_sum[t - 1] += belief_entropy(belief)
+            gamma = policy.prescription_for_history(history)
+            a = tuple(_draw(rng, np.asarray(gamma.rows[i][x[i]], dtype=float))
+                      for i in range(n))
+            a_flat = spec.flatten_actions(a)
+            reward = spec.reward_tensor(t)
+            for i in range(n):
+                stage_rewards[t - 1, i] = float(reward[i, x_flat, a_flat])
+                episode[i] += weight * stage_rewards[t - 1, i]
+            weight *= spec.discount
+            history = history + (a,)
+        totals += episode
+        totals_sq += episode ** 2
+        for i in range(n):
+            type_sum[i][x[i]] += episode[i]
+            type_count[i][x[i]] += 1
+        if len(traces) < trace_limit:
+            traces.append(Trace(joint_type=x, actions=history,
+                                beliefs=tuple(beliefs),
+                                stage_rewards=stage_rewards, totals=episode.copy()))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        per_type_mean = tuple(np.where(c > 0, s / c, 0.0)
+                              for s, c in zip(type_sum, type_count))
+    per_player = totals / episodes
+    variance = np.maximum(totals_sq / episodes - per_player ** 2, 0.0)
+    summary = SimulationSummary(
+        episodes=episodes, seed=seed, per_player_mean=per_player,
+        per_player_stderr=np.sqrt(variance / episodes),
+        per_type_mean=per_type_mean, per_type_count=tuple(type_count),
+        entropy_trajectory=entropy_sum / episodes)
+    return SimulationResult(traces=tuple(traces), summary=summary)

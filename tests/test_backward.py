@@ -1087,3 +1087,86 @@ def test_partial_grid_policy_round_trip():
     t, key, _ = failed[0]
     with pytest.raises(NoFixedPointError):
         reloaded.solution_at(t, Belief(np.array(key), spec.type_counts))
+
+
+def test_loaded_exact_entries_answer_to_their_rounded_key():
+    """An exact policy entry is stored under its belief's key, rounded as a
+    query's is, so the reference game's stage-1 entry moved by 1e-12 on
+    two weights still answers the prior: nothing is solved after loading.
+    A second entry whose belief rounds to the same key repeats the first."""
+    spec = instances.reference_instance()
+    result = solve(spec)
+    doc = policy_document(result)
+    assert [e["t"] for e in doc["entries"]] == [1, 2]
+    moved = json.loads(render_report(doc))
+    moved["entries"][0]["belief"][0] += 1e-12
+    moved["entries"][0]["belief"][1] -= 1e-12
+    assert moved["entries"][0]["belief"] != doc["entries"][0]["belief"]
+    gen = load_policy(moved, spec)
+    policy = EquilibriumPolicy(spec, gen)
+    assert run_certification(spec, policy)["all_checks_ok"]
+    assert gen.completions == 0
+    assert gen.solve_counts == {1: 1, 2: 1}
+
+    twice = json.loads(render_report(doc))
+    twice["entries"].append(moved["entries"][0])
+    belief = moved["entries"][0]["belief"]
+    assert _load_error(spec, twice) == oracles.policy_entries_fault(
+        twice["entries"], spec) == (
+        f"policy entry 2: stage 1 and belief {belief} repeat policy entry 0")
+
+
+def _refuse_solutions(monkeypatch):
+    """Make building any stored point's solution fail the test."""
+    def refuse(*args):
+        raise AssertionError("a stage solution was built")
+    monkeypatch.setattr(ExactGenerator, "_solutions_of", refuse)
+    monkeypatch.setattr(spbe.backward.StageTable, "__iter__", refuse)
+
+
+@pytest.mark.parametrize("mode", ["exact", "grid"])
+def test_failed_points_read_the_metadata(mode, monkeypatch):
+    """``failed_points`` and ``solve_counts`` list what ``cached_points``
+    does, in its order, building no stage solution to do so: an exact
+    solve that fails inside a last-stage batch and a partial grid."""
+    config = SolverConfig(support_enumeration_limit=0)
+    if mode == "exact":
+        result = solve(instances.random_instance(5), config=config)
+    else:
+        result = solve(instances.asymmetric_pennies_instance(), mode="grid",
+                       resolution=2, config=config)
+    assert result.status == ("failed" if mode == "exact" else "partial")
+    gen = result.generator
+    points = gen.cached_points()
+    want = [(t, pi.key, sol.status) for t, pi, sol in points if not sol.converged]
+    counts = Counter(t for t, _pi, _sol in points)
+    assert want
+    _refuse_solutions(monkeypatch)
+    assert gen.failed_points == want
+    assert gen.solve_counts == counts
+    assert list(gen.solve_counts) == sorted(counts)
+
+
+def test_grid_tables_are_stacked_and_read_only(monkeypatch):
+    """A grid's stage table holds one read-only stack per player and field,
+    and reads a point back as the solution a query of its grid row gets;
+    lookups read the value stacks and build no solution."""
+    spec = instances.coordination_instance()
+    gen = _build_grid(spec, resolution=3)
+    table = gen.tables[1]
+    assert len(table) == gen.grid.shape[0]
+    for i, (nt, na) in enumerate(zip(spec.type_counts, spec.action_counts)):
+        assert table.rows[i].shape == (len(table), nt, na)
+        assert table.values[i].shape == (len(table), nt)
+    for arr in (*table.rows, *table.values, table.residuals, table.meta_ids):
+        assert not arr.flags.writeable
+    k = len(table) - 2
+    got = gen.solution_at(1, Belief(gen.grid[k], spec.type_counts))
+    assert _point_bytes(1, 0, table[k]) == _point_bytes(1, 0, table[-2]) == \
+        _point_bytes(1, 0, got) == _point_bytes(1, 0, list(table)[k])
+    with pytest.raises(IndexError):
+        table[len(table)]
+    _refuse_solutions(monkeypatch)
+    values = gen.lookup(2)(gen.grid[[k, 0]])
+    for i in range(spec.num_players):
+        assert values[i].tobytes() == gen.tables[2].values[i][[k, 0]].tobytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spbe import (
     initial_belief,
     instances,
     load_policy,
+    render_report,
     run_certification,
     simulate,
     solve,
@@ -407,3 +409,119 @@ def test_simulation_makes_only_the_beliefs_it_reads(monkeypatch):
     assert batches == []
     assert len(updates) == len(reached) - 1
     assert len(policy._nodes) == len(reached)
+
+
+def _deep_reference():
+    """The reference game lengthened to horizon 5."""
+    ref = instances.reference_instance()
+    return dataclasses.replace(ref, horizon=5,
+                               rewards=ref.rewards[:1] * 4 + ref.rewards[1:])
+
+
+SIM_GAMES = [*sorted(instances.corpus()), "reference_h5", "coordination_grid"]
+
+
+def _sim_generator(corpus_solves, game):
+    if game == "reference_h5":
+        spec = _deep_reference()
+        return spec, solve(spec).generator
+    if game == "coordination_grid":
+        spec = instances.coordination_instance()
+        return spec, solve(spec, mode="grid", resolution=4).generator
+    spec, result = corpus_solves[game]
+    return spec, result.generator
+
+
+def _played(sim) -> tuple[str, str]:
+    return (render_report(sim.summary.to_document()),
+            traces_to_delimited(sim.traces))
+
+
+@pytest.mark.parametrize("game", SIM_GAMES)
+def test_simulate_matches_the_episode_loop(corpus_solves, game, monkeypatch):
+    """Play in blocks gives the summary and traces of the episode-by-episode
+    loop, byte for byte, with the block shrunk to 7 episodes: 1 episode,
+    one short of a block, a block, and two blocks and 3; no trace, one,
+    and more than there are episodes. Each run starts from a fresh policy,
+    and asks for the beliefs and prescriptions of the same histories."""
+    spec, generator = _sim_generator(corpus_solves, game)
+    block = 7
+    monkeypatch.setattr(spbe.forward, "SIM_BLOCK", block)
+    for seed, episodes in enumerate((1, block - 1, block, 2 * block + 3)):
+        for trace_limit in (0, 1, episodes + 2):
+            fresh, brute = (EquilibriumPolicy(spec, generator) for _ in range(2))
+            got = simulate(spec, fresh, episodes, seed=seed,
+                           trace_limit=trace_limit)
+            want = oracles.simulate_brute(spec, brute, episodes, seed=seed,
+                                          trace_limit=trace_limit)
+            assert _played(got) == _played(want)
+            assert len(got.traces) == min(episodes, trace_limit)
+            assert set(fresh._nodes) == set(brute._nodes)
+
+
+def test_simulate_matches_the_episode_loop_across_full_blocks():
+    """The same at the module's own block size, with traces kept from more
+    than one block."""
+    spec = _deep_reference()
+    generator = solve(spec).generator
+    block = spbe.forward.SIM_BLOCK
+    fresh, brute = (EquilibriumPolicy(spec, generator) for _ in range(2))
+    got = simulate(spec, fresh, 2 * block + 3, seed=4, trace_limit=block + 1)
+    want = oracles.simulate_brute(spec, brute, 2 * block + 3, seed=4,
+                                  trace_limit=block + 1)
+    assert _played(got) == _played(want)
+    assert set(fresh._nodes) == set(brute._nodes)
+
+
+def test_simulate_raises_after_asking_stage_by_stage():
+    """A policy that raises at one history makes ``simulate`` raise its
+    error. A block is played stage by stage, so by then the policy was
+    asked for every history the block reaches at earlier stages, and for
+    those at that stage that episodes reach before it, and for none
+    deeper; the episode loop would have played the episodes before the
+    first to reach it to the end."""
+    spec = _deep_reference()
+    generator = solve(spec).generator
+    paths = oracles.simulate_brute(spec, EquilibriumPolicy(spec, generator), 40,
+                                   seed=2, trace_limit=40).traces
+    second = list(dict.fromkeys(trace.actions[:1] for trace in paths))
+    assert len(second) > 1
+    bad = second[-1]
+
+    class Refusing(EquilibriumPolicy):
+        def prescription_for_history(self, history):
+            if tuple(map(tuple, history)) == bad:
+                raise RuntimeError(f"refused at {bad}")
+            return super().prescription_for_history(history)
+
+    policy, brute = Refusing(spec, generator), Refusing(spec, generator)
+    with pytest.raises(RuntimeError, match=re.escape(f"refused at {bad}")):
+        simulate(spec, policy, 40, seed=2)
+    assert set(policy._nodes) == {(), *second}
+    with pytest.raises(RuntimeError, match=re.escape(f"refused at {bad}")):
+        oracles.simulate_brute(spec, brute, 40, seed=2)
+    assert max(map(len, brute._nodes)) == spec.horizon - 1
+
+
+def test_inverse_cdf_is_searchsorted_row_by_row():
+    """Each row's draw is ``np.searchsorted(cum, u, side="right")``,
+    clipped, also on cumulative rows that dip (a row entry of -1e-12),
+    where counting the entries at or below u gives another index, and at
+    keys equal to an entry."""
+    rng = np.random.default_rng(0)
+    for width in (1, 2, 3, 4, 7):
+        rows = rng.dirichlet(np.ones(width), size=200)
+        if width > 2:
+            rows[::2, 1] = -1e-12
+        cum = np.cumsum(rows, axis=1)
+        keys = np.concatenate([rng.random(200) * cum[:, -1],
+                               cum[np.arange(200), rng.integers(width, size=200)],
+                               cum[:, 0] - 5e-13])
+        cum = np.concatenate([cum] * 3)
+        want = [int(np.searchsorted(c, u, side="right").clip(0, width - 1))
+                for c, u in zip(cum, keys)]
+        assert spbe.forward._inverse_cdf(cum, keys).tolist() == want
+    dip = np.cumsum([[0.5, -1e-12, 0.5 + 1e-12]], axis=1)
+    u = np.array([0.5 - 5e-13])
+    assert spbe.forward._inverse_cdf(dip, u).tolist() == [2]
+    assert int((dip <= u[:, None]).sum()) == 1

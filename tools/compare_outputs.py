@@ -4,6 +4,10 @@ For each game of a fixed guard set, solve it, reload its policy document,
 and record, as one sha256 line per item:
 
 - the solve report without its ``timing`` block, and the policy document;
+- the summary and traces of ``simulate(spec, policy, 1100, seed=5,
+  trace_limit=40)`` on a fresh policy of the reloaded generator, before
+  anything else reads it: play alone asks for its beliefs and
+  prescriptions, and 1100 episodes cross a block of 1024;
 - for the solved policy and then for the reloaded one: the certificate
   (``run_certification``), the summary and traces of
   ``simulate(spec, policy, 300, seed=3)``, the generator's
@@ -113,9 +117,10 @@ def _items(spbe, spec, mode, resolution, options):
         policy = spbe.EquilibriumPolicy(spec, generator(which))
         return spbe.render_report(spbe.run_certification(spec, policy))
 
-    def simulation(which):
+    def simulation(which, episodes=300, seed=3, trace_limit=1000):
         policy = spbe.EquilibriumPolicy(spec, generator(which))
-        sim = spbe.simulate(spec, policy, 300, seed=3)
+        sim = spbe.simulate(spec, policy, episodes, seed=seed,
+                            trace_limit=trace_limit)
         return (spbe.render_report(sim.summary.to_document()) + "\n"
                 + spbe.forward.traces_to_delimited(sim.traces))
 
@@ -131,6 +136,7 @@ def _items(spbe, spec, mode, resolution, options):
 
     yield "report", solved
     yield "policy", policy
+    yield "loaded.fresh_simulate", lambda: simulation("loaded", 1100, 5, 40)
     for which in ("solved", "loaded"):
         yield f"{which}.certificate", lambda w=which: certificate(w)
         yield f"{which}.simulate", lambda w=which: simulation(w)
