@@ -1063,7 +1063,7 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
                          f"({resolution!r}); only grid-mode documents have one")
     fields, keys, row_stacks, value_stacks = _read_entries(doc["entries"], spec)
     if mode == "grid":
-        return _grid_from_entries(spec, resolution, fields, row_stacks,
+        return _grid_from_entries(spec, resolution, fields, keys, row_stacks,
                                   value_stacks, config, cache_budget)
     generator = ExactGenerator(spec, config, cache_budget)
     generator._write([f[0] for f in fields], _key_bytes(keys), keys, _entry_table(
@@ -1083,20 +1083,23 @@ def _entry_table(fields: list, row_stacks: list, value_stacks: list,
 
 
 def _grid_from_entries(spec: GameSpec, resolution: int, fields: list,
-                       row_stacks: list, value_stacks: list,
+                       keys: np.ndarray, row_stacks: list, value_stacks: list,
                        config: SolverConfig | None,
                        cache_budget: int) -> GridGenerator:
     """A built grid generator holding a document's checked entries
-    (:func:`_read_entries`); grid points the document lacks (they failed to
-    solve) keep a failed placeholder: uniform rows, zero values, an
-    infinite residual and the status ``not_in_policy``."""
+    (:func:`_read_entries`, ``keys`` its stacked beliefs); an entry belongs
+    to the grid point its belief rounds to, as an exact entry does, and
+    grid points the document lacks (they failed to solve) keep a failed
+    placeholder: uniform rows, zero values, an infinite residual and the
+    status ``not_in_policy``."""
     generator = GridGenerator(spec, config, resolution, cache_budget)
-    index = {belief_key(row): idx for idx, row in enumerate(generator.grid)}
-    for t, key, *_ in fields:
-        if key not in index:
+    index = {key: idx for idx, key in enumerate(_key_bytes(generator.grid))}
+    points = [index.get(key) for key in _key_bytes(keys)]
+    for (t, key, *_), idx in zip(fields, points):
+        if idx is None:
             raise ValueError(f"policy entry at stage {t}, belief {list(key)} is "
                              f"not a point of the resolution-{resolution} grid")
-    points = np.array([index[f[1]] for f in fields], dtype=np.intp)
+    points = np.array(points, dtype=np.intp)
     stages = np.array([f[0] for f in fields], dtype=np.intp)
     entries = _entry_table(fields, row_stacks, value_stacks, generator._metas)
     missing = generator._metas.id_of(("not_in_policy", None, None, None, ()))

@@ -76,7 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--damping", type=float, default=0.5,
                        help="best-response damping step in (0, 1] (default 0.5)")
     group.add_argument("--restarts", type=int, default=8,
-                       help="random restarts per stage point (default 8)")
+                       help="random restarts per stage point, run only where "
+                            "support enumeration leaves the point open "
+                            "(default 8)")
     group.add_argument("--seed", type=int, default=0,
                        help="seed for restarts and simulation (default 0)")
     group.add_argument("--enum-limit", type=int, default=12,

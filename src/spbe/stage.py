@@ -14,13 +14,19 @@ Solution phases, tried in order and recorded in the result:
 
 1. damped best-response iteration from the uniform prescription;
 2. a scan of all pure agent profiles in lexicographic order;
-3. damped best-response iteration from seeded Dirichlet restarts;
-4. exhaustive support enumeration (small games only): for each support
+3. exhaustive support enumeration (small games only): for each support
    profile, solve the indifference system with continuation values frozen,
    refresh the freeze, and accept when the unfrozen residual clears the
    tolerance. For one or two players the frozen system is linear and
    solved by least squares; with three or more players it is multilinear
-   and handed to a root finder.
+   and handed to a root finder;
+4. damped best-response iteration from seeded Dirichlet restarts, only at
+   points that enumeration left open or was too large to run at.
+
+The cheap exact search runs before the random one: at a point where the
+first iteration stalls, seeded restarts of the same iteration almost
+always stall too, and below the last stage each of their iterations
+makes the lookup solve posteriors that no history reads.
 
 Types whose current marginal is numerically zero take no part in the
 fixed point. Their rows are filled in afterwards as best responses under
@@ -34,11 +40,11 @@ through one contract, :data:`Lookup`: posterior weights in, every
 player's stage-(t+1) values out, or ``None`` past the horizon. Both
 modes pass their generator's stage-(t+1) lookup: a belief grid snaps to
 its table, exact mode solves each posterior it is asked for.
-:func:`solve_stage` runs phases 1-3 in rounds over the points of a batch
-that are still open, and phase 4 point by point. With no lookup (the
-last stage) a point's solve has no side effects, so all its restarts run
-at once and are kept in restart order, as a serial loop would keep them;
-:func:`solve_stage_fixed_point` is its batch of one.
+:func:`solve_stage` runs phases 1, 2 and 4 in rounds over the points of
+a batch that are still open, and phase 3 point by point. With no lookup
+(the last stage) a point's solve has no side effects, so all its
+restarts run at once and are kept in restart order, as a serial loop
+would keep them; :func:`solve_stage_fixed_point` is its batch of one.
 """
 
 from __future__ import annotations
@@ -712,11 +718,12 @@ def solve_stage(
 ) -> list[StageSolution]:
     """Search for a stage-t equilibrium prescription at every belief.
 
-    Runs the phases of the module docstring in rounds over the points
+    Runs the phases of the module docstring in order over the points
     still open: phase 1 once, round k of the pure scan on each open
-    point's k-th pure profile, restart r as one iteration (with no
-    ``lookup``, every restart as one, kept in restart order), and support
-    enumeration point by point. In every phase a candidate whose residual
+    point's k-th pure profile, support enumeration point by point, then
+    restart r as one iteration (with no ``lookup``, every restart as one,
+    kept in restart order); a point that enumeration closes draws no
+    restart start. In every phase a candidate whose residual
     over positive-marginal agents is at most ``config.fp_tol`` closes its
     point; a failing one becomes the point's fallback only if its residual
     is strictly lower. A point tries the same candidates in the same order
@@ -755,6 +762,20 @@ def solve_stage(
         keep(points, rows, _check(ev.take(points), rows),
              ("converged", "pure_scan", None, None))
 
+    enumeration_ran = config.support_enumeration_limit >= sum(
+        nt * na for nt, na in zip(spec.type_counts, spec.action_counts))
+    for b in still_open() if enumeration_ran else ():
+        point = ev.take([b])
+        for profile in _support_profiles(point):
+            candidate = _solve_support(point, profile, config)
+            if candidate is None:
+                continue
+            rows = _batch_rows(candidate)
+            keep(np.array([b]), rows, _check(point, rows),
+                 ("converged", "support_enumeration", None, profile))
+            if outcome[b]:
+                break
+
     rngs = {b: _point_rng(config, t, ev.beliefs[b]) for b in still_open()}
     # with no lookup a solve has no side effects, so every restart of the
     # open points runs in one iteration, kept restart by restart as if run
@@ -776,20 +797,6 @@ def solve_stage(
             block = np.flatnonzero(live) + r * points.size
             keep(points[live], [x[block] for x in rows], res[block],
                  ("converged", "iteration", restart, None))
-
-    enumeration_ran = config.support_enumeration_limit >= sum(
-        nt * na for nt, na in zip(spec.type_counts, spec.action_counts))
-    for b in still_open() if enumeration_ran else ():
-        point = ev.take([b])
-        for profile in _support_profiles(point):
-            candidate = _solve_support(point, profile, config)
-            if candidate is None:
-                continue
-            rows = _batch_rows(candidate)
-            keep(np.array([b]), rows, _check(point, rows),
-                 ("converged", "support_enumeration", None, profile))
-            if outcome[b]:
-                break
 
     failed = ("no_fixed_point" if enumeration_ran else "max_iterations",
               None, None, None)

@@ -545,8 +545,8 @@ def policy_entries_fault(entries, spec) -> str | None:
 def solve_stage_serial(spec, t, pi, config):
     """The stage solver's search at one belief with no lookup, every phase
     and every restart run in turn: phase 1, the pure scan in lexicographic
-    order, restart r from the point's own generator's r-th draws, then
-    support enumeration; the first candidate that clears ``fp_tol``
+    order, support enumeration, then restart r from the point's own
+    generator's r-th draws; the first candidate that clears ``fp_tol``
     closes the point, and a failing one is kept if strictly better.
     Returns (status, method, restart index, support profile, rows,
     values, residual) of the finalized point."""
@@ -566,12 +566,6 @@ def solve_stage_serial(spec, t, pi, config):
         for k in range(math.prod(spec.action_counts[i] for i, _ in agents)):
             rows = stage._pure_rows(ev, [agents], k)
             yield rows, stage._check(ev, rows)[0], ("pure_scan", None, None)
-        rng = stage._point_rng(config, t, pi)
-        for restart in range(1, config.restarts):
-            starts = [rng.dirichlet(np.ones(na), size=nt)[None]
-                      for nt, na in zip(spec.type_counts, spec.action_counts)]
-            rows, res, _ = stage._iterate_batch(ev, starts, config)
-            yield rows, res[0], ("iteration", restart, None)
         if enumerated:
             for profile in stage._support_profiles(ev):
                 gamma = stage._solve_support(ev, profile, config)
@@ -579,6 +573,12 @@ def solve_stage_serial(spec, t, pi, config):
                     rows = stage._batch_rows(gamma)
                     yield (rows, stage._check(ev, rows)[0],
                            ("support_enumeration", None, profile))
+        rng = stage._point_rng(config, t, pi)
+        for restart in range(1, config.restarts):
+            starts = [rng.dirichlet(np.ones(na), size=nt)[None]
+                      for nt, na in zip(spec.type_counts, spec.action_counts)]
+            rows, res, _ = stage._iterate_batch(ev, starts, config)
+            yield rows, res[0], ("iteration", restart, None)
 
     for rows, res, how in ([] if found else candidates()):
         if res <= config.fp_tol or res < best_res:

@@ -130,9 +130,11 @@ def test_monotone_cache_and_reproducible_key_set():
 
 
 def test_exact_solve_counts():
-    # the stage-(t+1) beliefs an exact solve asks for, counted per stage
+    # the stage-(t+1) beliefs an exact solve asks for, counted per stage:
+    # the root closes in support enumeration, whose freeze refreshes ask
+    # for fewer posteriors than the seven failed restarts did before it
     assert solve(instances.signaling_pennies_instance()).generator.solve_counts == \
-        {1: 1, 2: 891}
+        {1: 1, 2: 165}
     assert solve(instances.dominant_types_instance()).generator.solve_counts == \
         {1: 1, 2: 109}
 
@@ -315,8 +317,8 @@ def test_nearest_grid_index():
                                [0.25, 0.75])
 
 
-def _build_grid(spec, resolution=3):
-    gen = GridGenerator(spec, SolverConfig(), resolution=resolution)
+def _build_grid(spec, resolution=3, config=None):
+    gen = GridGenerator(spec, config or SolverConfig(), resolution=resolution)
     gen.build()
     return gen
 
@@ -338,18 +340,24 @@ def test_grid_batched_matches_per_point():
     that belief against the same stage-(t+1) table, and the build's snap
     bound is the one the per-point solves see. The games cover a pure-scan
     point (coordination), one player, three players with a failed point,
-    a point that converges on a restart (``random_instance(13)``), and
-    types != actions with support enumeration."""
+    ``random_instance(13)``, whose points close before any restart, and
+    points that converge on a restart: ``random_instance(18)``'s after
+    support enumeration left it open, and ``random_instance(13)``'s with
+    enumeration off, beside a failed point; and types != actions with
+    support enumeration."""
+    no_enumeration = SolverConfig(support_enumeration_limit=0)
     games = [
-        (instances.coordination_instance(), 3),
-        (instances.single_player_instance(), 4),
-        (instances.random_instance(1, players=3), 1),
-        (instances.random_instance(13), 2),
-        (instances.random_instance(1, types=3, actions=2), 1),
+        (instances.coordination_instance(), 3, SolverConfig()),
+        (instances.single_player_instance(), 4, SolverConfig()),
+        (instances.random_instance(1, players=3), 1, SolverConfig()),
+        (instances.random_instance(13), 2, SolverConfig()),
+        (instances.random_instance(18), 2, SolverConfig()),
+        (instances.random_instance(13), 2, no_enumeration),
+        (instances.random_instance(1, types=3, actions=2), 1, SolverConfig()),
     ]
     restarted = []
-    for spec, resolution in games:
-        gen = _build_grid(spec, resolution=resolution)
+    for spec, resolution, config in games:
+        gen = _build_grid(spec, resolution, config)
         restarted += [sol for table in gen.tables.values() for sol in table
                       if sol.method == "iteration" and sol.restart_index > 0]
         max_snap = 0.0
@@ -366,7 +374,7 @@ def test_grid_batched_matches_per_point():
             lookup = snap_lookup if t < spec.horizon else None
             for idx, batched in enumerate(gen.tables[t]):
                 pi = Belief(gen.grid[idx], spec.type_counts)
-                alone = solve_stage_fixed_point(spec, t, pi, lookup, SolverConfig())
+                alone = solve_stage_fixed_point(spec, t, pi, lookup, config)
                 assert (alone.method, alone.restart_index, alone.status) == \
                     (batched.method, batched.restart_index, batched.status)
                 for i in range(spec.num_players):
@@ -375,7 +383,8 @@ def test_grid_batched_matches_per_point():
                     np.testing.assert_allclose(alone.values[i], batched.values[i],
                                                rtol=0, atol=1e-12)
         assert gen.snap_stats == {"queries": 0, "max_snap_l1": max_snap}
-    assert restarted
+    assert {(sol.restart_index, sol.status) for sol in restarted} == \
+        {(6, "converged"), (1, "converged")}
     methods = {sol.method for sol in gen.tables[1]}
     assert "support_enumeration" in methods
 
@@ -1114,6 +1123,30 @@ def test_loaded_exact_entries_answer_to_their_rounded_key():
     assert _load_error(spec, twice) == oracles.policy_entries_fault(
         twice["entries"], spec) == (
         f"policy entry 2: stage 1 and belief {belief} repeat policy entry 0")
+
+
+def test_loaded_grid_entries_answer_to_their_rounded_key():
+    """A grid policy entry belongs to the grid point its belief rounds to,
+    as an exact entry does: the reference game's resolution-3 entry at
+    (1/3, 1/3, 1/3, 0) moved by 1e-12 on two weights loads as that point,
+    and a belief that rounds to no grid point is still refused."""
+    spec = instances.reference_instance()
+    doc = policy_document(solve(spec, mode="grid", resolution=3))
+    k = next(k for k, e in enumerate(doc["entries"])
+             if e["t"] == 1 and e["belief"] == [0.333333333] * 3 + [0.0])
+    moved = json.loads(render_report(doc))
+    moved["entries"][k]["belief"][0] += 1e-12
+    moved["entries"][k]["belief"][1] -= 1e-12
+    assert moved["entries"][k]["belief"] != doc["entries"][k]["belief"]
+    assert policy_document(SolveResult(spec, "grid", SolverConfig(),
+                                       load_policy(moved, spec), "ok",
+                                       resolution=3)) == doc
+
+    off = json.loads(render_report(doc))
+    off["entries"][k]["belief"] = belief = [0.334, 0.333, 0.333, 0.0]
+    assert _load_error(spec, off) == (
+        f"policy entry at stage 1, belief {belief} is not a point of the "
+        "resolution-3 grid")
 
 
 def _refuse_solutions(monkeypatch):

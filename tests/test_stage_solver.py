@@ -158,6 +158,38 @@ def test_no_fixed_point_when_enumeration_exhausts(monkeypatch):
     assert sol.status == "no_fixed_point"
 
 
+@pytest.mark.parametrize("lookup", [None, 0.25], ids=["last_stage", "lookup"])
+def test_enumeration_closes_points_before_any_restart(monkeypatch, lookup):
+    """Support enumeration runs before the restarts: a point it closes
+    never seeds a restart generator, in a batch or alone, with or without
+    a lookup. With enumeration off the same points do seed one each."""
+    seeded = []
+    point_rng = stage._point_rng
+    monkeypatch.setattr(stage, "_point_rng",
+                        lambda config, t, pi: seeded.append(pi.key)
+                        or point_rng(config, t, pi))
+    spec = instances.random_instance(23)
+    rng = np.random.default_rng(23)
+    points = [Belief(w, spec.type_counts)
+              for w in rng.dirichlet(np.ones(spec.num_joint_types), size=12)]
+    if lookup is not None:
+        lookup = _constant_lookup(spec, lookup)
+    batched = stage.solve_stage(spec, spec.horizon, points, lookup,
+                                SolverConfig())
+    enumerated = [pi.key for pi, sol in zip(points, batched)
+                  if sol.method == "support_enumeration"]
+    assert enumerated and all(sol.converged for sol in batched)
+    pennies = instances.asymmetric_pennies_instance()
+    alone = _solve(pennies, lookup=None if lookup is None
+                   else _constant_lookup(pennies, 0.25))
+    assert alone.method == "support_enumeration"
+    assert seeded == []
+    off = stage.solve_stage(spec, spec.horizon, points, lookup,
+                            SolverConfig(support_enumeration_limit=0))
+    assert seeded == enumerated
+    assert all(sol.method != "support_enumeration" for sol in off)
+
+
 def test_pure_scan_phase(monkeypatch):
     # with iteration disabled the zero-reward game falls to the pure scan,
     # whose first lexicographic profile is already a fixed point
@@ -334,10 +366,10 @@ def test_evaluator_posteriors_equal_update():
 def test_batched_restarts_keep_the_serial_order(seed, beliefs, config):
     """With no lookup every restart of the open points runs as one batch,
     and each point keeps what a loop over its restarts in turn keeps.
-    ``random_instance(23)``'s last stage: points that fail every restart
-    and close in support enumeration, beside phase-1 points. Seed 18 with
-    a loose tolerance and heavy damping: points that close at restarts 2,
-    6 and 7, and one that fails all of them."""
+    ``random_instance(23)``'s last stage: points that close in support
+    enumeration before any restart, beside phase-1 points. Seed 18 with
+    enumeration off, a loose tolerance and heavy damping: points that
+    close at restarts 2, 6 and 7, and one that fails all of them."""
     spec = instances.random_instance(seed)
     rng = np.random.default_rng(seed)
     points = [Belief(w, spec.type_counts)

@@ -25,14 +25,24 @@ storing points at both later stages (``random_instance(6, horizon=3)``
 with support enumeration off, which stops at stage 2), an exact and a
 grid solve refused by their cache budget, and a partial grid.
 
+With ``--outcomes`` it prints instead one line per game of the guard set:
+the solve status, the certificate's ``all_checks_ok`` and ``max_gain``
+(``-`` where the solve left no generator), and a digest of the root
+prescription (``-`` where there is no root), then a count of ok solves
+and of ``all_checks_ok``. A behaviour change lists its before and after
+counts from these, and which games moved.
+
 Usage, from the repository root::
 
     python tools/compare_outputs.py SRC            # digest lines of one tree
     python tools/compare_outputs.py OLD_SRC NEW_SRC
+    python tools/compare_outputs.py --outcomes SRC
+    python tools/compare_outputs.py --outcomes OLD_SRC NEW_SRC
 
 SRC is a ``src`` directory holding the ``spbe`` package. Given two, each
-tree is dumped in its own process and the items whose digests differ are
-listed; the exit status is 1 if any differ, else 0.
+tree is dumped in its own process and the items (or, with ``--outcomes``,
+the games) whose lines differ are listed; the exit status is 1 if any
+differ, else 0.
 """
 
 from __future__ import annotations
@@ -145,13 +155,44 @@ def _items(spbe, spec, mode, resolution, options):
             yield f"{which}.snap_stats", lambda w=which: snap_stats(w)
 
 
-def dump(src: str) -> None:
-    """Print ``<game> <item> <sha256>`` for every item of the guard set."""
+def _outcome(spbe, spec, mode, resolution, options) -> str:
+    """``status=… all_checks_ok=… max_gain=… root=…`` of one game."""
+    result = spbe.solve(spec, mode=mode, resolution=resolution or 10, **options)
+    checks = gain = "-"
+    if result.generator is not None:
+        try:
+            cert = spbe.run_certification(
+                spec, spbe.EquilibriumPolicy(spec, result.generator))
+            checks, gain = cert["all_checks_ok"], repr(cert["max_gain"])
+        except Exception as err:   # recorded: a change may not alter it
+            checks = gain = f"error:{type(err).__name__}"
+    root = "-"
+    if result.root is not None:
+        root = hashlib.sha256(b"".join(
+            r.tobytes() for r in result.root.prescription.rows)).hexdigest()[:16]
+    return (f"status={result.status} all_checks_ok={checks} max_gain={gain} "
+            f"root={root}")
+
+
+def _counts(lines: list[str]) -> str:
+    return (f"{len(lines)} games, {sum(' status=ok ' in l for l in lines)} ok, "
+            f"{sum(' all_checks_ok=True ' in l for l in lines)} all_checks_ok")
+
+
+def dump(src: str, outcomes: bool = False) -> None:
+    """Print ``<game> <item> <sha256>`` for every item of the guard set,
+    or with ``outcomes`` ``<game> <outcome>`` for every game and then
+    their counts."""
     sys.path.insert(0, src)
     import spbe
     import spbe.forward
 
+    lines = []
     for name, spec, mode, resolution, options in _games(spbe):
+        if outcomes:
+            lines.append(f"{name} {_outcome(spbe, spec, mode, resolution, options)}")
+            print(lines[-1], flush=True)
+            continue
         for item, make in _items(spbe, spec, mode, resolution, options):
             try:
                 text = make()
@@ -159,32 +200,47 @@ def dump(src: str) -> None:
                 text = f"error {type(err).__name__}: {err}"
             digest = hashlib.sha256(text.encode()).hexdigest()
             print(f"{name} {item} {digest}", flush=True)
+    if outcomes:
+        print(_counts(lines))
 
 
-def _dump_lines(src: str) -> list[str]:
-    out = subprocess.run([sys.executable, __file__, src],
+def _dump_lines(src: str, outcomes: bool) -> list[str]:
+    out = subprocess.run([sys.executable, __file__, src,
+                          *(["--outcomes"] if outcomes else [])],
                          capture_output=True, text=True, check=True)
-    return out.stdout.splitlines()
+    lines = out.stdout.splitlines()
+    return lines[:-1] if outcomes else lines   # the counts, made again below
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="+", help="one or two src directories")
+    parser.add_argument("--outcomes", action="store_true",
+                        help="one outcome line per game instead of item digests")
     args = parser.parse_args(argv)
     if len(args.src) == 1:
-        dump(args.src[0])
+        dump(args.src[0], args.outcomes)
         return 0
     if len(args.src) != 2:
         parser.error("give one or two src directories")
     with ThreadPoolExecutor(2) as pool:
-        old, new = pool.map(_dump_lines, args.src)
-    old_items = {line.rsplit(" ", 1)[0]: line for line in old}
-    new_items = {line.rsplit(" ", 1)[0]: line for line in new}
+        old, new = pool.map(lambda src: _dump_lines(src, args.outcomes), args.src)
+    # an item is a line's game and item name; an outcome's, its game
+    split = (lambda line: line.split(" ", 1)[0]) if args.outcomes else \
+        (lambda line: line.rsplit(" ", 1)[0])
+    old_items = {split(line): line for line in old}
+    new_items = {split(line): line for line in new}
     differ = [item for item in dict.fromkeys([*old_items, *new_items])
               if old_items.get(item) != new_items.get(item)]
     for item in differ:
-        print(f"differs: {item}")
-    print(f"{len(old_items)} items, {len(differ)} differ")
+        if args.outcomes:
+            print(f"differs: {old_items.get(item)}\n    now: {new_items.get(item)}")
+        else:
+            print(f"differs: {item}")
+    if args.outcomes:
+        print(f"before: {_counts(old)}\nafter:  {_counts(new)}")
+    print(f"{len(old_items)} {'games' if args.outcomes else 'items'}, "
+          f"{len(differ)} differ")
     return 1 if differ else 0
 
 
