@@ -45,6 +45,9 @@ a batch that are still open, and phase 3 point by point. With no lookup
 (the last stage) a point's solve has no side effects, so all its
 restarts run at once and are kept in restart order, as a serial loop
 would keep them; :func:`solve_stage_fixed_point` is its batch of one.
+The last stage's continuation is zero, so there it computes no
+continuation terms at all: no masses, reach flags, fetched values or
+support refreshes, which gives the same bits as adding zeros would.
 """
 
 from __future__ import annotations
@@ -166,6 +169,8 @@ class StageEvaluator:
     of each (A_i, A_{-i}) position. Sums over the others run in index
     order, so values do not depend on the batch they were computed in.
     Agents whose type has (numerically) zero marginal are inactive.
+    Past the horizon (the last stage, no lookup) there is no ``C_i``:
+    Q is the stage reward alone and no ``mass_i`` is computed.
     """
 
     def __init__(self, spec: GameSpec, t: int, beliefs: Sequence[Belief],
@@ -206,6 +211,7 @@ class StageEvaluator:
             self.cond.append(cond)
             self.corner.append(degenerate)
         self.active = [~m for m in self.corner]
+        self._agents: dict[bool, list[list[tuple[int, int]]]] = {}
 
     @property
     def size(self) -> int:
@@ -213,12 +219,15 @@ class StageEvaluator:
 
     def agents(self, corner: bool = False) -> list[list[tuple[int, int]]]:
         """Per batch point, its active agents (zero-marginal ones with
-        ``corner``), by player and then type."""
-        out = [[] for _ in range(self.size)]
-        for i, m in enumerate(self.corner if corner else self.active):
-            for b, xi in zip(*(idx.tolist() for idx in np.nonzero(m))):
-                out[b].append((i, xi))
-        return out
+        ``corner``), by player and then type. Computed once per evaluator;
+        callers share the lists and must not change them."""
+        if corner not in self._agents:
+            out = [[] for _ in range(self.size)]
+            for i, m in enumerate(self.corner if corner else self.active):
+                for b, xi in zip(*(idx.tolist() for idx in np.nonzero(m))):
+                    out[b].append((i, xi))
+            self._agents[corner] = out
+        return self._agents[corner]
 
     def take(self, idx) -> "StageEvaluator":
         """The evaluator at the batch points ``idx``, in that order; a point
@@ -232,6 +241,7 @@ class StageEvaluator:
         out.cond = [c[idx] for c in self.cond]
         out.active = [m[idx] for m in self.active]
         out.corner = [m[idx] for m in self.corner]
+        out._agents = {}
         return out
 
     def posteriors(self, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -239,24 +249,32 @@ class StageEvaluator:
         they moved off the prior (see :func:`posterior_weights`)."""
         like = None
         for r, g in zip(rows, self._g):
-            factor = np.take(r.reshape(r.shape[0], -1), g, axis=1)
+            factor = r.reshape(r.shape[0], -1).take(g, axis=1)
             like = factor if like is None else like * factor
         return posterior_weights(self.weights[:, None, :], like)
 
-    def agent_weights(self, rows) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(W_i, mass_i)`` for every player i, mass_i as (B, A_i, A_{-i}, T_i)."""
+    def agent_weights(self, rows, mass: bool = True
+                      ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+        """``(W_i, mass_i)`` for every player i, mass_i as (B, A_i, A_{-i},
+        T_i); without ``mass`` (no continuation to weigh) it is ``None``."""
         flat = [r.reshape(r.shape[0], -1) for r in rows]
         out = []
         for i, g_of in enumerate(self._g_of):
-            others = 1.0
+            others = None
             for j, g in g_of.items():
-                others = others * np.take(flat[j], g, axis=1)
-            w = np.broadcast_to(self.cond[i][:, None, None] * others,
-                                (len(flat[0]),) + self._w_shape[i])
-            mass = np.zeros(w.shape[:4])
-            for k in range(w.shape[4]):
-                mass += w[..., k]
-            out.append((w, mass))
+                factor = flat[j].take(g, axis=1)
+                others = factor if others is None else others * factor
+            if others is None:   # one player: nobody else to weigh by
+                w = np.broadcast_to(self.cond[i][:, None, None],
+                                    (len(flat[0]),) + self._w_shape[i])
+            else:
+                w = self.cond[i][:, None, None] * others
+            mass_i = None
+            if mass:
+                mass_i = np.zeros(w.shape[:4])
+                for k in range(w.shape[4]):
+                    mass_i += w[..., k]
+            out.append((w, mass_i))
         return out
 
     def reach(self, weights) -> list[np.ndarray]:
@@ -265,26 +283,39 @@ class StageEvaluator:
         return [(mass > 0.0).reshape(mass.shape[0], -1, mass.shape[3])
                 for _, mass in weights]
 
-    def q(self, weights, values) -> list[np.ndarray]:
+    def q(self, weights, values=None) -> list[np.ndarray]:
         """``Q_i[b, x_i, a_i]`` for every player, given ``values[i]`` =
-        ``C_i[b, a, x_i]``."""
+        ``C_i[b, a, x_i]``; with no ``values`` (past the horizon) Q is the
+        stage reward alone.
+
+        Every sum runs term by term in index order, starting from its
+        first term rather than from +0.0. The two ways differ only in the
+        sign of a zero, so the one ``+ 0.0`` at the end gives each Q the
+        bits of index-order sums from +0.0. For the same reason neither
+        the sign of a zero term (``W_i * R_i`` is -0.0 off path where a
+        reward is negative) nor a skipped zero continuation term changes
+        a bit of Q.
+        """
         out = []
-        for (w, mass), r, order, c in zip(weights, self._r, self.order, values):
+        for i, ((w, mass), r) in enumerate(zip(weights, self._r)):
             terms = w * r
-            stage = np.zeros(mass.shape)
-            for k in range(terms.shape[4]):
-                stage += terms[..., k]
-            cont = mass * self.spec.discount * np.take(c, order, axis=1).reshape(mass.shape)
-            total = np.zeros(mass.shape[:2] + mass.shape[3:])
-            for k in range(mass.shape[2]):
-                total += stage[:, :, k]
-                total += cont[:, :, k]
-            out.append(np.ascontiguousarray(total.transpose(0, 2, 1)))
+            stage = terms[..., 0]
+            for k in range(1, terms.shape[4]):
+                stage = stage + terms[..., k]
+            if values is not None:
+                cont = mass * self.spec.discount * values[i].take(
+                    self.order[i], axis=1).reshape(mass.shape)
+            total = None
+            for k in range(stage.shape[2]):
+                total = stage[:, :, k] if total is None else total + stage[:, :, k]
+                if values is not None:
+                    total = total + cont[:, :, k]
+            out.append(np.add(total.transpose(0, 2, 1), 0.0, order="C"))
         return out
 
     def weighted_payoffs(self, i: int, values: np.ndarray) -> np.ndarray:
         """``cond_i * (R_i + discount * C_i)`` in player i's layout."""
-        cont = np.take(values, self.order[i], axis=1).reshape(
+        cont = values.take(self.order[i], axis=1).reshape(
             values.shape[:1] + self._w_shape[i][:3])[..., None]
         return self.cond[i][:, None, None] * (self._r[i] + self.spec.discount * cont)
 
@@ -292,13 +323,14 @@ class StageEvaluator:
 class _Candidate:
     """One candidate prescription at every batch point, with the
     stage-(t+1) values ``values[i][b, a, x_i]`` of its posteriors, fetched
-    as agents need them."""
+    as agents need them; past the horizon (no lookup) there are none and
+    ``values`` is ``None``."""
 
     def __init__(self, ev: StageEvaluator, rows):
         self.ev = ev
         self.rows = rows
-        self.values = [np.zeros((ev.size, ev.num_joint_actions, c))
-                       for c in ev.type_counts]
+        self.values = None if ev.lookup is None else [
+            np.zeros((ev.size, ev.num_joint_actions, c)) for c in ev.type_counts]
         self._posteriors = None
 
     def fill(self, reach, agents) -> None:
@@ -309,9 +341,6 @@ class _Candidate:
         (exact mode) meets the stage-(t+1) beliefs in a fixed order.
         Values fetched by an earlier call are fetched again, and come out
         the same."""
-        lookup = self.ev.lookup
-        if lookup is None:
-            return
         if reach is None:
             need = np.ones(self.values[0].shape[:2], dtype=bool)
         else:
@@ -324,13 +353,16 @@ class _Candidate:
                 self._posteriors = self.ev.posteriors(self.rows)[0]
             post = self._posteriors[b, a]
             post.setflags(write=False)   # beliefs made from its rows share them
-            for vals, got in zip(self.values, lookup(post)):
+            for vals, got in zip(self.values, self.ev.lookup(post)):
                 vals[b, a] = got
 
 
 def _evaluate(ev: StageEvaluator, rows, agents, cand: _Candidate) -> list[np.ndarray]:
     """Q of every agent when play follows ``rows`` and continuations are
-    those of ``cand``'s posteriors, fetched for the agents in ``agents``."""
+    those of ``cand``'s posteriors, fetched for the agents in ``agents``.
+    A candidate without values needs no masses, reach flags or fetch."""
+    if cand.values is None:
+        return ev.q(ev.agent_weights(rows, mass=False))
     weights = ev.agent_weights(rows)
     cand.fill(ev.reach(weights), agents)
     return ev.q(weights, cand.values)
@@ -344,40 +376,45 @@ def _batch_rows(gamma: Prescription) -> list[np.ndarray]:
 # Best-response iteration
 # ---------------------------------------------------------------------------
 
-def _residual(q, rows, agents) -> np.ndarray:
+def _top(q) -> list[np.ndarray]:
+    """Per player, every agent's best action value, as a trailing axis of
+    one; :func:`_residual` and :func:`_apply_br` share it."""
+    return [np.maximum.reduce(qi, axis=-1, keepdims=True) for qi in q]
+
+
+def _residual(q, top, rows, agents) -> np.ndarray:
     """Per batch point, the largest best-response gap over ``agents``."""
     worst = np.zeros(q[0].shape[0])
-    for qi, ri, mi in zip(q, rows, agents):
-        gap = qi.max(axis=-1) - (ri * qi).sum(axis=-1)
-        worst = np.maximum(worst, np.where(mi, gap, 0.0).max(axis=-1))
+    for qi, ti, ri, mi in zip(q, top, rows, agents):
+        gap = ti[..., 0] - np.add.reduce(ri * qi, axis=-1)
+        np.maximum(worst, np.maximum.reduce(np.where(mi, gap, 0.0), axis=-1),
+                   out=worst)
     return worst
 
 
-def _br_rows(q) -> list[np.ndarray]:
+def _apply_br(rows, q, top, agents, step: float) -> list[np.ndarray]:
+    """Move the rows of ``agents`` by ``step`` toward their best responses,
+    ties mixed uniformly."""
     out = []
-    for qi in q:
-        ties = qi >= qi.max(axis=-1, keepdims=True) - TIE_TOL
-        out.append(ties / ties.sum(axis=-1, keepdims=True))
+    for r, qi, ti, m in zip(rows, q, top, agents):
+        ties = qi >= ti - TIE_TOL
+        target = ties / np.add.reduce(ties, axis=-1, keepdims=True)
+        out.append(np.where(m[..., None], (1.0 - step) * r + step * target, r))
     return out
-
-
-def _apply_br(rows, q, agents, step: float) -> list[np.ndarray]:
-    return [np.where(m[..., None], (1.0 - step) * r + step * target, r)
-            for r, target, m in zip(rows, _br_rows(q), agents)]
 
 
 def _check(ev: StageEvaluator, rows) -> np.ndarray:
     """Per batch point, the residual of the candidate ``rows``."""
     q = _evaluate(ev, rows, ev.active, _Candidate(ev, rows))
-    return _residual(q, rows, ev.active)
+    return _residual(q, _top(q), rows, ev.active)
 
 
-def _polish(ev: StageEvaluator, rows, q, res: np.ndarray):
+def _polish(ev: StageEvaluator, rows, q, top, res: np.ndarray):
     """Snap converged iterates to their own best-response profiles where
     that profile is at least as good. Strict equilibria then come out
     exactly pure instead of pure-up-to-damping-residue; interior points
     are left alone because their undamped best response is far from them."""
-    snapped = _apply_br(rows, q, ev.active, 1.0)
+    snapped = _apply_br(rows, q, top, ev.active, 1.0)
     snapped_res = _check(ev, snapped)
     better = snapped_res <= res
     return ([np.where(better[:, None, None], s, r) for s, r in zip(snapped, rows)],
@@ -397,36 +434,42 @@ def _iterate_batch(ev: StageEvaluator, rows, config: SolverConfig):
     cur = [np.array(r, dtype=float) for r in rows]
     best = [r.copy() for r in cur]
     best_res = np.full(ev.size, np.inf)
-    since = np.zeros(ev.size, dtype=np.int64)
     ok = np.zeros(ev.size, dtype=bool)
     live = np.arange(ev.size)
+    since = np.zeros(ev.size, dtype=np.int64)   # per live point
     sub = ev
     for _ in range(config.max_iterations):
-        if not live.size:
-            break
         q = _evaluate(sub, cur, sub.active, _Candidate(sub, cur))
-        res = _residual(q, cur, sub.active)
+        top = _top(q)
+        res = _residual(q, top, cur, sub.active)
         better = res < best_res[live] - 1e-12
-        for b_rows, c_rows in zip(best, cur):
-            b_rows[live[better]] = c_rows[better]
-        best_res[live[better]] = res[better]
-        since[live] = np.where(better, 0, since[live] + 1)
+        if better.any():
+            improved = live[better]
+            for b_rows, c_rows in zip(best, cur):
+                b_rows[improved] = c_rows[better]
+            best_res[improved] = res[better]
+        since = np.where(better, 0, since + 1)
         conv = res <= config.fp_tol
         if conv.any():
             k = np.flatnonzero(conv)
             polished, polished_res = _polish(
-                sub.take(k), [c[k] for c in cur], [qi[k] for qi in q], res[k])
+                sub.take(k), [c[k] for c in cur], [qi[k] for qi in q],
+                [ti[k] for ti in top], res[k])
             for b_rows, p_rows in zip(best, polished):
                 b_rows[live[k]] = p_rows
             best_res[live[k]] = polished_res
             ok[live[k]] = True
-        go_on = ~conv & (since[live] <= STALL_WINDOW)
-        cur = _apply_br(cur, q, sub.active, config.damping)
+        go_on = ~conv & (since <= STALL_WINDOW)
         if not go_on.all():
             keep = np.flatnonzero(go_on)
+            if not keep.size:   # no point needs its next iterate
+                break
             cur = [c[keep] for c in cur]
+            q = [qi[keep] for qi in q]
+            top = [ti[keep] for ti in top]
             sub = sub.take(keep)
-            live = live[keep]
+            live, since = live[keep], since[keep]
+        cur = _apply_br(cur, q, top, sub.active, config.damping)
     return best, best_res, ok
 
 
@@ -474,7 +517,10 @@ def _support_profiles(ev: StageEvaluator):
 
 def _freeze_continuations(ev: StageEvaluator, gamma: Prescription) -> list[np.ndarray]:
     """Continuation values ``C_i[0, a, x_i]`` of every active agent at every
-    joint action under candidate gamma (zero for inactive agents)."""
+    joint action under candidate gamma (zero for inactive agents, and for
+    every agent past the horizon)."""
+    if ev.lookup is None:
+        return [np.zeros((ev.size, ev.num_joint_actions, c)) for c in ev.type_counts]
     cand = _Candidate(ev, _batch_rows(gamma))
     cand.fill(None, ev.active)
     return [np.where(m[:, None, :], v, 0.0) for v, m in zip(cand.values, ev.active)]
@@ -515,41 +561,38 @@ def _solve_frozen_two_player(ev: StageEvaluator, profile_map: dict,
         # with two players the others' flat index of player `other` is
         # player `solved`'s own coordinate: coef[x_other, a_other, x_solved, a_solved]
         coef = ev.weighted_payoffs(other, frozen[other])[0].transpose(2, 0, 3, 1)
-        unknowns = [(xs, a) for xs in agents_of[solved]
-                    for a in profile_map[(solved, xs)]]
-        xs_idx = np.array([xs for xs, _ in unknowns])
-        as_idx = np.array([a for _, a in unknowns])
-        value_vars = agents_of[other]
-        equations = [(xo, ao) for xo in value_vars for ao in profile_map[(other, xo)]]
-        mat = np.zeros((len(equations) + len(agents_of[solved]),
-                        len(unknowns) + len(value_vars)))
-        for r, (xo, ao) in enumerate(equations):
-            mat[r, :len(unknowns)] = coef[xo, ao, xs_idx, as_idx]
-            mat[r, len(unknowns) + value_vars.index(xo)] = -1.0
-        for r, xs in enumerate(agents_of[solved]):
-            mat[len(equations) + r, :len(unknowns)] = xs_idx == xs
+        xs_idx, as_idx = np.array([(xs, a) for xs in agents_of[solved]
+                                   for a in profile_map[(solved, xs)]]).T
+        # one equation per (x_other, a_other) of the support, with the value
+        # of x_other (its position among the active types) as an unknown
+        xo_idx, ao_idx, vo_idx = np.array(
+            [(xo, ao, v) for v, xo in enumerate(agents_of[other])
+             for ao in profile_map[(other, xo)]]).T
+        nu, ne = xs_idx.size, xo_idx.size
+        mat = np.zeros((ne + len(agents_of[solved]), nu + len(agents_of[other])))
+        mat[:ne, :nu] = coef[xo_idx[:, None], ao_idx[:, None], xs_idx, as_idx]
+        mat[np.arange(ne), nu + vo_idx] = -1.0
+        # then one normalization per active type of `solved`
+        mat[ne:, :nu] = xs_idx == np.array(agents_of[solved])[:, None]
         vec = np.zeros(mat.shape[0])
-        vec[len(equations):] = 1.0
+        vec[ne:] = 1.0
         sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
         if not np.all(np.isfinite(sol)):
             return None
         scale = max(1.0, float(np.abs(vec).max()), float(np.abs(mat).max()))
         if float(np.abs(mat @ sol - vec).max()) > LSTSQ_CONSISTENCY_TOL * scale:
             return None
-        if np.any(sol[: len(unknowns)] < -1e-8):
+        if np.any(sol[:nu] < -1e-8):
             return None
-        rows[solved][...] = 0.0
-        for col, (xs, a) in enumerate(unknowns):
-            rows[solved][xs, a] = max(float(sol[col]), 0.0)
-        sums = rows[solved].sum(axis=1)
-        for xs in agents_of[solved]:
-            if sums[xs] <= 0:
-                return None
-            rows[solved][xs] /= sums[xs]
         # rows of types not active keep the uniform placeholder
-        for xs in range(ev.type_counts[solved]):
-            if xs not in agents_of[solved]:
-                rows[solved][xs] = 1.0 / ev.action_counts[solved]
+        act = agents_of[solved]
+        rows[solved][act] = 0.0
+        # as ``max(x, 0.0)``, which keeps -0.0 (``np.maximum`` does not)
+        rows[solved][xs_idx, as_idx] = np.where(sol[:nu] < 0.0, 0.0, sol[:nu])
+        sums = rows[solved][act].sum(axis=1)
+        if (sums <= 0).any():
+            return None
+        rows[solved][act] /= sums[:, None]
     return Prescription(tuple(rows))
 
 
@@ -636,6 +679,8 @@ def _solve_support(ev: StageEvaluator, profile, config: SolverConfig) -> Prescri
             solved = _solve_frozen_multi(ev, profile_map, frozen, gamma)
         if solved is None:
             return None
+        if ev.lookup is None:   # past the horizon nothing is frozen to drift
+            return solved
         refrozen = _freeze_continuations(ev, solved)
         drift = max(float(np.abs(new - old).max()) for new, old in zip(refrozen, frozen))
         if drift <= FREEZE_STABLE_TOL:
@@ -666,11 +711,11 @@ def _finalize_rows(ev: StageEvaluator, rows):
     """
     cand = _Candidate(ev, rows)
     corner_q = _evaluate(ev, rows, ev.corner, cand)
-    final = _apply_br(rows, corner_q, ev.corner, 1.0)
+    final = _apply_br(rows, corner_q, _top(corner_q), ev.corner, 1.0)
     q = _evaluate(ev, final, ev.active, cand)
     values = [(f * np.where(m[..., None], qa, qc)).sum(axis=-1)
               for f, m, qa, qc in zip(final, ev.active, q, corner_q)]
-    residual = _residual(q, final, ev.active)
+    residual = _residual(q, _top(q), final, ev.active)
     # solutions hold read-only views of these arrays rather than copies
     for arr in final + values:
         arr.setflags(write=False)

@@ -126,6 +126,27 @@ def q_vector_brute(spec, t, weights, rows, i, xi, value_fn):
     return q
 
 
+def q_index_order(ev, rows, values):
+    """``StageEvaluator.q`` of ``ev`` written as per-k loops: every agent's
+    sum over the others' types, then over the others' actions with the
+    continuation term after each, accumulated term by term in index order
+    from +0.0. ``values`` are the continuations ``C_i[b, a, x_i]``."""
+    out = []
+    for (w, mass), r, order, c in zip(ev.agent_weights(rows), ev._r, ev.order,
+                                      values):
+        terms = w * r
+        stage = np.zeros(mass.shape)
+        for k in range(terms.shape[4]):
+            stage += terms[..., k]
+        cont = mass * ev.spec.discount * np.take(c, order, axis=1).reshape(mass.shape)
+        total = np.zeros(mass.shape[:2] + mass.shape[3:])
+        for k in range(mass.shape[2]):
+            total += stage[:, :, k]
+            total += cont[:, :, k]
+        out.append(np.ascontiguousarray(total.transpose(0, 2, 1)))
+    return out
+
+
 def active_agents(spec, weights):
     """(player, type) pairs whose type has positive marginal mass."""
     type_dims = spec.type_counts

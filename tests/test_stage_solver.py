@@ -392,11 +392,16 @@ def test_batched_restarts_keep_the_serial_order(seed, beliefs, config):
 def test_evaluator_take_repeats_points():
     """``take`` gives the points asked for in that order, repeats
     included, even when as many are asked for as the batch holds; only
-    the batch's own order gives the evaluator itself."""
+    the batch's own order gives the evaluator itself. A taken evaluator
+    lists its own points' agents, not the ones its parent has cached."""
     spec = instances.random_instance(3)
     rng = np.random.default_rng(0)
-    ev = stage.StageEvaluator(
-        spec, 1, [Belief(w, spec.type_counts) for w in rng.dirichlet(np.ones(4), size=3)])
+    weights = rng.dirichlet(np.ones(4), size=3)
+    weights[2, [0, 1]] = 0.0   # player 0's type 0 has zero marginal
+    weights[2] /= weights[2].sum()
+    ev = stage.StageEvaluator(spec, 1, [Belief(w, spec.type_counts) for w in weights])
+    active, corner = ev.agents(), ev.agents(corner=True)
+    assert active[2] != active[0] and corner[2] != corner[0]
     assert ev.take([0, 1, 2]) is ev
     idx = [2, 2, 0]
     sub = ev.take(idx)
@@ -407,6 +412,81 @@ def test_evaluator_take_repeats_points():
                       (sub.corner, ev.corner)):
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w[idx])
+    assert sub.agents() == [active[k] for k in idx]
+    assert sub.agents(corner=True) == [corner[k] for k in idx]
+    assert ev.agents() is active and ev.agents(corner=True) is corner
+
+
+def test_evaluator_q_matches_its_index_order_loops():
+    """``q`` sums each agent's terms from the first one and adds 0.0 once
+    at the end; that gives the bits of per-k loops from +0.0 (the
+    oracle), on every corpus shape and the evaluator cases (one to three
+    players, zero-marginal types). So does ``q`` with no continuation
+    values, which skips the masses and the continuation term: it equals
+    Q with all-zero continuation arrays. Sparse rows make off-path terms
+    -0.0 where a reward is negative, and the values hold zeros of both
+    signs. The negated zero-reward game (a zero-sum game's zeros) makes
+    every term -0.0, where only the final ``+ 0.0`` keeps Q at +0.0."""
+    import dataclasses
+    from spbe.instances import corpus
+    rng = np.random.default_rng(12)
+    zero = instances.zero_reward_instance()
+    negated = dataclasses.replace(zero, rewards=tuple(-r for r in zero.rewards))
+    cases = [(spec, [Belief(w, spec.type_counts) for w in
+                     rng.dirichlet(np.ones(spec.num_joint_types), size=3)])
+             for spec in [*corpus().values(), negated]]
+    cases += [(spec, beliefs) for spec, beliefs, _ in _evaluator_cases()]
+    off_path_negative_zeros = 0
+    for spec, beliefs in cases:
+        ev = stage.StageEvaluator(spec, 1, beliefs)
+        rows = _sparse_rows(spec, rng, len(beliefs))
+        shapes = [(len(beliefs), spec.num_joint_actions, c) for c in spec.type_counts]
+        values = [rng.uniform(-1.0, 1.0, size=s) for s in shapes]
+        for v in values:
+            v[rng.random(v.shape) < 0.3] = -0.0
+            v[rng.random(v.shape) < 0.2] = 0.0
+        zeros = [np.zeros(s) for s in shapes]
+        bare = ev.agent_weights(rows, mass=False)
+        assert all(mass is None for _, mass in bare)
+        for got, vals in ((ev.q(ev.agent_weights(rows), values), values),
+                          (ev.q(ev.agent_weights(rows), zeros), zeros),
+                          (ev.q(bare), zeros)):
+            want = oracles.q_index_order(ev, rows, vals)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert all(g.flags.c_contiguous for g in got)
+        for (w, _), r in zip(bare, ev._r):
+            terms = w * r
+            off_path_negative_zeros += int(np.sum((terms == 0.0) & np.signbit(terms)
+                                                  & (r < 0.0)))
+    assert off_path_negative_zeros > 0
+
+
+@pytest.mark.parametrize("name", ["signaling_pennies", "random_23"])
+def test_last_stage_without_lookup_equals_a_zero_lookup(name):
+    """At the last stage, solving with no lookup (no continuation work, no
+    support refresh, restarts batched) gives what a lookup returning
+    zeros gives, byte for byte: rows, values, residual, status, method,
+    restart index and support profile."""
+    spec = (instances.signaling_pennies_instance() if name == "signaling_pennies"
+            else instances.random_instance(23))
+    rng = np.random.default_rng(23)
+    weights = rng.dirichlet(np.ones(spec.num_joint_types), size=12)
+    weights[0, [0, 1]] = 0.0   # a zero-marginal type of player 0
+    weights[0] /= weights[0].sum()
+    beliefs = [Belief(w, spec.type_counts) for w in weights]
+    bare = stage.solve_stage(spec, spec.horizon, beliefs, None)
+    zero = stage.solve_stage(spec, spec.horizon, beliefs, _constant_lookup(spec, 0.0))
+    for a, b in zip(bare, zero):
+        assert (a.status, a.method, a.restart_index, a.support_profile,
+                a.degenerate_types) == (b.status, b.method, b.restart_index,
+                                        b.support_profile, b.degenerate_types)
+        assert np.float64(a.residual).tobytes() == np.float64(b.residual).tobytes()
+        assert [r.tobytes() for r in a.prescription.rows] == \
+            [r.tobytes() for r in b.prescription.rows]
+        assert [v.tobytes() for v in a.values] == [v.tobytes() for v in b.values]
+    assert any(sol.degenerate_types for sol in bare)
+    if name == "random_23":
+        assert {sol.method for sol in bare} >= {"iteration", "support_enumeration"}
 
 
 def test_restart_draws_depend_on_the_store_key_alone():
