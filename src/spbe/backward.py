@@ -44,10 +44,12 @@ Points are kept as stacked arrays, not solution objects (a grid's
 
 A policy document holds the store's converged points. A load refuses a
 header whose mode is not ``exact`` with no resolution, or ``grid`` with
-an integer resolution of at least 1. It checks the entries against the game in one pass, each
-belief by the snap's rule (finite, non-negative weights summing to 1,
-allowing for the key's rounding); a document that fails it is read again
-entry by entry, and the per-entry checker alone words the error. An
+an integer resolution of at least 1. One checker reads the entries
+against the game, each check over all of them, each belief by the snap's
+rule (finite, non-negative weights summing to 1, allowing for the key's
+rounding). A sound document takes one pass; a failing one is bisected on
+its prefixes to the lowest bad entry, which the checker reads alone to
+word the error. An
 exact-mode document reloads as an ``ExactGenerator`` whose store holds the
 document's entries, each under its belief's key as a query rounds it, and
 solves, through the same store, any belief the document lacks; a
@@ -875,12 +877,6 @@ def policy_document(result: SolveResult) -> dict:
     return doc
 
 
-def _entry_shapes(spec: GameSpec) -> tuple[list[tuple], list[tuple]]:
-    """The shapes a policy entry's rows and values need, player by player."""
-    return (list(zip(spec.type_counts, spec.action_counts)),
-            [(c,) for c in spec.type_counts])
-
-
 def _bad_key(keys: np.ndarray) -> tuple[int, str] | None:
     """:func:`_bad_row` of a stack of policy belief keys, the snap's rule
     with the key's rounding allowed for. A key is a belief rounded to
@@ -894,132 +890,111 @@ def _bad_key(keys: np.ndarray) -> tuple[int, str] | None:
                     + keys.shape[1] * 0.5 * 10.0 ** -KEY_DIGITS)
 
 
-def _read_entries(raw: list, spec: GameSpec) -> tuple[list, np.ndarray, list,
-                                                     list]:
-    """A policy document's entries, checked against the game: per entry
-    (stage, belief key, rows, values, residual, method, restart index),
-    the belief keys stacked (E, X), and each player's rows and values
-    stacked over the entries.
+_ENTRY_FAULTS = (KeyError, TypeError, ValueError, OverflowError)
 
-    One pass decides whether every entry is sound. Python checks, entry by
-    entry, what needs no arrays: fields present, an integer stage (not a
-    bool) in range, belief length, number of players, status and residual.
-    The rows and values then become one read-only stack per player, each
-    built by one ``np.array`` call, whose shapes, finiteness and row rule
-    (:meth:`Prescription.batch`) are checked at once, as are the beliefs
-    (:func:`_bad_key`), and no two entries may share a stage and a belief
-    that round to one key (:func:`~spbe.beliefs.belief_key`).
-    If any check fails, the entries are read again one at a time by
-    :func:`_check_entry`, which alone words the error: the first entry it
-    rejects is the lowest bad one.
+
+def _check_entries(raw: list, spec: GameSpec) -> tuple:
+    """Policy entries checked against the game: their stages, belief keys
+    stacked (E, X), rows and values as :func:`_stack` gives them,
+    residuals, and (method, restart index) pairs.
+
+    The checks run in this order, each over all the entries (one loop
+    checks each entry's stage and belief length): the fields ``t`` and
+    ``belief``; rows and values as arrays; an integer stage; stage range;
+    belief length; a belief (:func:`_bad_key`); shapes; finite values;
+    status; the row rule of :class:`Prescription`; the residual; no earlier
+    entry at its stage with a belief of the same key. The first failing
+    check raises one of ``_ENTRY_FAULTS``, a ``KeyError`` for a missing
+    field; on a lone entry, that is its first fault.
     """
-    n, size = spec.num_players, spec.num_joint_types
-    fields = []
-    for entry in raw:
-        try:
-            t = int(entry["t"])
-            key = tuple(map(float, entry["belief"]))
-            rows, values = entry["rows"], entry["values"]
-            point = (t, key, rows, values, float(entry["residual"]),
-                     entry.get("method"), entry.get("restart_index"))
-            if not (t == entry["t"] and type(entry["t"]) is not bool
-                    and 1 <= t <= spec.horizon
-                    and len(key) == size and len(rows) == n and len(values) == n
-                    and entry["status"] == "converged"):
-                break
-        except (KeyError, TypeError, ValueError, OverflowError):
-            break   # named below, as the entry's own checks name it
-        fields.append(point)
-    if len(fields) == len(raw):
-        rows_need, values_need = _entry_shapes(spec)
-        keys = np.array([f[1] for f in fields]).reshape(-1, size)
-        try:
-            if _bad_key(keys):
-                raise ValueError("a belief is no belief")
-            row_stacks = checked_stacks(_stack([f[2] for f in fields], rows_need))
-            value_stacks = _stack([f[3] for f in fields], values_need)
-            if not all(np.isfinite(v).all() for v in value_stacks):
-                raise ValueError("values are not all finite")
-        except (TypeError, ValueError, OverflowError):
-            pass    # named below, by the lowest entry that fails alone
-        else:
-            points = set(zip((f[0] for f in fields), _key_bytes(keys)))
-            if len(points) == len(fields):
-                return fields, keys, row_stacks, value_stacks
-    seen: dict[tuple[int, BeliefKey], int] = {}
-    for k, entry in enumerate(raw):
-        _check_entry(k, entry, spec, seen)
-    # reached only by documents built in Python whose rows or values
-    # iterate unlike lists (with no len(), say); JSON holds none
-    raise ValueError("policy entries pass one by one, but their rows or "
-                     "values do not stack")
+    size = spec.num_joint_types
+    need = (list(zip(spec.type_counts, spec.action_counts)),
+            [(c,) for c in spec.type_counts])
+    stages = [int(e["t"]) for e in raw]
+    beliefs = [tuple(map(float, e["belief"])) for e in raw]
+    row_stacks = _stack([e["rows"] for e in raw], need[0])
+    value_stacks = _stack([e["values"] for e in raw], need[1])
+    for t, e, key in zip(stages, raw, beliefs):
+        if t != e["t"] or type(e["t"]) is bool:
+            raise ValueError(f"stage {e['t']!r} is not an integer")
+        if not 1 <= t <= spec.horizon:
+            raise ValueError(f"stage {t} outside 1..{spec.horizon}")
+        if len(key) != size:
+            raise ValueError(f"belief has {len(key)} weights for {size} joint "
+                             "types")
+    keys = np.array(beliefs).reshape(-1, size)
+    fault = _bad_key(keys)
+    if fault:
+        raise ValueError(f"belief {list(beliefs[fault[0]])} {fault[1]}")
+    shapes = ([s.shape[1:] for s in row_stacks],
+              [s.shape[1:] for s in value_stacks])
+    if shapes != need:
+        raise ValueError(f"rows and values have shapes {shapes}, the game "
+                         f"needs {need}")
+    if not all(np.isfinite(v).all() for v in value_stacks):
+        raise ValueError("values are not all finite")
+    for e in raw:
+        if e["status"] != "converged":
+            raise ValueError(f"status {e['status']!r} is not a solved point")
+    row_stacks = checked_stacks(row_stacks)
+    residuals = [float(e["residual"]) for e in raw]
+    seen: dict[tuple[int, bytes], int] = {}
+    for k, point in enumerate(zip(stages, _key_bytes(keys))):
+        if seen.setdefault(point, k) != k:
+            raise ValueError(f"stage {point[0]} and belief {list(beliefs[k])} "
+                             f"repeat policy entry {seen[point]}")
+    return (stages, keys, row_stacks, value_stacks, residuals,
+            [(e.get("method"), e.get("restart_index")) for e in raw])
 
 
 def _stack(parts: list, shapes: list[tuple]) -> list[np.ndarray]:
     """Every entry's part (its rows, or its values) as one read-only float
-    stack per player, of shape (entries, *shape). A part that does not
-    convert to these shapes raises NumPy's error or ``ValueError``."""
-    out = []
-    for player, shape in zip(zip(*parts) if parts else [()] * len(shapes),
-                             shapes):
-        stack = np.array(player, dtype=float) if player else np.empty((0, *shape))
-        if stack.shape != (len(player), *shape):
-            raise ValueError(f"a stack of shape {stack.shape}")
+    stack per player, of shape (entries, ...). A part must iterate and
+    have a ``len()`` before anything iterates it: an iterator would be used
+    up by the first pass. A lone part is converted player by player, so
+    that NumPy words its faults as it does for that one array."""
+    if len(parts) == 1:
+        iter(parts[0]), len(parts[0])   # raise here, not part-way through
+        out = [np.array(player, dtype=float)[None] for player in parts[0]]
+    elif len(set(map(len, parts))) > 1:
+        raise ValueError("entries give unlike numbers of players")
+    elif parts:
+        out = [np.array(player, dtype=float) for player in zip(*parts)]
+    else:
+        out = [np.empty((0, *shape)) for shape in shapes]
+    for stack in out:
         stack.setflags(write=False)
-        out.append(stack)
     return out
 
 
-def _check_entry(k: int, entry, spec: GameSpec,
-                 seen: dict[tuple[int, BeliefKey], int]) -> None:
-    """Check policy entry k against the game and the entries before it;
-    return if it is sound, else raise the error of its first failing check.
-
-    ``seen`` maps the (stage, belief key) of each earlier entry to its
-    index, and gains entry k's if it is sound. The checks run in this
-    order: the fields ``t`` and ``belief``; rows and values as arrays, so
-    that a part that does not convert raises as NumPy says; an integer
-    stage; stage range; belief length; a belief (:func:`_bad_key`);
-    shapes; finite values; status; the row rule of :class:`Prescription`;
-    the residual; no earlier entry at its stage with a belief of the same
-    key. A missing field raises ``ValueError("policy entry k has no field
-    ...")``, any other fault ``ValueError("policy entry k: ...")``.
-    """
+def _read_entries(raw: list, spec: GameSpec) -> tuple:
+    """:func:`_check_entries` of a document's entries; if they fail,
+    ``ValueError`` naming the lowest bad entry k and its first failing
+    check. A sound document takes the one pass. Every check concerns one
+    entry, or one entry and those before it, so a prefix of the entries
+    fails exactly when it holds a bad entry: bisection on prefixes finds
+    the lowest, and the checker run on it alone gives its first failing
+    check. An entry that passes alone repeats an earlier one, as the
+    shortest failing prefix says."""
     try:
-        t = int(entry["t"])
-        key = tuple(float(v) for v in entry["belief"])
-        rows = [np.asarray(player, dtype=float) for player in entry["rows"]]
-        values = [np.asarray(arr, dtype=float) for arr in entry["values"]]
-        shapes = [r.shape for r in rows], [v.shape for v in values]
-        need = _entry_shapes(spec)
-        if t != entry["t"] or type(entry["t"]) is bool:
-            raise ValueError(f"stage {entry['t']!r} is not an integer")
-        if not 1 <= t <= spec.horizon:
-            raise ValueError(f"stage {t} outside 1..{spec.horizon}")
-        if len(key) != spec.num_joint_types:
-            raise ValueError(f"belief has {len(key)} weights for "
-                             f"{spec.num_joint_types} joint types")
-        fault = _bad_key(np.array([key]))
-        if fault:
-            raise ValueError(f"belief {list(key)} {fault[1]}")
-        if shapes != need:
-            raise ValueError(f"rows and values have shapes {shapes}, the game "
-                             f"needs {need}")
-        if not all(np.isfinite(arr).all() for arr in values):
-            raise ValueError("values are not all finite")
-        if entry["status"] != "converged":
-            raise ValueError(f"status {entry['status']!r} is not a solved point")
-        Prescription(tuple(rows))
-        float(entry["residual"])
-        point = (t, belief_key(key))
-        if point in seen:
-            raise ValueError(f"stage {t} and belief {list(key)} repeat policy "
-                             f"entry {seen[point]}")
-        seen[point] = k
-    except KeyError as err:
-        raise ValueError(f"policy entry {k} has no field {err}") from err
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"policy entry {k}: {err}") from err
+        return _check_entries(raw, spec)
+    except _ENTRY_FAULTS as err:
+        fault = err
+    good, bad = 0, len(raw)     # raw[:good] passes, raw[:bad] fails
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _check_entries(raw[:mid], spec)
+            good = mid
+        except _ENTRY_FAULTS as err:
+            bad, fault = mid, err
+    k = bad - 1
+    try:
+        _check_entries(raw[k:bad], spec)
+    except _ENTRY_FAULTS as err:
+        fault = err
+    sep = " has no field " if isinstance(fault, KeyError) else ": "
+    raise ValueError(f"policy entry {k}{sep}{fault}") from fault
 
 
 def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
@@ -1029,21 +1004,20 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
 
     The header must name the game, hold a list of entries, and give the
     mode ``"exact"`` with no ``resolution``, or ``"grid"`` with an integer
-    ``resolution`` of at least 1; any other header raises ``ValueError``. A grid-mode document
-    gives a built :class:`GridGenerator` that snaps queries to its grid,
-    as the generator that wrote it did. An exact-mode one gives an
-    :class:`ExactGenerator` whose store holds the entries and solves, with
-    ``config``, the beliefs they lack. Entries count against
+    ``resolution`` of at least 1; any other header raises ``ValueError``.
+    A grid-mode document gives a built :class:`GridGenerator` that snaps
+    queries to its grid, as the generator that wrote it did. An exact-mode
+    one gives an :class:`ExactGenerator` whose store holds the entries and
+    solves, with ``config``, the beliefs they lack. Entries count against
     ``cache_budget``, and become its records with no per-entry arrays,
     each stored under its belief's :func:`~spbe.beliefs.belief_key`, so
-    two entries at one stage whose beliefs round to one key repeat.
-    The entries are checked against the game in one
-    pass (:func:`_read_entries`): rows, values and beliefs are stacked and
-    checked at once. An entry that lacks a field, does not fit the game,
-    has a belief that is no belief, was not solved or repeats an earlier
-    entry's stage and belief fails the load: the document is read again
-    entry by entry, and the lowest such entry k raises ``ValueError``
-    naming its index and its first failing check (:func:`_check_entry`).
+    two entries at one stage whose beliefs round to one key repeat. The
+    entries are checked against the game by :func:`_read_entries`, in one
+    pass over a sound document. An entry that lacks a field, does not fit
+    the game, has a belief that is no belief, was not solved or repeats an
+    earlier entry's stage and belief fails the load: bisection on prefixes
+    finds the lowest such entry k, which raises ``ValueError`` naming its
+    index and its first failing check.
     """
     if type(doc) is not dict or doc.get("format") != POLICY_FORMAT:
         raise ValueError("not a policy document")
@@ -1061,47 +1035,47 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
     if mode == "exact" and "resolution" in doc:
         raise ValueError(f"exact-mode policy document has a resolution "
                          f"({resolution!r}); only grid-mode documents have one")
-    fields, keys, row_stacks, value_stacks = _read_entries(doc["entries"], spec)
+    entries = _read_entries(doc["entries"], spec)
     if mode == "grid":
-        return _grid_from_entries(spec, resolution, fields, keys, row_stacks,
-                                  value_stacks, config, cache_budget)
+        return _grid_from_entries(spec, resolution, entries, config,
+                                  cache_budget)
     generator = ExactGenerator(spec, config, cache_budget)
-    generator._write([f[0] for f in fields], _key_bytes(keys), keys, _entry_table(
-        fields, row_stacks, value_stacks, generator._metas))
+    stages, keys = entries[:2]
+    generator._write(stages, _key_bytes(keys), keys,
+                     _entry_table(entries, generator._metas))
     generator.completions = 0
     return generator
 
 
-def _entry_table(fields: list, row_stacks: list, value_stacks: list,
-                 metas: _Metas) -> StageTable:
+def _entry_table(entries: tuple, metas: _Metas) -> StageTable:
     """The checked entries of a document (:func:`_read_entries`) as one
     table of converged points, in order."""
+    _stages, _keys, rows, values, residuals, methods = entries
     return StageTable(
-        row_stacks, value_stacks, np.array([f[4] for f in fields], dtype=float),
-        np.array([metas.id_of(("converged", f[5], f[6], None, ()))
-                  for f in fields], dtype=np.intp), metas)
+        rows, values, np.array(residuals, dtype=float),
+        np.array([metas.id_of(("converged", *method, None, ()))
+                  for method in methods], dtype=np.intp), metas)
 
 
-def _grid_from_entries(spec: GameSpec, resolution: int, fields: list,
-                       keys: np.ndarray, row_stacks: list, value_stacks: list,
+def _grid_from_entries(spec: GameSpec, resolution: int, entries: tuple,
                        config: SolverConfig | None,
                        cache_budget: int) -> GridGenerator:
     """A built grid generator holding a document's checked entries
-    (:func:`_read_entries`, ``keys`` its stacked beliefs); an entry belongs
-    to the grid point its belief rounds to, as an exact entry does, and
-    grid points the document lacks (they failed to solve) keep a failed
-    placeholder: uniform rows, zero values, an infinite residual and the
-    status ``not_in_policy``."""
+    (:func:`_read_entries`); an entry belongs to the grid point its belief
+    rounds to, as an exact entry does, and grid points the document lacks
+    (they failed to solve) keep a failed placeholder: uniform rows, zero
+    values, an infinite residual and the status ``not_in_policy``."""
     generator = GridGenerator(spec, config, resolution, cache_budget)
     index = {key: idx for idx, key in enumerate(_key_bytes(generator.grid))}
+    stages, keys = entries[:2]
     points = [index.get(key) for key in _key_bytes(keys)]
-    for (t, key, *_), idx in zip(fields, points):
+    for t, key, idx in zip(stages, keys, points):
         if idx is None:
-            raise ValueError(f"policy entry at stage {t}, belief {list(key)} is "
-                             f"not a point of the resolution-{resolution} grid")
+            raise ValueError(f"policy entry at stage {t}, belief {key.tolist()} "
+                             f"is not a point of the resolution-{resolution} grid")
     points = np.array(points, dtype=np.intp)
-    stages = np.array([f[0] for f in fields], dtype=np.intp)
-    entries = _entry_table(fields, row_stacks, value_stacks, generator._metas)
+    stages = np.array(stages, dtype=np.intp)
+    entries = _entry_table(entries, generator._metas)
     missing = generator._metas.id_of(("not_in_policy", None, None, None, ()))
     size = len(index)
     for t in range(1, spec.horizon + 1):

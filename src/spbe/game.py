@@ -274,7 +274,10 @@ def _reward_blocks_from_doc(doc: Any, players: int, nx: int, na: int):
                     f"rewards {where}, player {i}: expected {nx * na} entries "
                     f"(flat row-major over joint type then joint action)"
                 )
-            out[i] = np.asarray(flat, dtype=np.float64).reshape(nx, na)
+            try:
+                out[i] = np.asarray(flat, dtype=np.float64).reshape(nx, na)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise GameSpecError(f"rewards {where}, player {i}: {exc}") from exc
         return out
 
     if isinstance(rewards, dict):
@@ -350,7 +353,7 @@ def game_spec_from_document(doc: Any) -> GameSpec:
         )
     except GameSpecError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise GameSpecError(str(exc)) from exc
 
 

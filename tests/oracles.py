@@ -558,7 +558,7 @@ def policy_entries_fault(entries, spec) -> str | None:
             earlier.append(point)
         except KeyError as err:
             return f"policy entry {k} has no field {err}"
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             return f"policy entry {k}: {err}"
     return None
 

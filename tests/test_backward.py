@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -639,6 +640,7 @@ FAULTS = {
     "rows_not_a_list": lambda e: e.update(rows=None),
     "missing_player": lambda e: e["rows"].pop(),
     "ragged_row": lambda e: e["rows"][0].__setitem__(0, [1.0]),
+    "infinite_stage": lambda e: e.update(t=math.inf),
 }
 
 
@@ -700,6 +702,8 @@ def test_policy_load_messages(signaling_policy_text):
         "policy entry 3: setting an array element with a sequence.")
     assert error((3, lambda e: e.pop("residual"))) == \
         "policy entry 3 has no field 'residual'"
+    assert error((3, FAULTS["infinite_stage"])) == \
+        "policy entry 3: cannot convert float infinity to integer"
     assert error((3, FAULTS["not_converged"]), (3, FAULTS["inf_value"])) == \
         "policy entry 3: values are not all finite"
     assert error((3, FAULTS["sum_off"]), (3, FAULTS["not_converged"])) == \
@@ -769,39 +773,45 @@ ANY_GAME_FAULTS = {
 @pytest.mark.parametrize("fault", sorted(ANY_GAME_FAULTS))
 def test_policy_load_checks_entries_alone_only_up_to_a_fault(corpus_solves,
                                                              monkeypatch, fault):
-    """A sound document loads through the stacked pass without the
-    per-entry checker; a document with one bad entry is re-read entry by
-    entry only up to that entry."""
+    """A sound document loads with one call of the entry checker; a
+    document with one bad entry among E takes at most ceil(log2 E) + 2:
+    the full pass, the bisection on prefixes, and the bad entry alone."""
     calls = []
-    check = spbe.backward._check_entry
+    check = spbe.backward._check_entries
 
-    def counted(k, entry, spec, seen):
-        calls.append(k)
-        check(k, entry, spec, seen)
-    monkeypatch.setattr(spbe.backward, "_check_entry", counted)
+    def counted(raw, spec):
+        calls.append(len(raw))
+        return check(raw, spec)
+    monkeypatch.setattr(spbe.backward, "_check_entries", counted)
     results = [result for _spec, result in corpus_solves.values()]
     results.append(ROUND_TRIPS["coordination_grid"](corpus_solves))
     for result in results:
         text = render_report(policy_document(result))
         load_policy(json.loads(text), result.spec)
-        assert calls == []
+        assert calls == [len(json.loads(text)["entries"])]
+        calls.clear()
         doc = json.loads(text)
-        k = len(doc["entries"]) // 2
+        size = len(doc["entries"])
+        k = size // 2
         ANY_GAME_FAULTS[fault](doc["entries"][k])
         assert _load_error(result.spec, doc).startswith(f"policy entry {k}: ")
-        assert calls == list(range(k + 1))
+        assert calls[0] == size and calls[-1] == 1
+        assert len(calls) <= math.ceil(math.log2(size)) + 2
         calls.clear()
 
 
 def test_policy_load_refuses_entries_that_only_pass_alone(signaling_policy_text):
-    """Rows given as an iterator have no ``len()``: every entry passes the
-    per-entry checker, but the rows do not stack, and the load fails."""
+    """Rows given as an iterator have no ``len()``: an entry-by-entry
+    reader that iterates them would pass every entry, but the rows could
+    not be read a second time; the load refuses the entry before anything
+    iterates its rows."""
     spec, text = signaling_policy_text
     doc = json.loads(text)
     rows = doc["entries"][3]["rows"]
     doc["entries"][3]["rows"] = (player for player in rows)
-    assert _load_error(spec, doc) == ("policy entries pass one by one, but "
-                                      "their rows or values do not stack")
+    assert _load_error(spec, doc) == \
+        "policy entry 3: object of type 'generator' has no len()"
+    assert oracles.policy_entries_fault(doc["entries"], spec) is None
 
 
 @pytest.mark.parametrize("mode", ["exact", "grid"])

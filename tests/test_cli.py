@@ -306,6 +306,7 @@ def _last_entry(edit):
     (_last_entry(lambda e: e.update(belief=[float("nan")] * 4)), True),
     (_last_entry(lambda e: e.update(belief=[2.0, -1.0, 0.0, 0.0])), True),
     (_last_entry(lambda e: e.update(belief=[0.5] * 4)), True),
+    (_last_entry(lambda e: e.update(t=float("inf"))), True),
     (lambda doc: {**doc, "mode": "banana"}, False),
     (lambda doc: {**doc, "entries": [{**doc["entries"][0], "t": True},
                                      *doc["entries"][1:]]}, False),
@@ -313,7 +314,8 @@ def _last_entry(edit):
 ], ids=["not_an_object", "no_entries", "entries_object", "no_values",
         "stage_past_horizon", "short_belief", "short_values", "missing_type_row",
         "nan_row", "nan_value", "nan_belief", "negative_belief",
-        "belief_sums_to_two", "unknown_mode", "bool_stage", "exact_resolution"])
+        "belief_sums_to_two", "infinite_stage", "unknown_mode", "bool_stage",
+        "exact_resolution"])
 def test_malformed_policy_is_invalid_input(games, reference_policy_file, tmp_path,
                                            capsys, command, tamper, names_entry):
     doc = json.loads(Path(reference_policy_file).read_text())

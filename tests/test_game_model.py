@@ -98,6 +98,13 @@ def test_nonstationary_stage_lookup():
     (lambda d: d.update(prior=[1.0, 0.0, 0.0, -0.0001]), "negative"),
     (lambda d: d.update(rewards=d["rewards"][:1]), "stage blocks"),
     (lambda d: d.update(types=[["a", "b"]]), "alphabet"),
+    (lambda d: d["rewards"][1][1].__setitem__(3, {}),
+     r"^rewards stage 2, player 1: float\(\) argument must be .* not 'dict'$"),
+    (lambda d: d["rewards"][0][0].__setitem__(0, "x"),
+     r"^rewards stage 1, player 0: could not convert string to float: 'x'$"),
+    (lambda d: d.update(discount=10 ** 400), "^int too large to convert to float$"),
+    (lambda d: d["prior"].__setitem__(0, 10 ** 400),
+     "^int too large to convert to float$"),
 ])
 def test_validation_rejects(mutate, phrase):
     doc = game_spec_to_document(instances.reference_instance())
