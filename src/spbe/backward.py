@@ -10,14 +10,16 @@ Every generator follows one protocol, :class:`Generator`: it defines
 ``lookup(t)``, the batched :data:`~spbe.stage.Lookup` of every player's
 stage-t values at a stack of posteriors, ``None`` past the horizon; it
 inherits ``value(t, pi, i, xi)``, one agent's value, zero at stage T+1.
-The two generators that solve keep one store of solved points, read
-through ``cached_points()`` as (stage, belief, solution) triples ordered
-by stage, then belief key, which policy documents read; reports'
-``solve_counts`` and ``failed_points`` read the store's metadata alone.
-Points are kept as stacked arrays, not solution objects (a grid's
-:class:`StageTable` per stage, an exact store's records), and a point's
-:class:`~spbe.stage.StageSolution` is built when it is read. Both solve with
-:func:`~spbe.stage.solve_stage`, passing their own ``lookup(t + 1)``:
+Each generator's store of solved points is read through one view,
+``_stages()``: per stage, ascending, the points' belief keys, beliefs and
+:class:`~spbe.stage.StageTable`, in key order. Over it ``Generator``
+gives ``cached_points()``, (stage, belief, solution) triples whose
+solutions are built anew on every call, which policy documents read,
+and reports' ``solve_counts`` and ``failed_points``, which read the
+tables' metadata alone. Points are kept as stacked arrays, not solution
+objects (a grid's table per stage, an exact store's records). Both
+solve with :func:`~spbe.stage.solve_stage`, which returns a table, passing
+their own ``lookup(t + 1)``:
 
 ``ExactGenerator``
     solves each belief it is asked for and stores it by (stage, quantized
@@ -65,7 +67,6 @@ import itertools
 import json
 import math
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,7 +75,7 @@ import numpy as np
 from .beliefs import (KEY_DIGITS, Belief, BeliefKey, Prescription,
                       belief_key, checked_stacks, initial_belief)
 from .game import GameSpec
-from .stage import Lookup, SolverConfig, StageSolution, solve_stage
+from .stage import Lookup, SolverConfig, StageSolution, StageTable, solve_stage
 # bound here so profilers can wrap it by name
 from .stage import solve_stage_fixed_point  # noqa: F401
 
@@ -108,10 +109,15 @@ class Generator:
     A generator defines ``spec``, ``solution_at(t, pi)``, the solved
     :class:`StageSolution` at stage t in 1..T and common belief pi, raising
     when it has none there, ``lookup(t)``, the same stage-t values for
-    a stack of beliefs at once, ``cached_points()``, and the properties
-    ``solve_counts`` (stored points per stage, stages ascending) and
-    ``failed_points`` ((stage, belief key, status) of each stored point
-    that failed, in ``cached_points()`` order).
+    a stack of beliefs at once, and ``_stages()``, its store of solved
+    points: for each stage holding points, stages ascending, the stage,
+    the points' belief keys in ascending order, the beliefs (P, X) they
+    were solved at and their :class:`StageTable`, in key order. Over that
+    view it inherits ``cached_points()``, which builds new solutions on
+    every call, and the properties ``solve_counts`` (stored points per
+    stage, stages ascending) and ``failed_points`` ((stage, belief key,
+    status) of each stored point that failed, in ``cached_points()``
+    order), which read the tables' metadata alone.
     """
 
     spec: GameSpec
@@ -121,10 +127,26 @@ class Generator:
     def solution_at(self, t: int, pi: Belief) -> StageSolution:
         raise NotImplementedError
 
+    def _stages(self):
+        """(stage, belief keys, beliefs, table) of every stage with stored
+        points, as the class docstring says."""
+        raise NotImplementedError
+
     def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
         """Every stored (stage, belief, solution), failed points included,
         ordered by stage, then belief key."""
-        raise NotImplementedError
+        return [(t, Belief(belief, self.spec.type_counts), solution)
+                for t, _keys, beliefs, table in self._stages()
+                for belief, solution in zip(beliefs, table)]
+
+    @property
+    def solve_counts(self) -> dict[int, int]:
+        return {t: len(table) for t, _keys, _beliefs, table in self._stages()}
+
+    @property
+    def failed_points(self) -> list[tuple[int, BeliefKey, str]]:
+        return [(t, key, meta[0]) for t, keys, _beliefs, table in self._stages()
+                for key, meta in zip(keys, table.metas) if meta[0] != "converged"]
 
     def value(self, t: int, pi: Belief, i: int, xi: int) -> float:
         """Value of (i, xi) at stage t and belief pi; stage T+1 is zero."""
@@ -143,8 +165,8 @@ class Generator:
 
 class _Metas(list):
     """The (status, method, restart index, support profile, degenerate
-    types) tuples of a generator's stored points, each distinct one kept
-    once; a point holds the index of its tuple."""
+    types) tuples of an exact store's points, each distinct one kept once;
+    a record holds the index of its tuple."""
 
     def __init__(self):
         super().__init__()
@@ -160,57 +182,6 @@ class _Metas(list):
         if index == len(self):
             self.append(meta)
         return index
-
-
-class StageTable(Sequence):
-    """Solved stage points as stacked read-only arrays: per player the rows
-    (P, T_i, A_i) and values (P, T_i), the residuals (P,), and per point
-    the index (P,) of its metadata in a :class:`_Metas` that tables share.
-
-    Point k reads as a :class:`StageSolution` built anew on each access,
-    and iteration builds every point's at once, their rows checked as one
-    batch; ``statuses`` reads the metadata alone.
-    """
-
-    def __init__(self, rows: list[np.ndarray], values: list[np.ndarray],
-                 residuals: np.ndarray, meta_ids: np.ndarray, metas: _Metas):
-        for arr in (*rows, *values, residuals, meta_ids):
-            arr.setflags(write=False)
-        self.rows, self.values, self.metas = rows, values, metas
-        self.residuals, self.meta_ids = residuals, meta_ids
-
-    @classmethod
-    def of(cls, solutions: list[StageSolution], metas: _Metas) -> StageTable:
-        """The table of a list of solutions, in order."""
-        players = range(len(solutions[0].values))
-        return cls([np.array([s.prescription.rows[i] for s in solutions])
-                    for i in players],
-                   [np.array([s.values[i] for s in solutions]) for i in players],
-                   np.array([s.residual for s in solutions], dtype=float),
-                   np.array([metas.id_of((s.status, s.method, s.restart_index,
-                                          s.support_profile, s.degenerate_types))
-                             for s in solutions]), metas)
-
-    def __len__(self) -> int:
-        return len(self.residuals)
-
-    def __getitem__(self, k: int) -> StageSolution:
-        k = range(len(self))[k]
-        one = slice(k, k + 1)
-        return next(iter(StageTable([r[one] for r in self.rows],
-                                    [v[one] for v in self.values],
-                                    self.residuals[one], self.meta_ids[one],
-                                    self.metas)))
-
-    def __iter__(self):
-        return (StageSolution(gamma, tuple(v[k] for v in self.values),
-                              float(self.residuals[k]),
-                              *self.metas[int(self.meta_ids[k])])
-                for k, gamma in enumerate(Prescription.batch(self.rows)))
-
-    @property
-    def statuses(self) -> list[str]:
-        return [self.metas[k][0] for k in self.meta_ids.astype(int).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +207,8 @@ class ExactGenerator(Generator):
     its (status, method, restart index, support profile, degenerate
     types) in a list the points share. ``lookup`` reads values off the
     records; ``solution_at`` builds a point's :class:`StageSolution` on
-    its first query and keeps it; ``solve_counts`` counts the records,
-    and ``failed_points`` reads their metadata.
+    its first query and keeps it; ``_stages()`` reads each stage's
+    records back as one :class:`StageTable`.
     """
 
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
@@ -262,7 +233,7 @@ class ExactGenerator(Generator):
         solution = self._solutions.get((t, pi.key))
         if solution is None:
             record = self._walk(t, pi.weights[None])[0]
-            solution = self._solutions[t, pi.key] = self._solutions_of([record])[0][0]
+            solution = self._solutions[t, pi.key] = next(iter(self._table([record])[0]))
         return solution
 
     def lookup(self, t: int) -> Lookup | None:
@@ -272,29 +243,15 @@ class ExactGenerator(Generator):
             return None
         return lambda weights: self._fields(self._walk(t, weights))[1]
 
-    @property
-    def solve_counts(self) -> dict[int, int]:
-        return {t: len(store) for t, store in self._records.items() if store}
-
-    @property
-    def failed_points(self) -> list[tuple[int, BeliefKey, str]]:
-        """Read off the records' metadata, building no solution."""
-        return sorted((t, _key_of(key), status)
-                      for t, store in self._records.items()
-                      for key, record in store.items()
-                      if (status := self._status(record)) != "converged")
-
-    def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
-        """Solved points, each with the unrounded belief it was solved at;
-        a loaded point's belief is its key. A point never queried gets a
-        new solution on every call."""
-        points = sorted((t, _key_of(key), record)
-                        for t, store in self._records.items()
-                        for key, record in store.items())
-        solutions, beliefs = self._solutions_of([p[2] for p in points])
-        return [(t, Belief(belief, self.spec.type_counts),
-                 self._solutions.get((t, key), solution))
-                for (t, key, _), belief, solution in zip(points, beliefs, solutions)]
+    def _stages(self):
+        """Every stage's records, in key order, read back as one table;
+        a loaded point's belief is its key."""
+        for t, store in self._records.items():
+            if store:
+                keys, records = zip(*sorted((_key_of(key), record)
+                                            for key, record in store.items()))
+                table, beliefs = self._table(list(records))
+                yield t, list(keys), beliefs, table
 
     def _walk(self, t: int, weights: np.ndarray) -> list[bytes]:
         """The records at stage t of every row of ``weights``, read in row
@@ -345,11 +302,10 @@ class ExactGenerator(Generator):
         """Solve the rows of ``weights`` that ``rows`` maps key bytes to, as
         one batch, and store them (:meth:`_write`)."""
         at = list(rows.values())
-        solutions = solve_stage(
+        table = solve_stage(
             self.spec, t, [Belief(weights[k], self.spec.type_counts) for k in at],
             self.lookup(t + 1), self.config)
-        self._write([t] * len(at), list(rows), weights[at],
-                    StageTable.of(solutions, self._metas))
+        self._write([t] * len(at), list(rows), weights[at], table)
 
     def _write(self, stages: list[int], keys: list[bytes], beliefs: np.ndarray,
                points: StageTable) -> None:
@@ -359,15 +315,16 @@ class ExactGenerator(Generator):
         stored and raised on, and the points after it are dropped."""
         if not keys:
             return
+        ids = [self._metas.id_of(meta) for meta in points.metas]
         records = _split(np.hstack(
             [r.reshape(len(keys), -1) for r in points.rows] + list(points.values)
-            + [beliefs, np.column_stack([points.residuals, points.meta_ids])]))
-        for t, key, record, status in zip(stages, keys, records, points.statuses):
+            + [beliefs, np.column_stack([points.residuals, ids])]))
+        for t, key, record, meta in zip(stages, keys, records, points.metas):
             self._records[t][key] = record
             if self.completions is not None:
                 self.completions += 1
-            if status != "converged":
-                raise NoFixedPointError(t, _key_of(key), status)
+            if meta[0] != "converged":
+                raise NoFixedPointError(t, _key_of(key), meta[0])
 
     def _status(self, record: bytes) -> str:
         """The status of a stored point, read off its record."""
@@ -385,13 +342,12 @@ class ExactGenerator(Generator):
         rows = [p.reshape(-1, nt, na) for p, nt, na in zip(parts, tc, ac)]
         return rows, parts[n:2 * n], parts[2 * n], parts[-2][:, 0], parts[-1][:, 0]
 
-    def _solutions_of(self, records: list[bytes]) -> tuple[list[StageSolution],
-                                                           np.ndarray]:
-        """A new solution for each record, their rows checked as one batch,
-        and the beliefs (Q, X) the records hold."""
-        rows, values, beliefs, residuals, meta_ids = self._fields(records)
-        table = StageTable(rows, values, residuals, meta_ids, self._metas)
-        return list(table), beliefs
+    def _table(self, records: list[bytes]) -> tuple[StageTable, np.ndarray]:
+        """The table of a list of records, and the beliefs (Q, X) they
+        hold."""
+        rows, values, beliefs, residuals, ids = self._fields(records)
+        return StageTable(rows, values, residuals,
+                          [self._metas[k] for k in ids.astype(int).tolist()]), beliefs
 
 
 def _key_bytes(weights: np.ndarray) -> list[bytes]:
@@ -621,9 +577,10 @@ class GridGenerator(Generator):
     is built.
 
     ``tables[t]`` is stage t's :class:`StageTable`, one point per grid
-    row. ``lookup`` reads its value stacks, and ``solve_counts`` and
-    ``failed_points`` its metadata; ``solution_at`` builds a point's
-    :class:`StageSolution` on its first query and keeps it.
+    row, as :func:`~spbe.stage.solve_stage` returns it. ``lookup`` reads
+    its value stacks, and ``_stages()`` gives every table with the grid;
+    ``solution_at`` builds a point's :class:`StageSolution` on its first
+    query and keeps it.
     """
 
     def __init__(self, spec: GameSpec, config: SolverConfig | None = None,
@@ -642,7 +599,6 @@ class GridGenerator(Generator):
         self.config = config or SolverConfig()
         self.resolution = resolution
         self.grid = grid_points(spec.num_joint_types, resolution)
-        self._metas = _Metas()
         self.tables: dict[int, StageTable] = {}
         # (stage, grid row) -> the solution built on its first query
         self._solutions: dict[tuple[int, int], StageSolution] = {}
@@ -654,16 +610,11 @@ class GridGenerator(Generator):
     def build(self) -> None:
         if self._built:
             return
-        beliefs = self._beliefs()
+        beliefs = [Belief(row, self.spec.type_counts) for row in self.grid]
         for t in range(self.spec.horizon, 0, -1):
-            self.tables[t] = StageTable.of(
-                solve_stage(self.spec, t, beliefs, self.lookup(t + 1),
-                            self.config), self._metas)
+            self.tables[t] = solve_stage(self.spec, t, beliefs,
+                                         self.lookup(t + 1), self.config)
         self._built = True
-
-    def _beliefs(self) -> list[Belief]:
-        """The grid's beliefs, made anew: the generator keeps none."""
-        return [Belief(row, self.spec.type_counts) for row in self.grid]
 
     def _snap(self, weights: np.ndarray) -> np.ndarray:
         """:func:`nearest_grid_index` of ``weights`` on the grid; records
@@ -702,20 +653,10 @@ class GridGenerator(Generator):
             raise NoFixedPointError(t, belief_key(self.grid[idx]), solution.status)
         return solution
 
-    @property
-    def solve_counts(self) -> dict[int, int]:
-        return {t: len(self.tables[t]) for t in sorted(self.tables)}
-
-    @property
-    def failed_points(self) -> list[tuple[int, BeliefKey, str]]:
-        return [(t, belief_key(self.grid[k]), status) for t in sorted(self.tables)
-                for k, status in enumerate(self.tables[t].statuses)
-                if status != "converged"]
-
-    def cached_points(self) -> list[tuple[int, Belief, StageSolution]]:
-        beliefs = self._beliefs()
-        return [(t, pi, solution) for t in sorted(self.tables)
-                for pi, solution in zip(beliefs, self.tables[t])]
+    def _stages(self):
+        keys = [belief_key(row) for row in self.grid]
+        for t in sorted(self.tables):
+            yield t, keys, self.grid, self.tables[t]
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +670,7 @@ class SolveResult:
     spec: GameSpec
     mode: str
     config: SolverConfig
-    generator: object
+    generator: Generator | None
     status: str
     root: StageSolution | None = None
     # the solve's one failure record: the error that stopped it
@@ -1041,20 +982,17 @@ def load_policy(doc: dict, spec: GameSpec, config: SolverConfig | None = None,
                                   cache_budget)
     generator = ExactGenerator(spec, config, cache_budget)
     stages, keys = entries[:2]
-    generator._write(stages, _key_bytes(keys), keys,
-                     _entry_table(entries, generator._metas))
+    generator._write(stages, _key_bytes(keys), keys, _entry_table(entries))
     generator.completions = 0
     return generator
 
 
-def _entry_table(entries: tuple, metas: _Metas) -> StageTable:
+def _entry_table(entries: tuple) -> StageTable:
     """The checked entries of a document (:func:`_read_entries`) as one
     table of converged points, in order."""
     _stages, _keys, rows, values, residuals, methods = entries
-    return StageTable(
-        rows, values, np.array(residuals, dtype=float),
-        np.array([metas.id_of(("converged", *method, None, ()))
-                  for method in methods], dtype=np.intp), metas)
+    return StageTable(rows, values, np.array(residuals, dtype=float),
+                      [("converged", *method, None, ()) for method in methods])
 
 
 def _grid_from_entries(spec: GameSpec, resolution: int, entries: tuple,
@@ -1064,7 +1002,8 @@ def _grid_from_entries(spec: GameSpec, resolution: int, entries: tuple,
     (:func:`_read_entries`); an entry belongs to the grid point its belief
     rounds to, as an exact entry does, and grid points the document lacks
     (they failed to solve) keep a failed placeholder: uniform rows, zero
-    values, an infinite residual and the status ``not_in_policy``."""
+    values, an infinite residual and the status ``not_in_policy``. Points
+    with equal metadata share one tuple, as in a solved grid's tables."""
     generator = GridGenerator(spec, config, resolution, cache_budget)
     index = {key: idx for idx, key in enumerate(_key_bytes(generator.grid))}
     stages, keys = entries[:2]
@@ -1075,22 +1014,21 @@ def _grid_from_entries(spec: GameSpec, resolution: int, entries: tuple,
                              f"is not a point of the resolution-{resolution} grid")
     points = np.array(points, dtype=np.intp)
     stages = np.array(stages, dtype=np.intp)
-    entries = _entry_table(entries, generator._metas)
-    missing = generator._metas.id_of(("not_in_policy", None, None, None, ()))
+    entries, shared = _entry_table(entries), _Metas()
     size = len(index)
     for t in range(1, spec.horizon + 1):
         rows = [np.full((size, nt, na), 1.0 / na)
                 for nt, na in zip(spec.type_counts, spec.action_counts)]
         values = [np.zeros((size, nt)) for nt in spec.type_counts]
         residuals = np.full(size, np.inf)
-        meta_ids = np.full(size, missing, dtype=np.intp)
-        at = stages == t
-        for stack, got in zip([*rows, *values, residuals, meta_ids],
-                              [*entries.rows, *entries.values, entries.residuals,
-                               entries.meta_ids]):
+        metas = [("not_in_policy", None, None, None, ())] * size
+        at = np.flatnonzero(stages == t)
+        for stack, got in zip([*rows, *values, residuals],
+                              [*entries.rows, *entries.values, entries.residuals]):
             stack[points[at]] = got[at]
-        generator.tables[t] = StageTable(rows, values, residuals, meta_ids,
-                                         generator._metas)
+        for k in at.tolist():
+            metas[points[k]] = shared[shared.id_of(entries.metas[k])]
+        generator.tables[t] = StageTable(rows, values, residuals, metas)
     generator._built = True
     return generator
 

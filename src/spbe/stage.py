@@ -45,6 +45,8 @@ a batch that are still open, and phase 3 point by point. With no lookup
 (the last stage) a point's solve has no side effects, so all its
 restarts run at once and are kept in restart order, as a serial loop
 would keep them; :func:`solve_stage_fixed_point` is its batch of one.
+It returns a :class:`StageTable`, the batch's points as stacked arrays
+whose rows it checks once, which every store of solved points holds.
 The last stage's continuation is zero, so there it computes no
 continuation terms at all: no masses, reach flags, fetched values or
 support refreshes, which gives the same bits as adding zeros would.
@@ -57,13 +59,15 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Sequence
+from typing import Callable
 
 import numpy as np
 
 from .beliefs import (
     Belief,
     Prescription,
+    checked_stacks,
     condition_on_type,  # noqa: F401  (bound here so profilers can wrap it by name)
     conditional_weights,
     posterior_weights,
@@ -137,6 +141,40 @@ class StageSolution:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+
+class StageTable(Sequence):
+    """Solved stage points as stacked read-only arrays: per player the rows
+    (P, T_i, A_i) and values (P, T_i), the residuals (P,), and ``metas``,
+    per point its (status, method, restart index, support profile,
+    degenerate types); solved points with equal metadata share one tuple.
+
+    Point k reads as a :class:`StageSolution` built anew on each access,
+    and iteration builds every point's at once, their rows checked as one
+    batch; ``metas`` is read without building any.
+    """
+
+    def __init__(self, rows: list[np.ndarray], values: list[np.ndarray],
+                 residuals: np.ndarray, metas: Sequence[tuple]):
+        for arr in (*rows, *values, residuals):
+            arr.setflags(write=False)
+        self.rows, self.values, self.residuals = rows, values, residuals
+        self.metas = tuple(metas)
+
+    def __len__(self) -> int:
+        return len(self.residuals)
+
+    def __getitem__(self, k: int) -> StageSolution:
+        k = range(len(self))[k]
+        one = slice(k, k + 1)
+        return next(iter(StageTable([r[one] for r in self.rows],
+                                    [v[one] for v in self.values],
+                                    self.residuals[one], self.metas[one])))
+
+    def __iter__(self):
+        return (StageSolution(gamma, tuple(v[k] for v in self.values),
+                              float(self.residuals[k]), *self.metas[k])
+                for k, gamma in enumerate(Prescription.batch(self.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +737,8 @@ def _solve_support(ev: StageEvaluator, profile, config: SolverConfig) -> Prescri
 
 def _finalize_rows(ev: StageEvaluator, rows):
     """Fill fallback rows for zero-marginal types and attach values, at
-    every batch point. Returns (one prescription per point, values,
-    residual); the prescriptions' rows are checked once, as a batch.
+    every batch point. Returns per player the read-only row (B, T_i, A_i)
+    and value (B, T_i) stacks, then the residuals (B,).
 
     Zero-marginal rows never influence the belief update or any positive-
     marginal agent's payoff, so replacing them after the fixed point is
@@ -719,25 +757,7 @@ def _finalize_rows(ev: StageEvaluator, rows):
     # solutions hold read-only views of these arrays rather than copies
     for arr in final + values:
         arr.setflags(write=False)
-    return Prescription.batch(final), values, residual
-
-
-def _solution(b: int, finalized, degenerate: list[tuple[int, int]],
-              config: SolverConfig, status: str, method: str | None,
-              restart_index: int | None, support_profile=None) -> StageSolution:
-    prescriptions, values, residual = finalized
-    if status == "converged" and residual[b] > config.fp_tol:
-        status = "max_iterations"
-    return StageSolution(
-        prescription=prescriptions[b],
-        values=tuple(v[b] for v in values),
-        residual=float(residual[b]),
-        status=status,
-        method=method,
-        restart_index=restart_index,
-        support_profile=support_profile,
-        degenerate_types=tuple(degenerate),
-    )
+    return final, values, residual
 
 
 def _point_rng(config: SolverConfig, t: int, pi: Belief) -> np.random.Generator:
@@ -760,8 +780,9 @@ def solve_stage(
     beliefs: Sequence[Belief],
     lookup: Lookup | None,
     config: SolverConfig | None = None,
-) -> list[StageSolution]:
-    """Search for a stage-t equilibrium prescription at every belief.
+) -> StageTable:
+    """Search for a stage-t equilibrium prescription at every belief, and
+    return the solved points as a table, in the order of ``beliefs``.
 
     Runs the phases of the module docstring in order over the points
     still open: phase 1 once, round k of the pure scan on each open
@@ -845,10 +866,15 @@ def solve_stage(
 
     failed = ("no_fixed_point" if enumeration_ran else "max_iterations",
               None, None, None)
-    finalized = _finalize_rows(ev, best)
-    corner = ev.agents(corner=True)
-    return [_solution(b, finalized, corner[b], config, *(found or failed))
-            for b, found in enumerate(outcome)]
+    rows, values, residual = _finalize_rows(ev, best)
+    metas, shared = [], {}
+    for b, degenerate in enumerate(ev.agents(corner=True)):
+        status, *how = outcome[b] or failed
+        if status == "converged" and residual[b] > config.fp_tol:
+            status = "max_iterations"
+        meta = (status, *how, tuple(degenerate))
+        metas.append(shared.setdefault(meta, meta))
+    return StageTable(checked_stacks(rows), values, residual, metas)
 
 
 def solve_stage_fixed_point(

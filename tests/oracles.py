@@ -607,13 +607,13 @@ def solve_stage_serial(spec, t, pi, config):
         if res <= config.fp_tol:
             found = how
             break
-    prescriptions, values, residual = stage._finalize_rows(ev, best)
+    rows, values, residual = stage._finalize_rows(ev, best)
     if found is None:
         status = "no_fixed_point" if enumerated else "max_iterations"
         found = (None, None, None)
     else:
         status = "converged" if residual[0] <= config.fp_tol else "max_iterations"
-    return (status, *found, prescriptions[0].rows, tuple(v[0] for v in values),
+    return (status, *found, tuple(r[0] for r in rows), tuple(v[0] for v in values),
             float(residual[0]))
 
 

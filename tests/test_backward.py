@@ -1027,10 +1027,7 @@ def test_exact_report_counts_records(corpus_solves, monkeypatch):
     builds no point's solution to do so."""
     result = corpus_solves["signaling_pennies"][1]
     want = Counter(t for t, _pi, _sol in result.generator.cached_points())
-
-    def refuse(self, records):
-        raise AssertionError("the report built stage solutions")
-    monkeypatch.setattr(ExactGenerator, "_solutions_of", refuse)
+    _refuse_solutions(monkeypatch)
     report = build_solve_report(result)
     assert report["solve_counts"] == {str(t): n for t, n in sorted(want.items())}
 
@@ -1163,7 +1160,6 @@ def _refuse_solutions(monkeypatch):
     """Make building any stored point's solution fail the test."""
     def refuse(*args):
         raise AssertionError("a stage solution was built")
-    monkeypatch.setattr(ExactGenerator, "_solutions_of", refuse)
     monkeypatch.setattr(spbe.backward.StageTable, "__iter__", refuse)
 
 
@@ -1191,9 +1187,10 @@ def test_failed_points_read_the_metadata(mode, monkeypatch):
 
 
 def test_grid_tables_are_stacked_and_read_only(monkeypatch):
-    """A grid's stage table holds one read-only stack per player and field,
-    and reads a point back as the solution a query of its grid row gets;
-    lookups read the value stacks and build no solution."""
+    """A grid's stage table holds one read-only stack per player and field
+    and one metadata tuple per point, and reads a point back as the
+    solution a query of its grid row gets; lookups read the value stacks
+    and build no solution."""
     spec = instances.coordination_instance()
     gen = _build_grid(spec, resolution=3)
     table = gen.tables[1]
@@ -1201,8 +1198,9 @@ def test_grid_tables_are_stacked_and_read_only(monkeypatch):
     for i, (nt, na) in enumerate(zip(spec.type_counts, spec.action_counts)):
         assert table.rows[i].shape == (len(table), nt, na)
         assert table.values[i].shape == (len(table), nt)
-    for arr in (*table.rows, *table.values, table.residuals, table.meta_ids):
+    for arr in (*table.rows, *table.values, table.residuals):
         assert not arr.flags.writeable
+    assert type(table.metas) is tuple and len(table.metas) == len(table)
     k = len(table) - 2
     got = gen.solution_at(1, Belief(gen.grid[k], spec.type_counts))
     assert _point_bytes(1, 0, table[k]) == _point_bytes(1, 0, table[-2]) == \

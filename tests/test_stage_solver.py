@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import spbe
 import spbe.stage as stage
 from spbe import (
     Belief,
+    GridGenerator,
     SolverConfig,
     initial_belief,
     instances,
@@ -500,3 +502,55 @@ def test_restart_draws_depend_on_the_store_key_alone():
     draws = {stage._point_rng(config, 2, pi).random(4).tobytes()
              for pi in beliefs}
     assert len(draws) == 1
+
+
+def _point(sol):
+    """The bytes and metadata of a stage solution."""
+    return ([r.tobytes() for r in sol.prescription.rows],
+            [v.tobytes() for v in sol.values], np.float64(sol.residual).tobytes(),
+            (sol.status, sol.method, sol.restart_index, sol.support_profile,
+             sol.degenerate_types))
+
+
+def _row(table, k):
+    """The bytes and metadata of a table's point k, read off its stacks."""
+    return ([r[k].tobytes() for r in table.rows], [v[k].tobytes() for v in table.values],
+            table.residuals[k].tobytes(), table.metas[k])
+
+
+def test_solve_stage_builds_no_solution(monkeypatch):
+    """``solve_stage`` returns its points as one stacked table and builds
+    no ``StageSolution``, with and without a lookup, and so does a grid
+    build. A table's points read back bit for bit as ``solution_at`` and
+    ``cached_points()`` give them, and equal metadata is one tuple, in a
+    reloaded grid's tables too."""
+    spec = instances.random_instance(23)
+    rng = np.random.default_rng(23)
+    points = [Belief(w, spec.type_counts)
+              for w in rng.dirichlet(np.ones(spec.num_joint_types), size=12)]
+    gen = GridGenerator(instances.coordination_instance(), resolution=3)
+    with monkeypatch.context() as patched:
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stage solution was built")
+        patched.setattr(stage, "StageSolution", refuse)
+        tables = [stage.solve_stage(spec, spec.horizon, points, lookup)
+                  for lookup in (None, _constant_lookup(spec, 0.25))]
+        gen.build()
+    tables += gen.tables.values()
+    doc = spbe.policy_document(spbe.SolveResult(gen.spec, "grid", gen.config, gen,
+                                                "ok", resolution=3))
+    tables += spbe.load_policy(doc, gen.spec).tables.values()
+    for table in tables:
+        assert [_point(sol) for sol in table] == \
+            [_point(table[k]) for k in range(len(table))] == \
+            [_row(table, k) for k in range(len(table))]
+        shared = {}
+        assert all(shared.setdefault(meta, meta) is meta for meta in table.metas)
+        assert len(shared) < len(table)
+    cached = gen.cached_points()
+    assert len(cached) == sum(map(len, gen.tables.values()))
+    for t, pi, sol in cached:
+        k = int(np.flatnonzero((gen.grid == pi.weights).all(axis=1))[0])
+        assert _point(sol) == _row(gen.tables[t], k)
+        if sol.converged:
+            assert _point(gen.solution_at(t, pi)) == _point(sol)

@@ -11,7 +11,8 @@ and record, as one sha256 line per item:
 - for the solved policy and then for the reloaded one: the certificate
   (``run_certification``), the summary and traces of
   ``simulate(spec, policy, 300, seed=3)``, the generator's
-  ``cached_points()`` and, in grid mode, its ``snap_stats``.
+  ``cached_points()``, ``failed_points`` and ``solve_counts`` and, in grid
+  mode, its ``snap_stats``.
 
 An item that raises records its exception's type and message instead.
 The guard set is 55 exact-mode games (the 12 corpus games,
@@ -141,8 +142,8 @@ def _items(spbe, spec, mode, resolution, options):
                       sol.status, sol.method, sol.restart_index)
                      for t, pi, sol in generator(which).cached_points()])
 
-    def snap_stats(which):
-        return repr(generator(which).snap_stats)
+    def attribute(which, name):
+        return repr(getattr(generator(which), name))
 
     yield "report", solved
     yield "policy", policy
@@ -151,8 +152,9 @@ def _items(spbe, spec, mode, resolution, options):
         yield f"{which}.certificate", lambda w=which: certificate(w)
         yield f"{which}.simulate", lambda w=which: simulation(w)
         yield f"{which}.cached_points", lambda w=which: points(w)
-        if mode == "grid":
-            yield f"{which}.snap_stats", lambda w=which: snap_stats(w)
+        for name in ("failed_points", "solve_counts",
+                     *(("snap_stats",) if mode == "grid" else ())):
+            yield f"{which}.{name}", lambda w=which, n=name: attribute(w, n)
 
 
 def _outcome(spbe, spec, mode, resolution, options) -> str:
