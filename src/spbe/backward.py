@@ -14,10 +14,11 @@ Each generator's store of solved points is read through one view,
 ``_stages()``: per stage, ascending, the points' belief keys, beliefs and
 :class:`~spbe.stage.StageTable`, in key order. Over it ``Generator``
 gives ``cached_points()``, (stage, belief, solution) triples whose
-solutions are built anew on every call, which policy documents read,
-and reports' ``solve_counts`` and ``failed_points``, which read the
-tables' metadata alone. Points are kept as stacked arrays, not solution
-objects (a grid's table per stage, an exact store's records). Both
+solutions are built anew on every call, and reports' ``solve_counts``
+and ``failed_points``, which read the tables' metadata alone; policy
+documents are written from the tables themselves. Points are kept as
+stacked arrays, not solution objects (a grid's table per stage, an
+exact store's records). Both
 solve with :func:`~spbe.stage.solve_stage`, which returns a table, passing
 their own ``lookup(t + 1)``:
 
@@ -745,19 +746,6 @@ def _rows_to_lists(prescription: Prescription) -> list[list[list[float]]]:
     return [player.tolist() for player in prescription.rows]
 
 
-def _solution_entry(t: int, pi: Belief, solution: StageSolution) -> dict:
-    return {
-        "t": t,
-        "belief": list(pi.key),
-        "rows": _rows_to_lists(solution.prescription),
-        "values": [arr.tolist() for arr in solution.values],
-        "residual": float(solution.residual),
-        "status": solution.status,
-        "method": solution.method,
-        "restart_index": solution.restart_index,
-    }
-
-
 def build_solve_report(result: SolveResult) -> dict:
     """JSON-ready summary of a solve. Identical inputs give identical
     reports except for the ``timing`` block."""
@@ -803,15 +791,36 @@ POLICY_VERSION = 1
 
 
 def policy_document(result: SolveResult) -> dict:
-    """Serialize every converged stage point of a solve into a document."""
+    """Serialize every converged stage point of a solve into a document,
+    written straight from its generator's tables (``_stages()``). A solve
+    that left no generator (a refused grid) raises ``ValueError`` naming
+    its status."""
+    if result.generator is None:
+        raise ValueError(f"a solve with status {result.status!r} left no "
+                         "stage points to write")
+    entries = []
+    for t, keys, _beliefs, table in result.generator._stages():
+        rows = [r.tolist() for r in table.rows]
+        values = [v.tolist() for v in table.values]
+        for k, (key, meta, residual) in enumerate(
+                zip(keys, table.metas, table.residuals.tolist())):
+            if meta[0] == "converged":
+                entries.append({
+                    "t": t,
+                    "belief": list(key),
+                    "rows": [r[k] for r in rows],
+                    "values": [v[k] for v in values],
+                    "residual": residual,
+                    "status": meta[0],
+                    "method": meta[1],
+                    "restart_index": meta[2],
+                })
     doc = {
         "format": POLICY_FORMAT,
         "version": POLICY_VERSION,
         "game": result.spec.digest(),
         "mode": result.mode,
-        "entries": [_solution_entry(t, pi, solution)
-                    for t, pi, solution in result.generator.cached_points()
-                    if solution.converged],
+        "entries": entries,
     }
     if result.resolution is not None:
         doc["resolution"] = result.resolution

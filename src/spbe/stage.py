@@ -26,7 +26,11 @@ Solution phases, tried in order and recorded in the result:
 The cheap exact search runs before the random one: at a point where the
 first iteration stalls, seeded restarts of the same iteration almost
 always stall too, and below the last stage each of their iterations
-makes the lookup solve posteriors that no history reads.
+makes the lookup solve posteriors that no history reads. For the same
+reason an iteration below the last stage (phase 1 or a restart) closes
+a point on its undamped best-response profile once that profile has
+held for ``SETTLED_ITERATES`` consecutive iterates and clears the
+tolerance, instead of creeping toward it by damped steps.
 
 Types whose current marginal is numerically zero take no part in the
 fixed point. Their rows are filled in afterwards as best responses under
@@ -79,6 +83,11 @@ from .game import GameSpec, component_maps, embedding_map
 # restart is declared stuck (damped best responses cycle on games with
 # only mixed equilibria; genuine convergence improves every few steps).
 STALL_WINDOW = 60
+# Below the last stage, a point whose undamped best-response profile has
+# come out the same at this many consecutive iterates is tested at that
+# profile (fewer repeats close points on profiles the iteration would
+# have left)
+SETTLED_ITERATES = 4
 SUPPORT_REFRESH_MAX = 60
 FREEZE_STABLE_TOL = 1e-12
 LSTSQ_CONSISTENCY_TOL = 1e-8
@@ -416,7 +425,7 @@ def _batch_rows(gamma: Prescription) -> list[np.ndarray]:
 
 def _top(q) -> list[np.ndarray]:
     """Per player, every agent's best action value, as a trailing axis of
-    one; :func:`_residual` and :func:`_apply_br` share it."""
+    one; :func:`_residual` and :func:`_best_response` share it."""
     return [np.maximum.reduce(qi, axis=-1, keepdims=True) for qi in q]
 
 
@@ -430,15 +439,23 @@ def _residual(q, top, rows, agents) -> np.ndarray:
     return worst
 
 
-def _apply_br(rows, q, top, agents, step: float) -> list[np.ndarray]:
-    """Move the rows of ``agents`` by ``step`` toward their best responses,
-    ties mixed uniformly."""
+def _best_response(rows, q, top, agents) -> list[np.ndarray]:
+    """The undamped best-response profile of ``rows``: every agent in
+    ``agents`` plays its best actions, ties mixed uniformly, and every
+    other row is kept."""
     out = []
     for r, qi, ti, m in zip(rows, q, top, agents):
         ties = qi >= ti - TIE_TOL
-        target = ties / np.add.reduce(ties, axis=-1, keepdims=True)
-        out.append(np.where(m[..., None], (1.0 - step) * r + step * target, r))
+        out.append(np.where(m[..., None],
+                            ties / np.add.reduce(ties, axis=-1, keepdims=True), r))
     return out
+
+
+def _apply_br(rows, profile, agents, step: float) -> list[np.ndarray]:
+    """Move the rows of ``agents`` by ``step`` toward their best-response
+    ``profile`` (:func:`_best_response`)."""
+    return [np.where(m[..., None], (1.0 - step) * r + step * g, r)
+            for r, g, m in zip(rows, profile, agents)]
 
 
 def _check(ev: StageEvaluator, rows) -> np.ndarray:
@@ -447,12 +464,12 @@ def _check(ev: StageEvaluator, rows) -> np.ndarray:
     return _residual(q, _top(q), rows, ev.active)
 
 
-def _polish(ev: StageEvaluator, rows, q, top, res: np.ndarray):
-    """Snap converged iterates to their own best-response profiles where
-    that profile is at least as good. Strict equilibria then come out
-    exactly pure instead of pure-up-to-damping-residue; interior points
-    are left alone because their undamped best response is far from them."""
-    snapped = _apply_br(rows, q, top, ev.active, 1.0)
+def _polish(ev: StageEvaluator, rows, snapped, res: np.ndarray):
+    """Snap converged iterates to their own best-response profiles
+    ``snapped`` where that profile is at least as good. Strict equilibria
+    then come out exactly pure instead of pure-up-to-damping-residue;
+    interior points are left alone because their undamped best response
+    is far from them."""
     snapped_res = _check(ev, snapped)
     better = snapped_res <= res
     return ([np.where(better[:, None, None], s, r) for s, r in zip(snapped, rows)],
@@ -465,9 +482,16 @@ def _iterate_batch(ev: StageEvaluator, rows, config: SolverConfig):
     Per point this is the scalar rule: track the best iterate (improvement
     by more than 1e-12), stop when the residual clears ``fp_tol`` and
     polish, or give up after ``STALL_WINDOW`` iterations without
-    improvement or after ``max_iterations``. Returns rows, residuals and
-    converged flags: polished fixed points where converged, else the best
-    iterate seen.
+    improvement or after ``max_iterations``. With a lookup (below the last
+    stage) a point also stops on its best-response profile: once that
+    profile has come out bit for bit the same at ``SETTLED_ITERATES``
+    consecutive iterates it is checked, each distinct profile at most once
+    per point, and closes the point if its residual clears ``fp_tol``.
+    Without the test the damped steps would creep toward that profile for
+    dozens more iterates, each asking the lookup for new posteriors. At
+    the last stage a step costs no more than the test, so there is none.
+    Returns rows, residuals and converged flags: polished fixed points
+    (or settled profiles) where converged, else the best iterate seen.
     """
     cur = [np.array(r, dtype=float) for r in rows]
     best = [r.copy() for r in cur]
@@ -475,11 +499,16 @@ def _iterate_batch(ev: StageEvaluator, rows, config: SolverConfig):
     ok = np.zeros(ev.size, dtype=bool)
     live = np.arange(ev.size)
     since = np.zeros(ev.size, dtype=np.int64)   # per live point
+    settle = ev.lookup is not None
+    # per live point: the last best-response profile and how many
+    # consecutive iterates it has held; per point, the profiles tested
+    last, held, tested = None, np.ones(ev.size, dtype=np.int64), {}
     sub = ev
     for _ in range(config.max_iterations):
         q = _evaluate(sub, cur, sub.active, _Candidate(sub, cur))
         top = _top(q)
         res = _residual(q, top, cur, sub.active)
+        profile = _best_response(cur, q, top, sub.active)
         better = res < best_res[live] - 1e-12
         if better.any():
             improved = live[better]
@@ -491,23 +520,49 @@ def _iterate_batch(ev: StageEvaluator, rows, config: SolverConfig):
         if conv.any():
             k = np.flatnonzero(conv)
             polished, polished_res = _polish(
-                sub.take(k), [c[k] for c in cur], [qi[k] for qi in q],
-                [ti[k] for ti in top], res[k])
+                sub.take(k), [c[k] for c in cur], [p[k] for p in profile], res[k])
             for b_rows, p_rows in zip(best, polished):
                 b_rows[live[k]] = p_rows
             best_res[live[k]] = polished_res
             ok[live[k]] = True
+        if settle:
+            if last is not None:
+                same = np.logical_and.reduce(
+                    [(p == o).reshape(len(p), -1).all(axis=1)
+                     for p, o in zip(profile, last)])
+                held = np.where(same, held + 1, 1)
+            last = profile
+            k = np.flatnonzero(~conv & (held == SETTLED_ITERATES))
+            if k.size:   # a settled profile is tested once per point
+                fresh = []
+                for b, j in zip(live[k].tolist(), k):
+                    seen = tested.setdefault(b, set())
+                    key = b"".join(p[j].tobytes() for p in profile)
+                    fresh.append(key not in seen)
+                    seen.add(key)
+                k = k[fresh]
+            if k.size:
+                snapped = [p[k] for p in profile]
+                snapped_res = _check(sub.take(k), snapped)
+                closed = snapped_res <= config.fp_tol
+                at = live[k[closed]]
+                for b_rows, s_rows in zip(best, snapped):
+                    b_rows[at] = s_rows[closed]
+                best_res[at] = snapped_res[closed]
+                ok[at] = True
+                conv[k[closed]] = True
         go_on = ~conv & (since <= STALL_WINDOW)
         if not go_on.all():
             keep = np.flatnonzero(go_on)
             if not keep.size:   # no point needs its next iterate
                 break
             cur = [c[keep] for c in cur]
-            q = [qi[keep] for qi in q]
-            top = [ti[keep] for ti in top]
+            profile = [p[keep] for p in profile]
             sub = sub.take(keep)
             live, since = live[keep], since[keep]
-        cur = _apply_br(cur, q, top, sub.active, config.damping)
+            if settle:
+                last, held = profile, held[keep]
+        cur = _apply_br(cur, profile, sub.active, config.damping)
     return best, best_res, ok
 
 
@@ -570,13 +625,14 @@ def _frozen_q(ev: StageEvaluator, rows, frozen) -> list[np.ndarray]:
 
 
 def _solve_frozen_two_player(ev: StageEvaluator, profile_map: dict,
-                             frozen) -> Prescription | None:
+                             frozen, payoffs: dict) -> Prescription | None:
     """Solve the frozen indifference system exactly for N <= 2.
 
     For two players the indifference conditions of player i's agents are
     linear in the stacked support entries of the other player's rows, so
     each player's rows come out of one least-squares solve. For one player
     the support is feasible only when the frozen action values tie.
+    ``payoffs`` holds each player's frozen payoffs once built, by player.
     """
     n = ev.spec.num_players
     rows = _placeholder_rows(ev)
@@ -598,7 +654,10 @@ def _solve_frozen_two_player(ev: StageEvaluator, profile_map: dict,
         other = 1 - solved
         # with two players the others' flat index of player `other` is
         # player `solved`'s own coordinate: coef[x_other, a_other, x_solved, a_solved]
-        coef = ev.weighted_payoffs(other, frozen[other])[0].transpose(2, 0, 3, 1)
+        if other not in payoffs:
+            payoffs[other] = ev.weighted_payoffs(
+                other, frozen[other])[0].transpose(2, 0, 3, 1)
+        coef = payoffs[other]
         xs_idx, as_idx = np.array([(xs, a) for xs in agents_of[solved]
                                    for a in profile_map[(solved, xs)]]).T
         # one equation per (x_other, a_other) of the support, with the value
@@ -700,8 +759,14 @@ def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
     return Prescription(tuple(rows))
 
 
-def _solve_support(ev: StageEvaluator, profile, config: SolverConfig) -> Prescription | None:
-    """Find a candidate supported on `profile` that survives freeze refresh."""
+def _solve_support(ev: StageEvaluator, profile, config: SolverConfig,
+                   payoffs: dict | None = None) -> Prescription | None:
+    """Find a candidate supported on `profile` that survives freeze refresh.
+
+    Past the horizon every profile of a point freezes the same zero
+    continuations, so a caller may pass one ``payoffs`` dict for all of
+    them to keep the frozen payoffs the first profile builds; below it
+    each freeze builds its own."""
     profile_map = dict(zip(ev.agents()[0], profile))
     rows = _placeholder_rows(ev)
     for (i, xi), support in profile_map.items():
@@ -712,7 +777,9 @@ def _solve_support(ev: StageEvaluator, profile, config: SolverConfig) -> Prescri
     for _ in range(SUPPORT_REFRESH_MAX):
         frozen = _freeze_continuations(ev, gamma)
         if ev.spec.num_players <= 2:
-            solved = _solve_frozen_two_player(ev, profile_map, frozen)
+            solved = _solve_frozen_two_player(
+                ev, profile_map, frozen,
+                payoffs if payoffs is not None and ev.lookup is None else {})
         else:
             solved = _solve_frozen_multi(ev, profile_map, frozen, gamma)
         if solved is None:
@@ -749,7 +816,7 @@ def _finalize_rows(ev: StageEvaluator, rows):
     """
     cand = _Candidate(ev, rows)
     corner_q = _evaluate(ev, rows, ev.corner, cand)
-    final = _apply_br(rows, corner_q, _top(corner_q), ev.corner, 1.0)
+    final = _best_response(rows, corner_q, _top(corner_q), ev.corner)
     q = _evaluate(ev, final, ev.active, cand)
     values = [(f * np.where(m[..., None], qa, qc)).sum(axis=-1)
               for f, m, qa, qc in zip(final, ev.active, q, corner_q)]
@@ -831,9 +898,9 @@ def solve_stage(
     enumeration_ran = config.support_enumeration_limit >= sum(
         nt * na for nt, na in zip(spec.type_counts, spec.action_counts))
     for b in still_open() if enumeration_ran else ():
-        point = ev.take([b])
+        point, payoffs = ev.take([b]), {}
         for profile in _support_profiles(point):
-            candidate = _solve_support(point, profile, config)
+            candidate = _solve_support(point, profile, config, payoffs)
             if candidate is None:
                 continue
             rows = _batch_rows(candidate)

@@ -18,7 +18,9 @@ arithmetic. :func:`policy_entries_fault` pins the policy loader's error
 messages the same way: it checks one entry at a time, in the loader's
 documented order, with NumPy's own conversions. :func:`solve_stage_serial`
 pins the stage solver's search order: it solves one point with the
-solver's own phases, every restart in turn. :func:`simulate_brute` pins
+solver's own phases, every restart in turn. :func:`iterate_batch_damped`
+keeps the stage solver's phase-1 loop as it was before points could
+close on a settled best-response profile. :func:`simulate_brute` pins
 ``simulate``'s random stream and summation order: it plays one episode
 after another, one uniform per draw, through the policy's own queries.
 """
@@ -561,6 +563,74 @@ def policy_entries_fault(entries, spec) -> str | None:
         except (TypeError, ValueError, OverflowError) as err:
             return f"policy entry {k}: {err}"
     return None
+
+
+def iterate_batch_damped(ev, rows, config):
+    """The stage solver's phase-1 loop as it was before points could close
+    on a settled best-response profile: damped best responses in lockstep
+    until a point's residual clears ``fp_tol`` (then it is polished to its
+    best-response profile where that is at least as good), it stalls for
+    ``STALL_WINDOW`` iterates or ``max_iterations`` run out. A drop-in
+    for ``stage._iterate_batch``, built from the solver's own evaluation;
+    with no lookup the two must agree bit for bit."""
+    from spbe import stage
+
+    def apply_br(rows, q, top, agents, step):
+        out = []
+        for r, qi, ti, m in zip(rows, q, top, agents):
+            ties = qi >= ti - stage.TIE_TOL
+            target = ties / np.add.reduce(ties, axis=-1, keepdims=True)
+            out.append(np.where(m[..., None], (1.0 - step) * r + step * target, r))
+        return out
+
+    def polish(ev, rows, q, top, res):
+        snapped = apply_br(rows, q, top, ev.active, 1.0)
+        snapped_res = stage._check(ev, snapped)
+        better = snapped_res <= res
+        return ([np.where(better[:, None, None], s, r)
+                 for s, r in zip(snapped, rows)],
+                np.where(better, snapped_res, res))
+
+    cur = [np.array(r, dtype=float) for r in rows]
+    best = [r.copy() for r in cur]
+    best_res = np.full(ev.size, np.inf)
+    ok = np.zeros(ev.size, dtype=bool)
+    live = np.arange(ev.size)
+    since = np.zeros(ev.size, dtype=np.int64)
+    sub = ev
+    for _ in range(config.max_iterations):
+        q = stage._evaluate(sub, cur, sub.active, stage._Candidate(sub, cur))
+        top = stage._top(q)
+        res = stage._residual(q, top, cur, sub.active)
+        better = res < best_res[live] - 1e-12
+        if better.any():
+            improved = live[better]
+            for b_rows, c_rows in zip(best, cur):
+                b_rows[improved] = c_rows[better]
+            best_res[improved] = res[better]
+        since = np.where(better, 0, since + 1)
+        conv = res <= config.fp_tol
+        if conv.any():
+            k = np.flatnonzero(conv)
+            polished, polished_res = polish(
+                sub.take(k), [c[k] for c in cur], [qi[k] for qi in q],
+                [ti[k] for ti in top], res[k])
+            for b_rows, p_rows in zip(best, polished):
+                b_rows[live[k]] = p_rows
+            best_res[live[k]] = polished_res
+            ok[live[k]] = True
+        go_on = ~conv & (since <= stage.STALL_WINDOW)
+        if not go_on.all():
+            keep = np.flatnonzero(go_on)
+            if not keep.size:
+                break
+            cur = [c[keep] for c in cur]
+            q = [qi[keep] for qi in q]
+            top = [ti[keep] for ti in top]
+            sub = sub.take(keep)
+            live, since = live[keep], since[keep]
+        cur = apply_br(cur, q, top, sub.active, config.damping)
+    return best, best_res, ok
 
 
 def solve_stage_serial(spec, t, pi, config):

@@ -132,12 +132,14 @@ def test_monotone_cache_and_reproducible_key_set():
 
 def test_exact_solve_counts():
     # the stage-(t+1) beliefs an exact solve asks for, counted per stage:
-    # the root closes in support enumeration, whose freeze refreshes ask
-    # for fewer posteriors than the seven failed restarts did before it
+    # signaling pennies' root closes in support enumeration, whose freeze
+    # refreshes ask for fewer posteriors than the seven failed restarts did
+    # before it; dominant types' root closes on its settled pure
+    # best-response profile, not after the damped steps that creep toward it
     assert solve(instances.signaling_pennies_instance()).generator.solve_counts == \
         {1: 1, 2: 165}
     assert solve(instances.dominant_types_instance()).generator.solve_counts == \
-        {1: 1, 2: 109}
+        {1: 1, 2: 17}
 
 
 SOLVE_CASES = {
@@ -181,7 +183,8 @@ SOLVE_CASES = {
 def test_solve_statuses_in_both_modes(case):
     """Each (mode, status) pair of a solve: the report's ``failure``
     document, read off the one error the solve keeps, and whether the
-    result has a generator and a root."""
+    result has a generator and a root; a policy document of a solve with
+    no generator raises, naming the status."""
     run, status, has_generator, failure = SOLVE_CASES[case]
     result = run()
     assert result.status == status
@@ -192,6 +195,9 @@ def test_solve_statuses_in_both_modes(case):
     report = build_solve_report(result)
     assert report["status"] == status
     assert report.get("failure") == failure
+    if not has_generator:   # no stage points to write a policy from
+        with pytest.raises(ValueError, match=f"status '{status}'"):
+            policy_document(result)
 
 
 def test_no_fixed_point_routing():

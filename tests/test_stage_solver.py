@@ -554,3 +554,91 @@ def test_solve_stage_builds_no_solution(monkeypatch):
         assert _point(sol) == _row(gen.tables[t], k)
         if sol.converged:
             assert _point(gen.solution_at(t, pi)) == _point(sol)
+
+
+def _iteration_outputs(run, spec, t, beliefs, lookup, starts):
+    ev = stage.StageEvaluator(spec, t, beliefs, lookup)
+    rows, res, ok = run(ev, starts(ev), SolverConfig())
+    return [r.tobytes() for r in rows], res.tobytes(), ok.tobytes()
+
+
+@pytest.mark.parametrize("name", ["coordination", "signaling_pennies", "random_0"])
+def test_last_stage_iteration_equals_the_damped_loop(monkeypatch, name):
+    """With no lookup (the last stage) a point never closes on a settled
+    best-response profile: phase 1 and Dirichlet restarts give what the
+    damped loop of :func:`oracles.iterate_batch_damped` gives, byte for
+    byte, with as many stage evaluations (no profile is checked)."""
+    spec = (instances.random_instance(0) if name == "random_0"
+            else getattr(instances, f"{name}_instance")())
+    beliefs = [Belief(w, spec.type_counts)
+               for w in GridGenerator(spec, resolution=3).grid]
+    rng = np.random.default_rng(7)
+    draws = [rng.dirichlet(np.ones(na), size=(len(beliefs), nt))
+             for nt, na in zip(spec.type_counts, spec.action_counts)]
+    evaluations = []
+
+    def counted(*args):
+        evaluations[-1] += 1
+        return evaluate(*args)
+
+    evaluate = stage._evaluate
+    monkeypatch.setattr(stage, "_evaluate", counted)
+    for starts in (lambda ev: stage._placeholder_rows(ev, ev.size),
+                   lambda ev: [d.copy() for d in draws]):
+        outputs = []
+        for run in (stage._iterate_batch, oracles.iterate_batch_damped):
+            evaluations.append(0)
+            outputs.append(_iteration_outputs(run, spec, spec.horizon, beliefs,
+                                              None, starts))
+        assert outputs[0] == outputs[1]
+        assert evaluations[-2] == evaluations[-1]
+
+
+@pytest.mark.parametrize("name", ["coordination", "dominant_types", "random_0"])
+def test_settled_profiles_close_points_with_fewer_lookups(name):
+    """Below the last stage a point closes on its best-response profile
+    once that profile has held for ``SETTLED_ITERATES`` iterates. Under a
+    lookup whose values move with the posterior, these games' phase-1
+    points close on the rows the damped loop ends with, and the lookup
+    is asked for fewer posteriors."""
+    spec = (instances.random_instance(0) if name == "random_0"
+            else getattr(instances, f"{name}_instance")())
+    beliefs = [Belief(w, spec.type_counts)
+               for w in GridGenerator(spec, resolution=3).grid]
+    asked = []
+
+    def counting(post):
+        asked[-1] += len(post)
+        return [0.25 + post[:, :c] for c in spec.type_counts]
+
+    outputs = []
+    for run in (stage._iterate_batch, oracles.iterate_batch_damped):
+        asked.append(0)
+        outputs.append(_iteration_outputs(
+            run, spec, 1, beliefs, counting,
+            lambda ev: stage._placeholder_rows(ev, ev.size)))
+    (rows, _, ok), (want_rows, _, want_ok) = outputs
+    assert (rows, ok) == (want_rows, want_ok)
+    assert asked[0] < asked[1]
+
+
+def test_settled_profiles_keep_every_root(monkeypatch):
+    """Closing points on settled best-response profiles leaves the root
+    prescription of every corpus game and of ``random_instance(0..9)`` bit
+    for bit as the damped loop gives it, and solves no more points at any
+    stage."""
+    games = dict(instances.corpus())
+    games.update({f"random_{s}": instances.random_instance(s) for s in range(10)})
+    new = {name: spbe.solve(spec) for name, spec in games.items()}
+    monkeypatch.setattr(stage, "_iterate_batch", oracles.iterate_batch_damped)
+    fewer = 0
+    for name, spec in games.items():
+        old = spbe.solve(spec)
+        assert new[name].status == old.status == "ok", name
+        assert [r.tobytes() for r in new[name].root.prescription.rows] == \
+            [r.tobytes() for r in old.root.prescription.rows], name
+        counts, want = new[name].generator.solve_counts, old.generator.solve_counts
+        assert counts.keys() == want.keys(), name
+        assert all(counts[t] <= want[t] for t in want), name
+        fewer += counts != want
+    assert fewer

@@ -30,7 +30,9 @@ With ``--outcomes`` it prints instead one line per game of the guard set:
 the solve status, the certificate's ``all_checks_ok`` and ``max_gain``
 (``-`` where the solve left no generator), and a digest of the root
 prescription (``-`` where there is no root), then a count of ok solves
-and of ``all_checks_ok``. A behaviour change lists its before and after
+and of ``all_checks_ok`` and, under it, the total of the solves'
+``solve_counts`` (the stage points solved, read before anything else
+queries the generator). A behaviour change lists its before and after
 counts from these, and which games moved.
 
 Usage, from the repository root::
@@ -157,9 +159,11 @@ def _items(spbe, spec, mode, resolution, options):
             yield f"{which}.{name}", lambda w=which, n=name: attribute(w, n)
 
 
-def _outcome(spbe, spec, mode, resolution, options) -> str:
-    """``status=… all_checks_ok=… max_gain=… root=…`` of one game."""
+def _outcome(spbe, spec, mode, resolution, options) -> tuple[str, int]:
+    """``status=… all_checks_ok=… max_gain=… root=…`` of one game, and
+    the number of stage points its solve stored."""
     result = spbe.solve(spec, mode=mode, resolution=resolution or 10, **options)
+    solved = sum(result.generator.solve_counts.values()) if result.generator else 0
     checks = gain = "-"
     if result.generator is not None:
         try:
@@ -173,7 +177,7 @@ def _outcome(spbe, spec, mode, resolution, options) -> str:
         root = hashlib.sha256(b"".join(
             r.tobytes() for r in result.root.prescription.rows)).hexdigest()[:16]
     return (f"status={result.status} all_checks_ok={checks} max_gain={gain} "
-            f"root={root}")
+            f"root={root}"), solved
 
 
 def _counts(lines: list[str]) -> str:
@@ -183,16 +187,18 @@ def _counts(lines: list[str]) -> str:
 
 def dump(src: str, outcomes: bool = False) -> None:
     """Print ``<game> <item> <sha256>`` for every item of the guard set,
-    or with ``outcomes`` ``<game> <outcome>`` for every game and then
-    their counts."""
+    or with ``outcomes`` ``<game> <outcome>`` for every game, then their
+    counts and the total of their stage points solved."""
     sys.path.insert(0, src)
     import spbe
     import spbe.forward
 
-    lines = []
+    lines, solved = [], 0
     for name, spec, mode, resolution, options in _games(spbe):
         if outcomes:
-            lines.append(f"{name} {_outcome(spbe, spec, mode, resolution, options)}")
+            line, points = _outcome(spbe, spec, mode, resolution, options)
+            lines.append(f"{name} {line}")
+            solved += points
             print(lines[-1], flush=True)
             continue
         for item, make in _items(spbe, spec, mode, resolution, options):
@@ -204,14 +210,19 @@ def dump(src: str, outcomes: bool = False) -> None:
             print(f"{name} {item} {digest}", flush=True)
     if outcomes:
         print(_counts(lines))
+        print(f"{solved} solved stage points")
 
 
-def _dump_lines(src: str, outcomes: bool) -> list[str]:
+def _dump_lines(src: str, outcomes: bool) -> tuple[list[str], str]:
+    """The lines of one tree's dump, and with ``outcomes`` its solved
+    points line (else an empty string)."""
     out = subprocess.run([sys.executable, __file__, src,
                           *(["--outcomes"] if outcomes else [])],
                          capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    return lines[:-1] if outcomes else lines   # the counts, made again below
+    if outcomes:   # the counts are made again below
+        return lines[:-2], lines[-1]
+    return lines, ""
 
 
 def main(argv=None) -> int:
@@ -226,7 +237,8 @@ def main(argv=None) -> int:
     if len(args.src) != 2:
         parser.error("give one or two src directories")
     with ThreadPoolExecutor(2) as pool:
-        old, new = pool.map(lambda src: _dump_lines(src, args.outcomes), args.src)
+        (old, old_points), (new, new_points) = pool.map(
+            lambda src: _dump_lines(src, args.outcomes), args.src)
     # an item is a line's game and item name; an outcome's, its game
     split = (lambda line: line.split(" ", 1)[0]) if args.outcomes else \
         (lambda line: line.rsplit(" ", 1)[0])
@@ -240,7 +252,8 @@ def main(argv=None) -> int:
         else:
             print(f"differs: {item}")
     if args.outcomes:
-        print(f"before: {_counts(old)}\nafter:  {_counts(new)}")
+        print(f"before: {_counts(old)}\n        {old_points}\n"
+              f"after:  {_counts(new)}\n        {new_points}")
     print(f"{len(old_items)} {'games' if args.outcomes else 'items'}, "
           f"{len(differ)} differ")
     return 1 if differ else 0
