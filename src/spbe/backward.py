@@ -75,34 +75,11 @@ import numpy as np
 
 from .beliefs import (KEY_DIGITS, Belief, BeliefKey, Prescription,
                       belief_key, checked_stacks, initial_belief)
-from .game import GameSpec
+from .game import (DEFAULT_CACHE_BUDGET, GameSpec, NoFixedPointError,
+                   ResourceLimitError)
 from .stage import Lookup, SolverConfig, StageSolution, StageTable, solve_stage
 # bound here so profilers can wrap it by name
 from .stage import solve_stage_fixed_point  # noqa: F401
-
-DEFAULT_CACHE_BUDGET = 1_000_000
-
-
-class NoFixedPointError(RuntimeError):
-    """A stage point failed to solve; carries where and how it failed."""
-
-    def __init__(self, t: int, key: BeliefKey, status: str):
-        super().__init__(
-            f"stage {t} has no prescription fixed point at belief {list(key)} "
-            f"(solver status: {status})"
-        )
-        self.t = t
-        self.key = key
-        self.status = status
-
-
-class ResourceLimitError(RuntimeError):
-    """A computation was refused because it exceeds a configured bound."""
-
-    def __init__(self, message: str, limit: int):
-        super().__init__(message)
-        self.limit = limit
-
 
 class Generator:
     """Stage prescriptions at common beliefs, and the values read off them.

@@ -9,6 +9,9 @@ belief-grid tables in a plotting-friendly document.
 Every subcommand prints one JSON document to stdout (or ``--out``); on
 failure that document describes the error, and a one-line summary goes to
 stderr. Exit codes are listed in ``--help``.
+
+Only the game model is imported here; each subcommand imports the solver,
+forward pass or verifier it runs, so ``validate`` loads nothing else.
 """
 
 from __future__ import annotations
@@ -18,22 +21,8 @@ import json
 import sys
 from pathlib import Path
 
-from .backward import (
-    DEFAULT_CACHE_BUDGET,
-    GridGenerator,
-    NoFixedPointError,
-    ResourceLimitError,
-    build_solve_report,
-    load_policy_file,
-    policy_document,
-    render_report,
-    save_policy,
-    solve,
-)
-from .forward import EquilibriumPolicy, simulate, traces_to_delimited
-from .game import GameSpec, GameSpecError, load_game_spec
-from .stage import SolverConfig
-from .verify import run_certification
+from .game import (DEFAULT_CACHE_BUDGET, GameSpec, GameSpecError, NoFixedPointError,
+                   ResourceLimitError, load_game_spec)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -134,7 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(doc: dict, out_path: str | None) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True)
     if out_path:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
     else:
@@ -144,12 +134,14 @@ def _emit(text: str, out_path: str | None) -> None:
 def _fail(args, code: int, kind: str, message: str, **details) -> int:
     doc = {"error": {"kind": kind, "message": message, "exit_code": code}}
     doc["error"].update(details)
-    _emit(json.dumps(doc, indent=2, sort_keys=True), getattr(args, "out", None))
+    _emit(doc, getattr(args, "out", None))
     print(f"spbe: {message}", file=sys.stderr)
     return code
 
 
-def _config(args) -> SolverConfig:
+def _config(args):
+    from .stage import SolverConfig
+
     return SolverConfig(
         fp_tol=args.tol,
         max_iterations=args.max_iters,
@@ -160,18 +152,16 @@ def _config(args) -> SolverConfig:
     )
 
 
-def _load_game(args) -> GameSpec:
-    return load_game_spec(args.game)
-
-
 def _solve(args, spec: GameSpec, mode: str):
+    from .backward import solve
+
     resolution = 10 if args.grid_resolution is None else args.grid_resolution
     return solve(spec, mode=mode, config=_config(args),
                  resolution=resolution, cache_budget=args.cache_budget)
 
 
 def _cmd_validate(args) -> int:
-    spec = _load_game(args)
+    spec = load_game_spec(args.game)
     doc = {
         "ok": True,
         "game": spec.digest(),
@@ -182,14 +172,16 @@ def _cmd_validate(args) -> int:
         "stationary": spec.stationary,
         "discount": spec.discount,
     }
-    _emit(render_report(doc), args.out)
+    _emit(doc, args.out)
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    spec = _load_game(args)
+    from .backward import build_solve_report, save_policy
+
+    spec = load_game_spec(args.game)
     result = _solve(args, spec, args.mode or "exact")
-    _emit(render_report(build_solve_report(result)), args.out)
+    _emit(build_solve_report(result), args.out)
     if args.policy_out and result.status in ("ok", "partial"):
         save_policy(result, args.policy_out)
     if result.status == "ok":
@@ -199,15 +191,19 @@ def _cmd_solve(args) -> int:
     return EXIT_RESOURCE if result.status == "refused" else EXIT_NO_FIXED_POINT
 
 
-def _policy_for(args, command: str) -> tuple[GameSpec, EquilibriumPolicy | None]:
-    """The game and the policy that ``command`` (simulate or verify) plays:
-    a policy file when given (a grid-mode file snaps to its grid, any other
-    solves the beliefs it lacks exactly, within the solver knobs and cache
-    budget), otherwise a fresh solve in the chosen mode. The file alone
-    decides its mode and grid, so a ``--mode`` or ``--grid-resolution``
-    that differs from them is refused. A solve that finds no fixed point
-    emits its report, says so on stderr, and gives no policy."""
-    spec = _load_game(args)
+def _policy_for(args, command: str) -> tuple:
+    """The game and the ``EquilibriumPolicy`` that ``command`` (simulate or
+    verify) plays: a policy file when given (a grid-mode file snaps to its
+    grid, any other solves the beliefs it lacks exactly, within the solver
+    knobs and cache budget), otherwise a fresh solve in the chosen mode.
+    The file alone decides its mode and grid, so a ``--mode`` or
+    ``--grid-resolution`` that differs from them is refused. A solve that
+    finds no fixed point emits its report, says so on stderr, and gives
+    ``None``."""
+    from .backward import GridGenerator, build_solve_report, load_policy_file
+    from .forward import EquilibriumPolicy
+
+    spec = load_game_spec(args.game)
     if args.policy:
         generator = load_policy_file(args.policy, spec, _config(args),
                                      args.cache_budget)
@@ -226,7 +222,7 @@ def _policy_for(args, command: str) -> tuple[GameSpec, EquilibriumPolicy | None]
     if result.status == "refused":
         raise result.error
     if result.status != "ok":
-        _emit(render_report(build_solve_report(result)), args.out)
+        _emit(build_solve_report(result), args.out)
         print(f"spbe: cannot {command}, solve found no fixed point",
               file=sys.stderr)
         return spec, None
@@ -234,6 +230,8 @@ def _policy_for(args, command: str) -> tuple[GameSpec, EquilibriumPolicy | None]
 
 
 def _cmd_simulate(args) -> int:
+    from .forward import simulate, traces_to_delimited
+
     # checked again by ``simulate``, but here before a solve can start
     if args.episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -247,7 +245,7 @@ def _cmd_simulate(args) -> int:
     doc = sim.summary.to_document()
     doc["game"] = spec.digest()
     doc["traces_kept"] = len(sim.traces)
-    _emit(render_report(doc), args.out)
+    _emit(doc, args.out)
     if args.traces_out:
         Path(args.traces_out).write_text(traces_to_delimited(sim.traces),
                                          encoding="utf-8")
@@ -255,6 +253,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_certification
+
     # checked again by the verifier, but here before a solve can start
     if args.samples < 0:
         raise ValueError("samples must be >= 0")
@@ -265,7 +265,7 @@ def _cmd_verify(args) -> int:
         return EXIT_NO_FIXED_POINT
     cert = run_certification(spec, policy, tol=args.verify_tol,
                              consistency_samples=args.samples, seed=args.seed)
-    _emit(render_report(cert), args.out)
+    _emit(cert, args.out)
     if cert["all_checks_ok"]:
         return EXIT_OK
     print(f"spbe: verification failed, max deviation gain {cert['max_gain']}",
@@ -274,17 +274,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .backward import build_solve_report, policy_document
+
     if args.mode == "exact":
         raise ValueError("export builds grid tables only; --mode exact is refused")
-    result = _solve(args, _load_game(args), "grid")
+    result = _solve(args, load_game_spec(args.game), "grid")
     if result.status == "refused":
-        _emit(render_report(build_solve_report(result)), args.out)
+        _emit(build_solve_report(result), args.out)
         print(f"spbe: export refused: {result.failure['message']}", file=sys.stderr)
         return EXIT_RESOURCE
     failed = len(result.generator.failed_points)
     doc = policy_document(result)
     doc["failed_points"] = failed
-    _emit(render_report(doc), args.out)
+    _emit(doc, args.out)
     if failed:
         print(f"spbe: {failed} grid points did not converge", file=sys.stderr)
         return EXIT_NO_FIXED_POINT

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backward import ResourceLimitError
 from .beliefs import (
     Belief,
     ConditionalBelief,
@@ -46,7 +45,7 @@ from .beliefs import (
     posteriors,
     update,
 )
-from .game import GameSpec, component_maps, unflatten_joint
+from .game import GameSpec, ResourceLimitError, component_maps, unflatten_joint
 
 History = tuple[tuple[int, ...], ...]
 

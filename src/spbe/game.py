@@ -13,6 +13,10 @@ outermost. Every module in this package relies on that single convention:
 Reward tensors are stored per stage as one (x, a) matrix per player, where
 x and a are flat joint indices. The on-disk format is a JSON document; see
 ``parse_game_spec``.
+
+The errors the layers raise, and the default cache budget, live here too,
+since every layer imports this module: the forward pass and the verifier
+raise :class:`ResourceLimitError` without importing the solver.
 """
 
 from __future__ import annotations
@@ -26,10 +30,32 @@ from typing import Any, Sequence
 import numpy as np
 
 PRIOR_TOL = 1e-9
+DEFAULT_CACHE_BUDGET = 1_000_000
 
 
 class GameSpecError(ValueError):
     """Raised when a game document is malformed or breaks an invariant."""
+
+
+class NoFixedPointError(RuntimeError):
+    """A stage point failed to solve; carries where and how it failed."""
+
+    def __init__(self, t: int, key: tuple[float, ...], status: str):
+        super().__init__(
+            f"stage {t} has no prescription fixed point at belief {list(key)} "
+            f"(solver status: {status})"
+        )
+        self.t = t
+        self.key = key
+        self.status = status
+
+
+class ResourceLimitError(RuntimeError):
+    """A computation was refused because it exceeds a configured bound."""
+
+    def __init__(self, message: str, limit: int):
+        super().__init__(message)
+        self.limit = limit
 
 
 # ---------------------------------------------------------------------------

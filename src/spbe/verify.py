@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backward import ResourceLimitError
 from .beliefs import (
     EPS_DENOMINATOR,
     condition_on_type,  # noqa: F401  (bound here so profilers can wrap it by name)
@@ -59,7 +58,8 @@ from .beliefs import (
     initial_belief,
 )
 from .forward import EquilibriumPolicy, History, _normalize_history, expected_rewards
-from .game import GameSpec, component_maps, embedding_map, unflatten_joint
+from .game import (GameSpec, ResourceLimitError, component_maps, embedding_map,
+                   unflatten_joint)
 
 TREE_BUDGET = 1_000_000
 
@@ -72,6 +72,16 @@ def _guard_tree(spec: GameSpec) -> None:
             f"budget of {TREE_BUDGET}",
             TREE_BUDGET,
         )
+
+
+def _check_agent(spec: GameSpec, i: int, xi: int | None = None) -> None:
+    """Refuse a player ``i`` outside 0..N-1 and a type ``xi`` outside
+    0..T_i-1, naming the argument."""
+    if not 0 <= i < spec.num_players:
+        raise ValueError(f"player i={i} out of range 0..{spec.num_players - 1}")
+    if xi is not None and not 0 <= xi < spec.type_counts[i]:
+        raise ValueError(f"type xi={xi} out of range 0..{spec.type_counts[i] - 1} "
+                         f"for player {i}")
 
 
 @dataclass(frozen=True)
@@ -277,6 +287,7 @@ def _walk(spec: GameSpec, policy: EquilibriumPolicy, agents: list[tuple[int, int
 def best_deviation_value(spec: GameSpec, policy: EquilibriumPolicy,
                          i: int, xi: int, history: History = ()) -> float:
     """Value of the best full deviation plan of (i, xi) from this node on."""
+    _check_agent(spec, i, xi)
     _guard_tree(spec)
     _, values, _ = _walk(spec, policy, [(i, xi)], _normalize_history(history),
                          gaps=False)
@@ -287,6 +298,7 @@ def equilibrium_continuation_value(spec: GameSpec, policy: EquilibriumPolicy,
                                    i: int, xi: int, history: History = ()) -> float:
     """On-policy continuation value of (i, xi) from this node on, computed
     by the verifier's own recursion rather than read from the solver."""
+    _check_agent(spec, i, xi)
     _guard_tree(spec)
     _, values, _ = _walk(spec, policy, [(i, xi)], _normalize_history(history),
                          gaps=False)
@@ -492,7 +504,8 @@ def check_strategy_independence(spec: GameSpec, policy: EquilibriumPolicy,
     and counted.
 
     When ``i`` or ``t`` is omitted, samples cycle deterministically over
-    players and over stages 1..max(T-1, 1).
+    players and over stages 1..max(T-1, 1); a given ``i`` must be a player
+    and a given ``t`` a stage 1..T.
 
     Every sample's rows are drawn first, in sample order, so each
     sample's rows depend only on ``seed`` and its index. The samples are
@@ -508,6 +521,10 @@ def check_strategy_independence(spec: GameSpec, policy: EquilibriumPolicy,
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
+    if i is not None:
+        _check_agent(spec, i)
+    if t is not None and not 1 <= t <= spec.horizon:
+        raise ValueError(f"stage t={t} out of range 1..{spec.horizon}")
     _guard_tree(spec)
     rng = np.random.default_rng(seed)
     n = spec.num_players

@@ -260,7 +260,7 @@ def test_input_range_checks_come_before_the_solve(games, capsys, monkeypatch,
     def no_solve(*args, **kwargs):
         raise RuntimeError("solve started before the range checks")
 
-    monkeypatch.setattr("spbe.cli.solve", no_solve)
+    monkeypatch.setattr("spbe.backward.solve", no_solve)
     got, out = _run(capsys, [command, games["reference"], flag, value])
     assert got == 2
     assert json.loads(out)["error"]["kind"] == "invalid_input"
@@ -385,7 +385,7 @@ def test_export_refuses_exact_mode(games, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("export --mode exact must not solve")
 
-    monkeypatch.setattr("spbe.cli.solve", no_solve)
+    monkeypatch.setattr("spbe.backward.solve", no_solve)
     code, out = _run(capsys, argv + ["--mode", "exact"])
     assert code == 2
     doc = json.loads(out)
@@ -422,8 +422,8 @@ def test_policy_file_refuses_conflicting_flags(games, reference_policy_file,
     def refuse(*args, **kwargs):
         raise AssertionError("a conflicting flag must be refused first")
 
-    monkeypatch.setattr("spbe.cli.run_certification", refuse)
-    monkeypatch.setattr("spbe.cli.simulate", refuse)
+    monkeypatch.setattr("spbe.verify.run_certification", refuse)
+    monkeypatch.setattr("spbe.forward.simulate", refuse)
     for command, extra in runs.items():
         for path, _, conflicting in cases:
             for flags in conflicting:

@@ -59,3 +59,60 @@ def test_pipeline_leaves_numpy_ma_unimported(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.split() == ["False"]
+
+
+def _fresh(script: str) -> str:
+    """stdout of ``script`` run in a new interpreter on this tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          check=True, capture_output=True, text=True).stdout
+
+
+_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'spbe'))"
+
+
+def test_validate_loads_only_the_game_model(tmp_path):
+    """``spbe validate`` imports the game model and nothing of the solver,
+    the forward pass or the verifier."""
+    from spbe import instances, save_game_spec
+
+    game = tmp_path / "reference.json"
+    save_game_spec(instances.reference_instance(), game)
+    out = _fresh(f"""
+        import sys
+        import spbe.cli
+        assert spbe.cli.main(["validate", {str(game)!r},
+                              "--out", {str(tmp_path / "out.json")!r}]) == 0
+        {_LOADED}
+    """)
+    assert out.strip() == "['spbe', 'spbe.cli', 'spbe.game']"
+
+
+@pytest.mark.parametrize("module", ["verify", "forward"])
+def test_verifier_loads_nothing_of_the_solver(module):
+    """Importing the verifier or the forward pass leaves ``stage`` and
+    ``backward`` unimported, through the package root too: the syntax
+    check above cannot see an import made by another module."""
+    out = _fresh(f"""
+        import sys
+        import spbe.{module}
+        {_LOADED}
+    """)
+    assert "'spbe.stage'" not in out and "'spbe.backward'" not in out
+    assert f"'spbe.{module}'" in out
+
+
+def test_bare_import_resolves_every_submodule():
+    """After a bare ``import spbe`` every submodule resolves as an
+    attribute, and an unknown name raises ``AttributeError``."""
+    names = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    out = _fresh(f"""
+        import spbe
+        for name in {names!r}:
+            assert getattr(spbe, name).__name__ == "spbe." + name, name
+        try:
+            spbe.no_such_name
+        except AttributeError as err:
+            print(err)
+    """)
+    assert out.strip() == "module 'spbe' has no attribute 'no_such_name'"

@@ -186,6 +186,28 @@ def test_strategy_independence_fixed_player_stage(reference_policy):
     assert out["ok"] and out["checked"] == 5 * 4 * 2
 
 
+@pytest.mark.parametrize("check, kwargs", [
+    (check_strategy_independence, {"i": 2}),
+    (check_strategy_independence, {"i": -1}),
+    (check_strategy_independence, {"t": 0}),
+    (check_strategy_independence, {"t": 3}),
+    (best_deviation_value, {"xi": 0, "i": 2}),
+    (best_deviation_value, {"xi": 0, "i": -1}),
+    (best_deviation_value, {"i": 0, "xi": 5}),
+    (equilibrium_continuation_value, {"xi": 0, "i": 2}),
+    (equilibrium_continuation_value, {"i": 1, "xi": -1}),
+], ids=lambda v: getattr(v, "__name__", None) or ",".join(f"{k}={a}" for k, a in v.items()))
+def test_verifier_refuses_out_of_range_arguments(reference_policy, check, kwargs):
+    """A player outside 0..N-1, a type outside 0..T_i-1 or a stage outside
+    1..T (the last argument of each case) is refused up front with a
+    ``ValueError`` naming it, not an error from deep inside the walk."""
+    spec, policy = reference_policy
+    name, value = list(kwargs.items())[-1]
+    label = {"i": "player", "xi": "type", "t": "stage"}[name]
+    with pytest.raises(ValueError, match=f"^{label} {name}={value} out of range"):
+        check(spec, policy, **kwargs)
+
+
 def deep_reference():
     """The reference game lengthened to horizon 5 (four matching-pennies
     stages, then its coordination stage), where every belief pair of the

@@ -14,6 +14,15 @@ and record, as one sha256 line per item:
   ``cached_points()``, ``failed_points`` and ``solve_counts`` and, in grid
   mode, its ``snap_stats``.
 
+Then the command line, ``spbe.cli.main`` run in process with ``--out``
+on the reference game: ``validate``; ``solve --policy-out``, its report
+and the policy file; ``verify`` and ``simulate --traces-out`` on that
+policy file, the simulation's traces too; ``export --grid-resolution 3``;
+and one run for each failure exit code, 2 (a game whose prior sums to
+2), 3 (``asymmetric_pennies`` with support enumeration off and 300
+iterations) and 5 (a cache budget of 0). Each item digests the exit code
+and the written document, less a report's ``timing`` block.
+
 An item that raises records its exception's type and message instead.
 The guard set is 55 exact-mode games (the 12 corpus games,
 ``random_instance(0..39)``, two horizon-1 shapes and the reference game
@@ -24,7 +33,8 @@ storing some of its points (``random_instance(5)`` and ``(9)`` with
 support enumeration off), one that fails below the last stage after
 storing points at both later stages (``random_instance(6, horizon=3)``
 with support enumeration off, which stops at stage 2), an exact and a
-grid solve refused by their cache budget, and a partial grid.
+grid solve refused by their cache budget, and a partial grid. With the
+10 command-line items that makes 1,030 items.
 
 With ``--outcomes`` it prints instead one line per game of the guard set:
 the solve status, the certificate's ``all_checks_ok`` and ``max_gain``
@@ -51,11 +61,16 @@ differ, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 
 def _games(spbe):
@@ -159,6 +174,50 @@ def _items(spbe, spec, mode, resolution, options):
             yield f"{which}.{name}", lambda w=which, n=name: attribute(w, n)
 
 
+def _cli_items(spbe, folder: Path):
+    """(item name, a function giving its text) for the command-line runs,
+    in order: ``verify`` and ``simulate`` read the policy file ``solve``
+    writes."""
+    ref, pennies, policy = (str(folder / f) for f in ("reference.json",
+                                                      "pennies.json", "policy.json"))
+    spbe.save_game_spec(spbe.instances.reference_instance(), ref)
+    spbe.save_game_spec(spbe.instances.asymmetric_pennies_instance(), pennies)
+    malformed = folder / "malformed.json"
+    doc = json.loads(Path(ref).read_text())
+    doc["prior"] = [2 * p for p in doc["prior"]]
+    malformed.write_text(json.dumps(doc))
+
+    def run(*argv):
+        out = folder / "out.json"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = spbe.cli.main([*argv, "--out", str(out)])
+        doc = json.loads(out.read_text())
+        doc.pop("timing", None)
+        return f"exit {code}\n{json.dumps(doc, indent=2, sort_keys=True)}"
+
+    yield "validate", lambda: run("validate", ref)
+    yield "solve", lambda: run("solve", ref, "--policy-out", policy)
+    yield "solve.policy_file", lambda: Path(policy).read_text()
+    yield "verify", lambda: run("verify", ref, "--policy", policy)
+    yield "simulate", lambda: run("simulate", ref, "--policy", policy,
+                                  "--traces-out", str(folder / "traces.tsv"))
+    yield "simulate.traces", lambda: (folder / "traces.tsv").read_text()
+    yield "export", lambda: run("export", ref, "--grid-resolution", "3")
+    yield "exit2_malformed", lambda: run("validate", str(malformed))
+    yield "exit3_no_fixed_point", lambda: run("solve", pennies, "--enum-limit", "0",
+                                              "--max-iters", "300")
+    yield "exit5_cache_budget", lambda: run("solve", ref, "--cache-budget", "0")
+
+
+def _record(name: str, item: str, make) -> None:
+    try:
+        text = make()
+    except Exception as err:   # recorded: a change may not alter it
+        text = f"error {type(err).__name__}: {err}"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    print(f"{name} {item} {digest}", flush=True)
+
+
 def _outcome(spbe, spec, mode, resolution, options) -> tuple[str, int]:
     """``status=… all_checks_ok=… max_gain=… root=…`` of one game, and
     the number of stage points its solve stored."""
@@ -191,6 +250,7 @@ def dump(src: str, outcomes: bool = False) -> None:
     counts and the total of their stage points solved."""
     sys.path.insert(0, src)
     import spbe
+    import spbe.cli
     import spbe.forward
 
     lines, solved = [], 0
@@ -202,15 +262,14 @@ def dump(src: str, outcomes: bool = False) -> None:
             print(lines[-1], flush=True)
             continue
         for item, make in _items(spbe, spec, mode, resolution, options):
-            try:
-                text = make()
-            except Exception as err:   # recorded: a change may not alter it
-                text = f"error {type(err).__name__}: {err}"
-            digest = hashlib.sha256(text.encode()).hexdigest()
-            print(f"{name} {item} {digest}", flush=True)
+            _record(name, item, make)
     if outcomes:
         print(_counts(lines))
         print(f"{solved} solved stage points")
+        return
+    with tempfile.TemporaryDirectory() as folder:
+        for item, make in _cli_items(spbe, Path(folder)):
+            _record("cli/reference", item, make)
 
 
 def _dump_lines(src: str, outcomes: bool) -> tuple[list[str], str]:
