@@ -829,10 +829,11 @@ def _check_entries(raw: list, spec: GameSpec) -> tuple:
     checks each entry's stage and belief length): the fields ``t`` and
     ``belief``; rows and values as arrays; an integer stage; stage range;
     belief length; a belief (:func:`_bad_key`); shapes; finite values;
-    status; the row rule of :class:`Prescription`; the residual; no earlier
-    entry at its stage with a belief of the same key. The first failing
-    check raises one of ``_ENTRY_FAULTS``, a ``KeyError`` for a missing
-    field; on a lone entry, that is its first fault.
+    status; the row rule of :class:`Prescription`; the residual, a finite
+    non-negative number and not a bool; no earlier entry at its stage with
+    a belief of the same key. The first failing check raises one of
+    ``_ENTRY_FAULTS``, a ``KeyError`` for a missing field; on a lone entry,
+    that is its first fault.
     """
     size = spec.num_joint_types
     need = (list(zip(spec.type_counts, spec.action_counts)),
@@ -865,6 +866,10 @@ def _check_entries(raw: list, spec: GameSpec) -> tuple:
             raise ValueError(f"status {e['status']!r} is not a solved point")
     row_stacks = checked_stacks(row_stacks)
     residuals = [float(e["residual"]) for e in raw]
+    for e, r in zip(raw, residuals):
+        if type(e["residual"]) is bool or r != e["residual"] or not 0.0 <= r < math.inf:
+            raise ValueError(f"residual {e['residual']!r} is not a finite, "
+                             "non-negative number")
     seen: dict[tuple[int, bytes], int] = {}
     for k, point in enumerate(zip(stages, _key_bytes(keys))):
         if seen.setdefault(point, k) != k:

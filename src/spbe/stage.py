@@ -17,9 +17,11 @@ Solution phases, tried in order and recorded in the result:
 3. exhaustive support enumeration (small games only): for each support
    profile, solve the indifference system with continuation values frozen,
    refresh the freeze, and accept when the unfrozen residual clears the
-   tolerance. For one or two players the frozen system is linear and
-   solved by least squares; with three or more players it is multilinear
-   and handed to a root finder;
+   tolerance. The frozen system is linear in each player's rows, so for
+   one or two players it is linear and one least-squares step settles
+   it; with three or more it is multilinear and Newton's method with the
+   exact Jacobian solves it (Porter, Nudelman & Shoham, "Simple search
+   methods for finding a Nash equilibrium", GEB 2008);
 4. damped best-response iteration from seeded Dirichlet restarts, only at
    points that enumeration left open or was too large to run at.
 
@@ -89,6 +91,11 @@ STALL_WINDOW = 60
 # have left)
 SETTLED_ITERATES = 4
 SUPPORT_REFRESH_MAX = 60
+# Newton steps and halvings of a step on a frozen support system of three
+# or more players; the steps stop at a residual this small to scale
+NEWTON_STEPS_MAX = 30
+NEWTON_HALVINGS = 10
+NEWTON_TOL = 1e-14
 FREEZE_STABLE_TOL = 1e-12
 LSTSQ_CONSISTENCY_TOL = 1e-8
 # best responses within this of the best are tied, and ties are mixed
@@ -135,7 +142,8 @@ class StageSolution:
     this stage and belief. ``residual`` is the best-response gap maxed over
     agents with positive marginal; zero-marginal agents are listed in
     ``degenerate_types`` and excluded from it. ``status`` is one of
-    ``converged``, ``max_iterations``, ``no_fixed_point``.
+    ``converged``, ``max_iterations``, ``no_fixed_point``, or
+    ``not_in_policy`` for a grid point that a loaded policy file lacks.
     """
 
     prescription: Prescription
@@ -608,193 +616,178 @@ def _support_profiles(ev: StageEvaluator):
     return profiles
 
 
-def _freeze_continuations(ev: StageEvaluator, gamma: Prescription) -> list[np.ndarray]:
+def _freeze_continuations(ev: StageEvaluator, rows) -> list[np.ndarray]:
     """Continuation values ``C_i[0, a, x_i]`` of every active agent at every
-    joint action under candidate gamma (zero for inactive agents, and for
-    every agent past the horizon)."""
+    joint action under the candidate ``rows``, one (T_i, A_i) array per
+    player (zero for inactive agents, and for every agent past the
+    horizon)."""
     if ev.lookup is None:
         return [np.zeros((ev.size, ev.num_joint_actions, c)) for c in ev.type_counts]
-    cand = _Candidate(ev, _batch_rows(gamma))
+    cand = _Candidate(ev, [r[None] for r in rows])
     cand.fill(None, ev.active)
     return [np.where(m[:, None, :], v, 0.0) for v, m in zip(cand.values, ev.active)]
 
 
-def _frozen_q(ev: StageEvaluator, rows, frozen) -> list[np.ndarray]:
-    """Action values (one point) under rows with frozen continuations."""
-    return [qi[0] for qi in ev.q(ev.agent_weights([r[None] for r in rows]), frozen)]
+def _contract(payoffs, rows, i: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Player i's frozen payoffs contracted with the row array of every
+    other player not in ``keep``, with axes (type, action) of each player
+    in ``keep``: i's frozen action values for ``(i,)``, their derivative
+    in j's row array for ``(i, j)``. ``payoffs[i]`` has one axis per
+    player's action, i's first and then the others', then one per type."""
+    others = [k for k in range(len(payoffs)) if k != i]
+    operands = [payoffs[i], [2 * i, *(2 * k for k in others),
+                             2 * i + 1, *(2 * k + 1 for k in others)]]
+    for k in others:
+        if k not in keep:
+            operands += [rows[k], [2 * k + 1, 2 * k]]
+    return np.einsum(*operands, [axis for j in keep for axis in (2 * j + 1, 2 * j)])
 
 
-def _solve_frozen_two_player(ev: StageEvaluator, profile_map: dict,
-                             frozen, payoffs: dict) -> Prescription | None:
-    """Solve the frozen indifference system exactly for N <= 2.
+def _solve_frozen(ev: StageEvaluator, profile_map: dict, frozen, start,
+                  cache: dict) -> Prescription | None:
+    """Solve the indifference system of a support profile with
+    continuations frozen.
 
-    For two players the indifference conditions of player i's agents are
-    linear in the stacked support entries of the other player's rows, so
-    each player's rows come out of one least-squares solve. For one player
-    the support is feasible only when the frozen action values tie.
-    ``payoffs`` holds each player's frozen payoffs once built, by player.
+    The unknowns z are every active agent's support entries and value;
+    per agent, each support action's frozen value equals its value, and
+    the entries sum to one. Player i's frozen action values are linear in
+    each other player's row array, so F(z) = 0 is linear for one or two
+    players and multilinear beyond. Each iterate solves the system
+    linearized at the last, ``z <- lstsq(J, J z - F(z))``, with the exact
+    Jacobian J. With one or two players J is constant and the first
+    iterate from z = 0, the minimum-norm least-squares solution, is final;
+    with two, J is block diagonal, one block per player's entries, and
+    each block is solved on its own. With more, each step from the
+    ``start`` rows is halved until it decreases ``||F||``. A block is
+    accepted if its residual is consistent and no entry is negative.
+    ``cache`` keeps the frozen payoffs, and a constant J, for every
+    profile solved against the same freeze.
     """
-    n = ev.spec.num_players
-    rows = _placeholder_rows(ev)
-
-    if n == 1:
-        q = _frozen_q(ev, rows, frozen)[0]
-        for (i, xi) in ev.agents()[0]:
-            support = list(profile_map[(i, xi)])
-            vals = q[xi, support]
-            if vals.max() - vals.min() > 1e-9:
-                return None
-            rows[i][xi] = 0.0
-            rows[i][xi, support] = 1.0 / len(support)
-        return Prescription(tuple(rows))
-
-    agents_of = {i: [xi for (j, xi) in ev.agents()[0] if j == i] for i in range(2)}
-    for solved in (0, 1):
-        # player `solved`'s rows are pinned by the *other* player's indifference
-        other = 1 - solved
-        # with two players the others' flat index of player `other` is
-        # player `solved`'s own coordinate: coef[x_other, a_other, x_solved, a_solved]
-        if other not in payoffs:
-            payoffs[other] = ev.weighted_payoffs(
-                other, frozen[other])[0].transpose(2, 0, 3, 1)
-        coef = payoffs[other]
-        xs_idx, as_idx = np.array([(xs, a) for xs in agents_of[solved]
-                                   for a in profile_map[(solved, xs)]]).T
-        # one equation per (x_other, a_other) of the support, with the value
-        # of x_other (its position among the active types) as an unknown
-        xo_idx, ao_idx, vo_idx = np.array(
-            [(xo, ao, v) for v, xo in enumerate(agents_of[other])
-             for ao in profile_map[(other, xo)]]).T
-        nu, ne = xs_idx.size, xo_idx.size
-        mat = np.zeros((ne + len(agents_of[solved]), nu + len(agents_of[other])))
-        mat[:ne, :nu] = coef[xo_idx[:, None], ao_idx[:, None], xs_idx, as_idx]
-        mat[np.arange(ne), nu + vo_idx] = -1.0
-        # then one normalization per active type of `solved`
-        mat[ne:, :nu] = xs_idx == np.array(agents_of[solved])[:, None]
-        vec = np.zeros(mat.shape[0])
-        vec[ne:] = 1.0
-        sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-        if not np.all(np.isfinite(sol)):
-            return None
-        scale = max(1.0, float(np.abs(vec).max()), float(np.abs(mat).max()))
-        if float(np.abs(mat @ sol - vec).max()) > LSTSQ_CONSISTENCY_TOL * scale:
-            return None
-        if np.any(sol[:nu] < -1e-8):
-            return None
-        # rows of types not active keep the uniform placeholder
-        act = agents_of[solved]
-        rows[solved][act] = 0.0
-        # as ``max(x, 0.0)``, which keeps -0.0 (``np.maximum`` does not)
-        rows[solved][xs_idx, as_idx] = np.where(sol[:nu] < 0.0, 0.0, sol[:nu])
-        sums = rows[solved][act].sum(axis=1)
-        if (sums <= 0).any():
-            return None
-        rows[solved][act] /= sums[:, None]
-    return Prescription(tuple(rows))
-
-
-def _solve_frozen_multi(ev: StageEvaluator, profile_map: dict,
-                        frozen, start: Prescription) -> Prescription | None:
-    """Root-find the frozen indifference system for three or more players.
-
-    The system is multilinear in the support entries, so unlike the
-    two-player case there is no exact linear-algebra solve; scipy's hybrid
-    root finder handles these desk-scale systems well when a solution on
-    the support exists.
-    """
-    from scipy.optimize import root
-
+    n, tc, ac = ev.spec.num_players, ev.type_counts, ev.action_counts
+    linear = n <= 2
+    sizes = [nt * na for nt, na in zip(tc, ac)]
+    offsets = [sum(sizes[:i]) for i in range(n + 1)]
     agents = ev.agents()[0]
-    layout: list[tuple[int, int, tuple[int, ...]]] = []
-    for (i, xi) in agents:
-        layout.append((i, xi, tuple(profile_map[(i, xi)])))
+    if "payoffs" not in cache:
+        orders = [[i, *(k for k in range(n) if k != i)] for i in range(n)]
+        cache["payoffs"] = [ev.weighted_payoffs(i, frozen[i])[0].reshape(
+            [ac[k] for k in order] + [tc[k] for k in order])
+            for i, order in enumerate(orders)]
+    payoffs = cache["payoffs"]
 
-    def unpack(z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        # plain arrays: the root finder's trial points need not be
-        # row-stochastic, only the accepted solution is checked below
-        rows = _placeholder_rows(ev)
-        pos = 0
-        for (i, xi, support) in layout:
-            rows[i][xi] = 0.0
-            for a in support:
-                rows[i][xi, a] = z[pos]
-                pos += 1
-        vals = z[pos:]
-        return rows, vals
+    def action_values(rows) -> np.ndarray:
+        return np.concatenate([_contract(payoffs, rows, i, (i,)).ravel()
+                               for i in range(n)])
+
+    def jacobian(rows) -> np.ndarray:
+        return np.block([[np.zeros((si, sj)) if j == i
+                          else _contract(payoffs, rows, i, (i, j)).reshape(si, sj)
+                          for j, sj in enumerate(sizes)] for i, si in enumerate(sizes)])
+
+    if "base" not in cache:
+        # the rows at z = 0: inactive types keep the uniform placeholder
+        zero = _placeholder_rows(ev)
+        for i, xi in agents:
+            zero[i][xi] = 0.0
+        if linear:   # J, and the action values at z = 0
+            cache["jacobian"], cache["q0"] = jacobian(zero), action_values(zero)
+        cache["base"] = np.concatenate([r.ravel() for r in zero])
+    base = cache["base"]
+    pos = np.array([offsets[i] + xi * ac[i] + a for i, xi in agents
+                    for a in profile_map[(i, xi)]])
+    nu, m = pos.size, len(agents)
+    owner = np.repeat(np.arange(m), [len(profile_map[agent]) for agent in agents])
+    jac = np.zeros((nu + m, nu + m))
+    jac[np.arange(nu), nu + owner] = -1.0
+    jac[nu + owner, np.arange(nu)] = 1.0
+    blocks = [(np.arange(nu + m),) * 2]
+    if n == 2:   # s's entries and the other's values, in the other's equations
+        player = np.array([i for i, _ in agents])
+        side = np.concatenate([player[owner], 1 - player])
+        blocks = [(np.flatnonzero(side != s), np.flatnonzero(side == s))
+                  for s in (0, 1)]
+
+    def rows_of(z: np.ndarray) -> list[np.ndarray]:
+        flat = base.copy()
+        flat[pos] = z[:nu]
+        return [flat[o:o + size].reshape(nt, -1)
+                for o, size, nt in zip(offsets, sizes, tc)]
 
     def equations(z: np.ndarray) -> np.ndarray:
-        rows, vals = unpack(z)
-        q = _frozen_q(ev, rows, frozen)
-        out = []
-        for k, (i, xi, support) in enumerate(layout):
-            for a in support:
-                out.append(q[i][xi, a] - vals[k])
-            out.append(float(rows[i][xi].sum()) - 1.0)
-        return np.asarray(out)
+        return np.concatenate([action_values(rows_of(z))[pos] - z[nu:][owner],
+                               np.bincount(owner, z[:nu], minlength=m) - 1.0])
 
-    # per agent: |support| indifference equations plus one normalization,
-    # against |support| row entries plus one value variable, so the system
-    # is square
-    z0 = []
-    for (i, xi, support) in layout:
-        for a in support:
-            z0.append(float(start.rows[i][xi, a]))
-    z0.extend(0.0 for _ in layout)
-    z0 = np.asarray(z0)
-    result = root(equations, z0, method="hybr")
-    if not np.isfinite(result.x).all():
-        return None
-    if not result.success and float(np.abs(equations(result.x)).max()) > 1e-9:
-        return None
-    rows, _ = unpack(result.x)
-    for (i, xi, support) in layout:
-        row = rows[i][xi]
-        if np.any(row < -1e-8):
+    z = np.zeros(nu + m)
+    if linear:
+        jac[:nu, :nu] = cache["jacobian"][pos][:, pos]
+        f = np.concatenate([cache["q0"][pos], np.full(m, -1.0)])   # F(0)
+    else:
+        z[:nu] = np.concatenate([r.ravel() for r in start])[pos]
+        f = equations(z)
+    for r, c in blocks:
+        for _ in range(1 if linear else NEWTON_STEPS_MAX):
+            if not linear:
+                jac[:nu, :nu] = jacobian(rows_of(z))[pos][:, pos]
+            sub = jac[r][:, c]
+            rhs = sub @ z[c] - f[r]
+            scale = max(1.0, float(np.abs(sub).max()), float(np.abs(rhs).max()))
+            new = z.copy()
+            new[c] = np.linalg.lstsq(sub, rhs, rcond=None)[0]
+            if linear:   # F is its own linearization
+                z, f[r] = new, sub @ new[c] - rhs
+                break
+            for _ in range(NEWTON_HALVINGS + 1):
+                f_new = equations(new)
+                if np.dot(f_new, f_new) < np.dot(f, f):
+                    break
+                new = 0.5 * (z + new)
+            else:
+                break
+            z, f = new, f_new
+            if float(np.abs(f).max()) <= NEWTON_TOL * scale:
+                break
+        if (not np.isfinite(z[c]).all() or np.any(z[c[c < nu]] < -1e-8)
+                or float(np.abs(f[r]).max()) > LSTSQ_CONSISTENCY_TOL * scale):
             return None
-        row[row < 0] = 0.0
-        s = row.sum()
-        if s <= 0:
+    # as ``max(x, 0.0)``, which keeps -0.0 (``np.maximum`` does not)
+    rows = rows_of(np.where(z < 0.0, 0.0, z))
+    for row, act in zip(rows, ev.active):
+        sums = row[act[0]].sum(axis=1)
+        if (sums <= 0).any():
             return None
-        rows[i][xi] = row / s
+        row[act[0]] /= sums[:, None]
     return Prescription(tuple(rows))
 
 
 def _solve_support(ev: StageEvaluator, profile, config: SolverConfig,
-                   payoffs: dict | None = None) -> Prescription | None:
+                   cache: dict | None = None) -> Prescription | None:
     """Find a candidate supported on `profile` that survives freeze refresh.
 
     Past the horizon every profile of a point freezes the same zero
-    continuations, so a caller may pass one ``payoffs`` dict for all of
-    them to keep the frozen payoffs the first profile builds; below it
-    each freeze builds its own."""
+    continuations, so a caller may pass one ``cache`` dict for all of
+    them to keep what :func:`_solve_frozen` builds from the first; below
+    it each freeze builds its own."""
     profile_map = dict(zip(ev.agents()[0], profile))
     rows = _placeholder_rows(ev)
     for (i, xi), support in profile_map.items():
         rows[i][xi] = 0.0
         rows[i][xi, list(support)] = 1.0 / len(support)
-    gamma = Prescription(tuple(rows))
 
     for _ in range(SUPPORT_REFRESH_MAX):
-        frozen = _freeze_continuations(ev, gamma)
-        if ev.spec.num_players <= 2:
-            solved = _solve_frozen_two_player(
-                ev, profile_map, frozen,
-                payoffs if payoffs is not None and ev.lookup is None else {})
-        else:
-            solved = _solve_frozen_multi(ev, profile_map, frozen, gamma)
+        frozen = _freeze_continuations(ev, rows)
+        solved = _solve_frozen(
+            ev, profile_map, frozen, rows,
+            cache if cache is not None and ev.lookup is None else {})
         if solved is None:
             return None
         if ev.lookup is None:   # past the horizon nothing is frozen to drift
             return solved
-        refrozen = _freeze_continuations(ev, solved)
+        refrozen = _freeze_continuations(ev, solved.rows)
         drift = max(float(np.abs(new - old).max()) for new, old in zip(refrozen, frozen))
         if drift <= FREEZE_STABLE_TOL:
             return solved
-        mixed = [
-            (1.0 - config.damping) * g + config.damping * s
-            for g, s in zip(gamma.rows, solved.rows)
-        ]
-        gamma = Prescription(tuple(mixed))
+        rows = [(1.0 - config.damping) * g + config.damping * s
+                for g, s in zip(rows, solved.rows)]
     return None
 
 
@@ -898,9 +891,9 @@ def solve_stage(
     enumeration_ran = config.support_enumeration_limit >= sum(
         nt * na for nt, na in zip(spec.type_counts, spec.action_counts))
     for b in still_open() if enumeration_ran else ():
-        point, payoffs = ev.take([b]), {}
+        point, cache = ev.take([b]), {}
         for profile in _support_profiles(point):
-            candidate = _solve_support(point, profile, config, payoffs)
+            candidate = _solve_support(point, profile, config, cache)
             if candidate is None:
                 continue
             rows = _batch_rows(candidate)

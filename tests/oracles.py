@@ -20,7 +20,10 @@ documented order, with NumPy's own conversions. :func:`solve_stage_serial`
 pins the stage solver's search order: it solves one point with the
 solver's own phases, every restart in turn. :func:`iterate_batch_damped`
 keeps the stage solver's phase-1 loop as it was before points could
-close on a settled best-response profile. :func:`simulate_brute` pins
+close on a settled best-response profile. :func:`solve_frozen_two_player`
+keeps the stage solver's frozen support solve for one or two players as
+it was before one Newton solve served every player count: a
+least-squares solve per player. :func:`simulate_brute` pins
 ``simulate``'s random stream and summation order: it plays one episode
 after another, one uniform per draw, through the policy's own queries.
 """
@@ -33,8 +36,8 @@ import math
 import numpy as np
 
 from spbe.backward import SNAP_SUM_TOL, _l1
-from spbe.beliefs import (KEY_DIGITS, belief_entropy, condition_on_type,
-                          initial_belief)
+from spbe.beliefs import (KEY_DIGITS, Prescription, belief_entropy,
+                          condition_on_type, initial_belief)
 from spbe.forward import (SimulationResult, SimulationSummary, Trace,
                           expected_rewards)
 from spbe.game import component_maps, embedding_map, unflatten_joint
@@ -510,12 +513,13 @@ def policy_entries_fault(entries, spec) -> str | None:
     """The message loading these policy entries for ``spec`` fails with,
     or None if every entry is sound: entries are read one at a time, each
     checked in order (fields, arrays, integer stage, stage range, belief
-    length, a belief, shapes, finite values, status, row rule, residual,
-    no earlier entry at its stage and a belief with the same key), and the
-    first failing check of the first failing entry names it. A belief has
-    finite, non-negative weights summing to 1 within the snap's tolerance
-    plus half a unit of the key's last digit per weight; its key rounds
-    each weight to ``KEY_DIGITS`` digits, a negative zero made positive."""
+    length, a belief, shapes, finite values, status, row rule, residual (a
+    finite, non-negative number, not a bool), no earlier entry at its stage
+    and a belief with the same key), and the first failing check of the
+    first failing entry names it. A belief has finite, non-negative weights
+    summing to 1 within the snap's tolerance plus half a unit of the key's
+    last digit per weight; its key rounds each weight to ``KEY_DIGITS``
+    digits, a negative zero made positive."""
     need = (list(zip(spec.type_counts, spec.action_counts)),
             [(c,) for c in spec.type_counts])
     earlier = []
@@ -552,7 +556,11 @@ def policy_entries_fault(entries, spec) -> str | None:
             ok, why = rows_stochastic(rows)
             if not ok:
                 raise ValueError(why)
-            float(entry["residual"])
+            residual = float(entry["residual"])
+            if (isinstance(entry["residual"], bool) or residual != entry["residual"]
+                    or not math.isfinite(residual) or residual < 0.0):
+                raise ValueError(f"residual {entry['residual']!r} is not a "
+                                 "finite, non-negative number")
             point = (t, tuple((np.round(key, KEY_DIGITS) + 0.0).tolist()))
             if point in earlier:
                 raise ValueError(f"stage {t} and belief {list(key)} repeat "
@@ -685,6 +693,78 @@ def solve_stage_serial(spec, t, pi, config):
         status = "converged" if residual[0] <= config.fp_tol else "max_iterations"
     return (status, *found, tuple(r[0] for r in rows), tuple(v[0] for v in values),
             float(residual[0]))
+
+
+def solve_frozen_two_player(ev, profile_map: dict, frozen,
+                            payoffs: dict) -> Prescription | None:
+    """Solve the frozen indifference system exactly for N <= 2, the stage
+    solver's own way before it took one Newton solve for every N.
+
+    For two players the indifference conditions of player i's agents are
+    linear in the stacked support entries of the other player's rows, so
+    each player's rows come out of one least-squares solve. For one player
+    the support is feasible only when the frozen action values tie.
+    ``payoffs`` holds each player's frozen payoffs once built, by player.
+    """
+    from spbe import stage
+
+    n = ev.spec.num_players
+    rows = stage._placeholder_rows(ev)
+
+    if n == 1:
+        q = ev.q(ev.agent_weights([r[None] for r in rows]), frozen)[0][0]
+        for (i, xi) in ev.agents()[0]:
+            support = list(profile_map[(i, xi)])
+            vals = q[xi, support]
+            if vals.max() - vals.min() > 1e-9:
+                return None
+            rows[i][xi] = 0.0
+            rows[i][xi, support] = 1.0 / len(support)
+        return Prescription(tuple(rows))
+
+    agents_of = {i: [xi for (j, xi) in ev.agents()[0] if j == i] for i in range(2)}
+    for solved in (0, 1):
+        # player `solved`'s rows are pinned by the *other* player's indifference
+        other = 1 - solved
+        # with two players the others' flat index of player `other` is
+        # player `solved`'s own coordinate: coef[x_other, a_other, x_solved, a_solved]
+        if other not in payoffs:
+            payoffs[other] = ev.weighted_payoffs(
+                other, frozen[other])[0].transpose(2, 0, 3, 1)
+        coef = payoffs[other]
+        xs_idx, as_idx = np.array([(xs, a) for xs in agents_of[solved]
+                                   for a in profile_map[(solved, xs)]]).T
+        # one equation per (x_other, a_other) of the support, with the value
+        # of x_other (its position among the active types) as an unknown
+        xo_idx, ao_idx, vo_idx = np.array(
+            [(xo, ao, v) for v, xo in enumerate(agents_of[other])
+             for ao in profile_map[(other, xo)]]).T
+        nu, ne = xs_idx.size, xo_idx.size
+        mat = np.zeros((ne + len(agents_of[solved]), nu + len(agents_of[other])))
+        mat[:ne, :nu] = coef[xo_idx[:, None], ao_idx[:, None], xs_idx, as_idx]
+        mat[np.arange(ne), nu + vo_idx] = -1.0
+        # then one normalization per active type of `solved`
+        mat[ne:, :nu] = xs_idx == np.array(agents_of[solved])[:, None]
+        vec = np.zeros(mat.shape[0])
+        vec[ne:] = 1.0
+        sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
+        if not np.all(np.isfinite(sol)):
+            return None
+        scale = max(1.0, float(np.abs(vec).max()), float(np.abs(mat).max()))
+        if float(np.abs(mat @ sol - vec).max()) > stage.LSTSQ_CONSISTENCY_TOL * scale:
+            return None
+        if np.any(sol[:nu] < -1e-8):
+            return None
+        # rows of types not active keep the uniform placeholder
+        act = agents_of[solved]
+        rows[solved][act] = 0.0
+        # as ``max(x, 0.0)``, which keeps -0.0 (``np.maximum`` does not)
+        rows[solved][xs_idx, as_idx] = np.where(sol[:nu] < 0.0, 0.0, sol[:nu])
+        sums = rows[solved][act].sum(axis=1)
+        if (sums <= 0).any():
+            return None
+        rows[solved][act] /= sums[:, None]
+    return Prescription(tuple(rows))
 
 
 def _draw(rng, weights) -> int:

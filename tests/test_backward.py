@@ -647,6 +647,10 @@ FAULTS = {
     "missing_player": lambda e: e["rows"].pop(),
     "ragged_row": lambda e: e["rows"][0].__setitem__(0, [1.0]),
     "infinite_stage": lambda e: e.update(t=math.inf),
+    "nan_residual": lambda e: e.update(residual=math.nan),
+    "infinite_residual": lambda e: e.update(residual=math.inf),
+    "negative_residual": lambda e: e.update(residual=-1),
+    "bool_residual": lambda e: e.update(residual=True),
 }
 
 
@@ -710,6 +714,8 @@ def test_policy_load_messages(signaling_policy_text):
         "policy entry 3 has no field 'residual'"
     assert error((3, FAULTS["infinite_stage"])) == \
         "policy entry 3: cannot convert float infinity to integer"
+    assert error((3, FAULTS["bool_residual"])) == \
+        "policy entry 3: residual True is not a finite, non-negative number"
     assert error((3, FAULTS["not_converged"]), (3, FAULTS["inf_value"])) == \
         "policy entry 3: values are not all finite"
     assert error((3, FAULTS["sum_off"]), (3, FAULTS["not_converged"])) == \

@@ -116,3 +116,18 @@ def test_bare_import_resolves_every_submodule():
             print(err)
     """)
     assert out.strip() == "module 'spbe' has no attribute 'no_such_name'"
+
+
+def test_three_player_solves_leave_scipy_unimported():
+    """The frozen support solve of three or more players is numpy alone:
+    exact solves that run it leave ``scipy`` unimported."""
+    out = _fresh("""
+        import sys
+        import spbe
+        from spbe import instances
+        for spec in (instances.three_player_instance(),
+                     instances.random_instance(0, players=3, horizon=1)):
+            assert spbe.solve(spec, mode="exact").status == "ok"
+        print("scipy" in sys.modules)
+    """)
+    assert out.split() == ["False"]

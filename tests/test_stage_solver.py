@@ -127,9 +127,41 @@ def test_three_player_support_solve_raises_faults(monkeypatch):
     spec = instances.three_player_instance()
     ev = stage.StageEvaluator(spec, 1, [initial_belief(spec)])
     full = stage._support_profiles(ev)[0]
-    monkeypatch.setattr(stage, "_frozen_q", broken)
+    monkeypatch.setattr(stage, "_contract", broken)
     with pytest.raises(RuntimeError, match="broken frozen action values"):
         stage._solve_support(ev, full, SolverConfig())
+
+
+_LINEAR_GAMES = {
+    **{name: spec for name, spec in instances.corpus().items()
+       if spec.num_players <= 2},
+    **{f"random_{s}": instances.random_instance(s) for s in range(10)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LINEAR_GAMES))
+def test_frozen_solve_matches_per_player_least_squares(name):
+    """With one or two players the frozen system is linear, so the Newton
+    solve stops at its first iterate: it accepts and rejects the same
+    support profiles as the least-squares solve per player, with the same
+    rows. Every profile of the prior at the last stage."""
+    spec = _LINEAR_GAMES[name]
+    ev = stage.StageEvaluator(spec, spec.horizon, [initial_belief(spec)])
+    agents = ev.agents()[0]
+    cache, payoffs = {}, {}
+    for profile in stage._support_profiles(ev):
+        profile_map = dict(zip(agents, profile))
+        start = stage._placeholder_rows(ev)
+        for (i, xi), support in profile_map.items():
+            start[i][xi] = 0.0
+            start[i][xi, list(support)] = 1.0 / len(support)
+        frozen = stage._freeze_continuations(ev, start)
+        got = stage._solve_frozen(ev, profile_map, frozen, start, cache)
+        want = oracles.solve_frozen_two_player(ev, profile_map, frozen, payoffs)
+        assert (got is None) == (want is None), profile
+        if want is not None:
+            for g, w in zip(got.rows, want.rows):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-9)
 
 
 def test_typed_interior_point_hand_values():

@@ -24,17 +24,19 @@ iterations) and 5 (a cache budget of 0). Each item digests the exit code
 and the written document, less a report's ``timing`` block.
 
 An item that raises records its exception's type and message instead.
-The guard set is 55 exact-mode games (the 12 corpus games,
-``random_instance(0..39)``, two horizon-1 shapes and the reference game
-lengthened to horizon 5), 14 grid builds, and seven solves that are not
-ok, so that every status of a solve is checked: an exact solve that finds
-no fixed point, two exact solves that fail inside a last-stage batch after
-storing some of its points (``random_instance(5)`` and ``(9)`` with
-support enumeration off), one that fails below the last stage after
-storing points at both later stages (``random_instance(6, horizon=3)``
-with support enumeration off, which stops at stage 2), an exact and a
-grid solve refused by their cache budget, and a partial grid. With the
-10 command-line items that makes 1,030 items.
+The guard set is 56 exact-mode games (the 12 corpus games,
+``random_instance(0..39)``, two horizon-1 shapes, the three-player
+horizon-2 ``random_instance(9, players=3)``, whose stage-2 point closes
+by support enumeration, and the reference game lengthened to horizon 5),
+14 grid builds, and seven solves that are not ok, so that every status
+of a solve is checked: an exact solve that finds no fixed point, two
+exact solves that fail inside a last-stage batch after storing some of
+its points (``random_instance(5)`` and ``(9)`` with support enumeration
+off), one that fails below the last stage after storing points at both
+later stages (``random_instance(6, horizon=3)`` with support enumeration
+off, which stops at stage 2), an exact and a grid solve refused by their
+cache budget, and a partial grid. With the 10 command-line items that
+makes 1,043 items.
 
 With ``--outcomes`` it prints instead one line per game of the guard set:
 the solve status, the certificate's ``all_checks_ok`` and ``max_gain``
@@ -82,6 +84,7 @@ def _games(spbe):
     exact.update({f"random_{s}": instances.random_instance(s) for s in range(40)})
     exact["random_0_players3_h1"] = instances.random_instance(0, players=3, horizon=1)
     exact["random_2_types3_h1"] = instances.random_instance(2, types=3, horizon=1)
+    exact["random_9_players3"] = instances.random_instance(9, players=3)
     exact["reference_h5"] = dataclasses.replace(
         ref, horizon=5, rewards=ref.rewards[:1] * 4 + ref.rewards[1:])
     for name, spec in exact.items():
